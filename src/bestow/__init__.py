@@ -12,106 +12,9 @@ The package splits into a static side and a dynamic side:
   (with ``atomic`` batching) and the command-line front end;
 * :mod:`bestow.runtime` — a genuinely concurrent actor library realizing
   the same ideas with Python threads.
+
+Import what you need from those modules; the package itself exports only
+``__version__``.
 """
 
-from __future__ import annotations
-
-from .syntax import (
-    Actor,
-    ActorId,
-    ActorType,
-    App,
-    Arrow,
-    Bestow,
-    Bestowed,
-    BestowedLoc,
-    Expr,
-    Heap,
-    Lambda,
-    Loc,
-    Mutate,
-    NewActor,
-    NewPassive,
-    Passive,
-    Send,
-    Type,
-    UnitType,
-    UnitVal,
-    Val,
-    Value,
-    Var,
-)
-from .typecheck import TypeCheckError, TypeEnv, type_of
-from .semantics import (
-    SchedulerChoice,
-    TraceEvent,
-    enabled_choices,
-    initial_heap,
-    run_program,
-    run_to_quiescence,
-    step_system,
-)
-from .wellformed import WfReport, WfViolation, wf_heap
-from .explore import (
-    StateSpace,
-    canonicalize,
-    check_preservation,
-    check_progress,
-    check_race_freedom,
-    explore,
-)
-from .gen import GenConfig, generate_well_typed
-from .surface import compile_program, desugar, format_core, parse_program
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Actor",
-    "ActorId",
-    "ActorType",
-    "App",
-    "Arrow",
-    "Bestow",
-    "Bestowed",
-    "BestowedLoc",
-    "Expr",
-    "GenConfig",
-    "Heap",
-    "Lambda",
-    "Loc",
-    "Mutate",
-    "NewActor",
-    "NewPassive",
-    "Passive",
-    "SchedulerChoice",
-    "Send",
-    "StateSpace",
-    "TraceEvent",
-    "Type",
-    "TypeCheckError",
-    "TypeEnv",
-    "UnitType",
-    "UnitVal",
-    "Val",
-    "Value",
-    "Var",
-    "WfReport",
-    "WfViolation",
-    "canonicalize",
-    "check_preservation",
-    "check_progress",
-    "check_race_freedom",
-    "compile_program",
-    "desugar",
-    "enabled_choices",
-    "explore",
-    "format_core",
-    "generate_well_typed",
-    "initial_heap",
-    "parse_program",
-    "run_program",
-    "run_to_quiescence",
-    "step_system",
-    "type_of",
-    "wf_heap",
-]

@@ -19,21 +19,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .syntax import (
     Actor,
     ActorId,
     BestowedLoc,
     Heap,
-    Lambda,
     Loc,
-    Val,
     Value,
     is_value,
-    iter_values,
     map_values,
     render_heap,
+    walk,
 )
 from .semantics import (
     SchedulerChoice,
@@ -69,31 +67,21 @@ def canonicalize(heap: Heap) -> Heap:
     id_map: dict[int, int] = {}
     loc_map: dict[int, int] = {}
 
-    def visit_value(v: Value, pending: deque[int]) -> None:
-        match v:
-            case Loc(loc):
-                if loc not in loc_map:
-                    loc_map[loc] = len(loc_map)
-            case ActorId(ident):
-                if ident not in id_map:
-                    id_map[ident] = len(id_map)
-                    pending.append(ident)
-            case BestowedLoc(loc, owner):
-                if loc not in loc_map:
-                    loc_map[loc] = len(loc_map)
-                if owner not in id_map:
-                    id_map[owner] = len(id_map)
-                    pending.append(owner)
-
     def visit_actor(ident: int, pending: deque[int]) -> None:
         a = heap.actors[ident]
         if a.this_loc not in loc_map:
             loc_map[a.this_loc] = len(loc_map)
-        for v in iter_values(a.current):
-            visit_value(v, pending)
-        for msg in a.queue:
-            for v in iter_values(Val(msg)):
-                visit_value(v, pending)
+        for term in (a.current, *a.queue):
+            for v in walk(term):
+                t = type(v)
+                if t is Loc or t is BestowedLoc:
+                    if v.loc not in loc_map:
+                        loc_map[v.loc] = len(loc_map)
+                if t is ActorId or t is BestowedLoc:
+                    owner = v.ident if t is ActorId else v.owner
+                    if owner not in id_map:
+                        id_map[owner] = len(id_map)
+                        pending.append(owner)
 
     pending: deque[int] = deque()
     roots = sorted(heap.actors)
@@ -116,30 +104,40 @@ def canonicalize(heap: Heap) -> Heap:
             if loc not in loc_map:
                 loc_map[loc] = len(loc_map)
 
+    # Values whose numbers do not change are kept, so the canonical heap
+    # shares every unchanged subterm with ``heap``.
     def rewrite(v: Value) -> Value:
-        match v:
-            case Loc(loc):
-                return Loc(loc_map[loc])
-            case ActorId(ident):
-                return ActorId(id_map[ident])
-            case BestowedLoc(loc, owner):
-                return BestowedLoc(loc_map[loc], id_map[owner])
+        t = type(v)
+        if t is Loc:
+            loc = loc_map[v.loc]
+            return v if loc == v.loc else Loc(loc)
+        if t is ActorId:
+            ident = id_map[v.ident]
+            return v if ident == v.ident else ActorId(ident)
+        if t is BestowedLoc:
+            loc, owner = loc_map[v.loc], id_map[v.owner]
+            if loc == v.loc and owner == v.owner:
+                return v
+            return BestowedLoc(loc, owner)
         return v
 
     actors: dict[int, Actor] = {}
     for ident, a in heap.actors.items():
-        msgs: list[Lambda] = []
-        for m in a.queue:
-            m2 = map_values(Val(m), rewrite)
-            assert isinstance(m2, Val) and isinstance(m2.value, Lambda)
-            msgs.append(m2.value)
         actors[id_map[ident]] = Actor(
             this_loc=loc_map[a.this_loc],
             local_heap=frozenset(loc_map[loc] for loc in a.local_heap),
-            queue=tuple(msgs),
+            queue=tuple(map_values(m, rewrite) for m in a.queue),
             current=map_values(a.current, rewrite),
         )
     return Heap(actors, next_loc=len(loc_map), next_id=len(id_map))
+
+
+def _represent(heap: Heap, canonical: bool) -> tuple[str, Heap]:
+    """The key of ``heap`` and the heap stored under it, canonicalized once."""
+    if canonical:
+        rep = canonicalize(heap)
+        return render_heap(rep), rep
+    return render_heap(heap, include_counters=True), heap
 
 
 def state_key(heap: Heap, canonical: bool = True) -> str:
@@ -150,9 +148,7 @@ def state_key(heap: Heap, canonical: bool = True) -> str:
     ids stable along a path (useful when a test needs to follow one actor
     across states).
     """
-    if canonical:
-        return render_heap(canonicalize(heap))
-    return render_heap(heap, include_counters=True)
+    return _represent(heap, canonical)[0]
 
 
 # --------------------------------------------------------------------------
@@ -183,8 +179,7 @@ class StateSpace:
     @staticmethod
     def singleton(heap: Heap, *, canonical: bool = True) -> StateSpace:
         """A one-state space (no exploration, no well-formedness demand)."""
-        key = state_key(heap, canonical)
-        rep = canonicalize(heap) if canonical else heap
+        key, rep = _represent(heap, canonical)
         return StateSpace(
             initial=key,
             states={key: rep},
@@ -238,8 +233,7 @@ def explore(
     if require_wf:
         assert_wf(heap)
 
-    init_key = state_key(heap, canonical)
-    init_rep = canonicalize(heap) if canonical else heap
+    init_key, init_rep = _represent(heap, canonical)
     states: dict[str, Heap] = {init_key: init_rep}
     edges: list[Edge] = []
     parents: dict[str, Edge] = {}
@@ -259,12 +253,12 @@ def explore(
             continue
         for choice in choices:
             nxt, event = step_system(rep, choice, step_index=d, lifo=lifo)
-            nxt_key = state_key(nxt, canonical)
+            nxt_key, nxt_rep = _represent(nxt, canonical)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
                     continue
-                states[nxt_key] = canonicalize(nxt) if canonical else nxt
+                states[nxt_key] = nxt_rep
                 depth[nxt_key] = d + 1
                 edge = Edge(key, choice, event, nxt_key)
                 parents[nxt_key] = edge

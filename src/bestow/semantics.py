@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (
@@ -33,11 +34,11 @@ from .syntax import (
     Send,
     UnitVal,
     Val,
-    Value,
     Var,
-    free_vars_value,
+    free_vars,
     fresh_name,
     is_value,
+    rebuild,
     render_expr,
     subst,
 )
@@ -119,76 +120,74 @@ def is_redex(e: Expr) -> bool:
     return False
 
 
+def _focus(e: Expr) -> tuple[list[Expr], Expr]:
+    """Follow the evaluation context down from ``e``.
+
+    Contexts descend into the function position of an application first,
+    then the argument; into send targets, mutate targets and bestow
+    arguments.  Message positions are values and are never reduced.  Returns
+    the context's nodes, outermost first, and the subexpression where the
+    descent stops: the redex, or the node that has none.
+    """
+    path: list[Expr] = []
+    while not is_redex(e):
+        t = type(e)
+        if t is App:
+            hole = e.fun if type(e.fun) is not Val else e.arg
+        elif t is Send or t is Mutate:
+            hole = e.target
+        elif t is Bestow:
+            hole = e.inner
+        else:
+            break
+        if type(hole) is Val:
+            break
+        path.append(e)
+        e = hole
+    return path, e
+
+
+def _plug(path: list[Expr], x: Expr) -> Expr:
+    """Fill the context ``path`` (from ``_focus``) with ``x``."""
+    for n in reversed(path):
+        if type(n) is App:
+            x = rebuild(n, n.fun, x) if type(n.fun) is Val else rebuild(n, x, n.arg)
+        elif type(n) is Send:
+            x = rebuild(n, x, n.msg)
+        else:
+            x = rebuild(n, x)
+    return x
+
+
 def decompose(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
     """Split ``e`` into its unique redex and context, or None.
 
     The context is returned as a plug function; ``plug(redex)`` rebuilds
-    ``e``.  Contexts descend into the function position of an application
-    first, then the argument; into send targets, mutate targets and bestow
-    arguments.  Message positions are values and are never reduced.
+    ``e``.
     """
-    if is_redex(e):
-        return e, lambda x: x
-    match e:
-        case App(fun, arg) if not is_value(fun):
-            d = decompose(fun)
-            if d is None:
-                return None
-            r, c = d
-            return r, lambda x: App(c(x), arg)
-        case App(fun, arg) if not is_value(arg):
-            d = decompose(arg)
-            if d is None:
-                return None
-            r, c = d
-            return r, lambda x: App(fun, c(x))
-        case Send(target, msg) if not is_value(target):
-            d = decompose(target)
-            if d is None:
-                return None
-            r, c = d
-            return r, lambda x: Send(c(x), msg)
-        case Mutate(target) if not is_value(target):
-            d = decompose(target)
-            if d is None:
-                return None
-            r, c = d
-            return r, lambda x: Mutate(c(x))
-        case Bestow(inner) if not is_value(inner):
-            d = decompose(inner)
-            if d is None:
-                return None
-            r, c = d
-            return r, lambda x: Bestow(c(x))
-    return None
+    path, focus = _focus(e)
+    if not is_redex(focus):
+        return None
+    return focus, partial(_plug, path)
 
 
 def _stuck_reason(actor: int, e: Expr) -> StuckError:
     """Best-effort diagnosis of why a non-value expression has no redex."""
+    _, e = _focus(e)
     match e:
         case Var(name):
             return StuckError(actor, e, f"free variable {name}")
-        case App(fun, arg):
-            if not is_value(fun):
-                return _stuck_reason(actor, fun)
-            if not is_value(arg):
-                return _stuck_reason(actor, arg)
+        case App():
             return StuckError(actor, e, "application of a non-function value")
-        case Send(target, msg):
-            if not is_value(target):
-                return _stuck_reason(actor, target)
+        case Send(target):
             if not isinstance(target.value, (ActorId, BestowedLoc)):
                 return SendToNonActiveError(
                     actor, e, "send target is not an actor or bestowed reference"
                 )
             return StuckError(actor, e, "message is not a function value")
-        case Mutate(target):
-            if not is_value(target):
-                return _stuck_reason(actor, target)
+        case Mutate():
             return StuckError(actor, e, "mutate target is not a heap location")
-        case Bestow(inner):
-            if not is_value(inner):
-                return _stuck_reason(actor, inner)
+        case Bestow():
             return StuckError(actor, e, "bestow argument is not a heap location")
     return StuckError(actor, e, "no applicable rule")
 
@@ -224,7 +223,7 @@ def step_expr(heap: Heap, actor_id: int, e: Expr) -> tuple[Heap, Expr, str, int 
             assert isinstance(msg, Lambda)
             # Forward to the owner: wrap the message so that, once delivered,
             # it applies the original function to the underlying object.
-            y = fresh_name("y", free_vars_value(msg))
+            y = fresh_name("y", free_vars(msg))
             wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(loc))))
             recv = heap.actors[owner]
             recv = Actor(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable
 
 from .syntax import (
     ActorType,
@@ -50,6 +50,12 @@ from .syntax import (
 from .typecheck import TypeCheckError, TypeEnv, check
 
 MAX_BATCH = 64
+# Input nested deeper than this is rejected by the parser.  Every later stage
+# takes a bounded number of Python frames per level of nesting, so this
+# bound keeps all of them well inside the interpreter's default recursion
+# limit.  Long programs are not nested: statements are parsed, desugared
+# and checked in loops.
+MAX_NESTING = 50
 
 Pos = tuple[int, int]
 
@@ -207,10 +213,30 @@ class SAtomic(SNode):
 _ATOM_START = {"ident", "(", "{", "new"}
 
 
+def _nested(parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Count each call of ``parse`` as one level of nesting."""
+
+    def counted(self: _Parser) -> Any:
+        self.deeper()
+        node = parse(self)
+        self.depth -= 1
+        return node
+
+    return counted
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"input is nested more than {MAX_NESTING} levels deep", self.peek().pos
+            )
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -230,6 +256,7 @@ class _Parser:
 
     # -- types ------------------------------------------------------------
 
+    @_nested
     def parse_type(self) -> Type:
         left = self.parse_atom_type()
         if self.peek().kind == "->":
@@ -264,6 +291,7 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------
 
+    @_nested
     def parse_expr(self) -> SNode:
         t = self.peek()
         if t.kind == "\\":
@@ -302,24 +330,36 @@ class _Parser:
         t = self.peek()
         if t.kind == "bestow":
             self.next()
-            return SBestow(self.parse_prefix(), pos=t.pos)
+            self.deeper()
+            inner = self.parse_prefix()
+            self.depth -= 1
+            return SBestow(inner, pos=t.pos)
         return self.parse_app()
 
+    # Each application or mutate in a chain wraps the chain so far one level
+    # deeper.
+
     def parse_app(self) -> SNode:
+        depth = self.depth
         e = self.parse_postfix()
         while self.peek().kind in _ATOM_START:
+            self.deeper()
             arg = self.parse_postfix()
             e = SApp(e, arg, pos=t_pos(arg) or t_pos(e))
+        self.depth = depth
         return e
 
     def parse_postfix(self) -> SNode:
+        depth = self.depth
         e = self.parse_atom()
         while self.peek().kind == ".":
+            self.deeper()
             dot = self.next()
             self.expect("mutate")
             self.expect("(")
             self.expect(")")
             e = SMutate(e, pos=dot.pos)
+        self.depth = depth
         return e
 
     def parse_atom(self) -> SNode:
@@ -457,19 +497,32 @@ def _elab_send(node: SSend, env: TypeEnv, in_atomic: bool) -> Expr:
 def _elab_block(stmts: list[SNode], env: TypeEnv, in_atomic: bool) -> Expr:
     if not stmts:
         return Val(UnitVal())
-    head, rest = stmts[0], stmts[1:]
-    if not rest:
-        return _elab(head, env, in_atomic)
-    if isinstance(head, SBind):
-        bound = _elab(head.expr, env, in_atomic)
+    links: list[tuple[str | None, Expr, Type]] = []
+    for s in stmts[:-1]:
+        bound = _elab(s, env, in_atomic)
         t = _try_type(bound, env)
-        body = _elab_block(rest, env.extend(head.name, t), in_atomic)
-        return App(Val(Lambda(head.name, t, body)), bound)
-    first = _elab(head, env, in_atomic)
-    t = _try_type(first, env)
-    body = _elab_block(rest, env, in_atomic)
-    x = fresh_name("_seq", free_vars(body))
-    return App(Val(Lambda(x, t, body)), first)
+        name = s.name if isinstance(s, SBind) else None
+        links.append((name, bound, t))
+        if name is not None:
+            env = env.extend(name, t)
+    return _sequence(links, _elab(stmts[-1], env, in_atomic))
+
+
+def _sequence(links: list[tuple[str | None, Expr, Type]], last: Expr) -> Expr:
+    """Chain statements ahead of ``last``: each ``(x, e, T)`` link becomes
+    ``(\\x:T. rest) e``.  A link without a name is a plain statement; its
+    binder is ``_seq``, renamed if ``rest`` uses that name.  The free
+    variables of ``rest`` are kept up to date as the chain grows from the
+    back, so no statement rescans the rest of the program."""
+    body = last
+    body_free = set(free_vars(last))
+    for name, bound, t in reversed(links):
+        if name is None:
+            name = fresh_name("_seq", body_free)
+        body = App(Val(Lambda(name, t, body)), bound)
+        body_free.discard(name)
+        body_free |= free_vars(bound)
+    return body
 
 
 def _surface_uses(node: SNode, name: str) -> bool:
@@ -563,11 +616,8 @@ def _elab_atomic(node: SAtomic, env: TypeEnv, in_atomic: bool) -> Expr:
 
     body: Expr = Val(UnitVal())
     if parts:
-        body = parts[-1]
-        for part in reversed(parts[:-1]):
-            t_part = _try_type(part, body_env)
-            x = fresh_name("_seq", free_vars(body))
-            body = App(Val(Lambda(x, t_part, body)), part)
+        links = [(None, part, _try_type(part, body_env)) for part in parts[:-1]]
+        body = _sequence(links, parts[-1])
     return Send(Var(node.target.name), Lambda(alias, Passive(), body))
 
 

@@ -12,7 +12,8 @@ used as golden values and as heap canonicalization keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from operator import attrgetter
+from typing import Any, Callable, Iterator, TypeVar
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +85,7 @@ class Value:
     __slots__ = ()
 
     def __str__(self) -> str:
-        return render_value(self)
+        return render_expr(self)
 
 
 @dataclass(frozen=True)
@@ -164,31 +165,129 @@ def is_value(e: Expr) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Free variables, renaming, substitution
+# Traversal
 # --------------------------------------------------------------------------
 
+# The children of each compound node, left to right.  This table is the one
+# description of term shape: ``walk``, ``fold`` and ``rebuild`` read it, and
+# every traversal below goes through them.  Any other node is a leaf.  Both
+# engines keep an explicit stack, so no term is too deep to traverse.
+_CHILDREN: dict[type, tuple[str, ...]] = {
+    App: ("fun", "arg"),
+    Send: ("target", "msg"),
+    Mutate: ("target",),
+    Bestow: ("inner",),
+    Val: ("value",),
+    Lambda: ("body",),
+}
+# Children right to left, as a stack takes them: a one-child getter returns
+# the child itself, a two-child getter a pair.
+_PUSH = {t: attrgetter(*reversed(f)) for t, f in _CHILDREN.items()}
 
-def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset({name})
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case Send(target, msg):
-            return free_vars(target) | free_vars_value(msg)
-        case Mutate(target) | Bestow(inner=target):
-            return free_vars(target)
-        case NewPassive() | NewActor():
-            return frozenset()
-        case Val(value):
-            return free_vars_value(value)
-    raise TypeError(f"not an expression: {e!r}")
+Term = TypeVar("Term", Expr, Value)
 
 
-def free_vars_value(v: Value) -> frozenset[str]:
-    if isinstance(v, Lambda):
-        return free_vars(v.body) - {v.param}
-    return frozenset()
+def walk(term: Expr | Value) -> Iterator[Expr | Value]:
+    """Every node of ``term`` in preorder, left to right, descending into
+    lambda bodies and messages."""
+    stack = [term]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    children = _PUSH.get
+    while stack:
+        n = pop()
+        yield n
+        get = children(type(n))
+        if get is not None:
+            kids = get(n)
+            if type(kids) is tuple:
+                extend(kids)
+            else:
+                push(kids)
+
+
+def fold(
+    term: Expr | Value,
+    leaf: Callable[[Any], Any],
+    post: Callable[..., Any],
+    skip: Callable[[Any], Any] | None = None,
+) -> Any:
+    """Fold ``term`` bottom-up.
+
+    ``leaf(n)`` gives a leaf's result.  A compound node's children are folded
+    left to right and ``post(n, a)`` or ``post(n, a, b)`` combines their
+    results.  ``skip(n)``, if given, runs as each compound node is entered,
+    in preorder: a result other than None stands for the node's whole
+    subtree, which is then not entered.
+    """
+    stack: list[Any] = [term]
+    out: list[Any] = []
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    children = _PUSH.get
+    while stack:
+        n = pop()
+        if type(n) is int:  # the children of the node below are done
+            if n == 2:
+                b = out.pop()
+                out[-1] = post(pop(), out[-1], b)
+            else:
+                out[-1] = post(pop(), out[-1])
+            continue
+        get = children(type(n))
+        if get is None:
+            out.append(leaf(n))
+            continue
+        if skip is not None:
+            r = skip(n)
+            if r is not None:
+                out.append(r)
+                continue
+        kids = get(n)
+        push(n)
+        if type(kids) is tuple:
+            push(2)
+            extend(kids)
+        else:
+            push(1)
+            push(kids)
+    return out[0]
+
+
+def rebuild(n: Term, a: Any, b: Any = None) -> Term:
+    """``n`` with children ``a`` (and ``b``); ``n`` itself when they are
+    its own children, so unchanged subtrees stay shared."""
+    old = _PUSH[type(n)](n)
+    if b is None:
+        if a is old:
+            return n
+        if type(n) is Lambda:
+            return Lambda(n.param, n.param_type, a)
+        return type(n)(a)
+    if a is old[1] and b is old[0]:
+        return n
+    return type(n)(a, b)
+
+
+# --------------------------------------------------------------------------
+# Free variables and substitution
+# --------------------------------------------------------------------------
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _free_leaf(n: Expr | Value) -> frozenset[str]:
+    return frozenset((n.name,)) if type(n) is Var else _NO_VARS
+
+
+def _free_post(
+    n: Expr | Value, a: frozenset[str], b: frozenset[str] = _NO_VARS
+) -> frozenset[str]:
+    if type(n) is Lambda:
+        return a - {n.param}
+    return a | b if b else a
+
+
+def free_vars(term: Expr | Value) -> frozenset[str]:
+    return fold(term, _free_leaf, _free_post)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -201,68 +300,32 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}_{k}"
 
 
-def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Rename free occurrences of variable ``old`` to ``new``."""
-    match e:
-        case Var(name):
-            return Var(new) if name == old else e
-        case App(fun, arg):
-            return App(rename_var(fun, old, new), rename_var(arg, old, new))
-        case Send(target, msg):
-            return Send(rename_var(target, old, new), _rename_in_value(msg, old, new))
-        case Mutate(target):
-            return Mutate(rename_var(target, old, new))
-        case Bestow(inner):
-            return Bestow(rename_var(inner, old, new))
-        case NewPassive() | NewActor():
-            return e
-        case Val(value):
-            return Val(_rename_in_value(value, old, new))
-    raise TypeError(f"not an expression: {e!r}")
+def subst(term: Term, name: str, v: Value | Var) -> Term:
+    """Capture-avoiding substitution of ``v`` for the free ``name`` in ``term``.
 
-
-def _rename_in_value(v: Value, old: str, new: str) -> Value:
-    if isinstance(v, Lambda) and v.param != old:
-        # Renaming is only ever used with a fresh `new`, so no capture check.
-        return Lambda(v.param, v.param_type, rename_var(v.body, old, new))
-    return v
-
-
-def subst(e: Expr, name: str, v: Value) -> Expr:
-    """Capture-avoiding substitution of value ``v`` for ``name`` in ``e``.
-
-    Values flowing through the evaluator are closed, so the capture case is
-    unreachable in practice; it is handled anyway by renaming the binder.
+    ``v`` is a value, or a variable when a binder is renamed.  Values flowing
+    through the evaluator are closed, so the capture case is unreachable in
+    practice; it is handled anyway by renaming the binder.
     """
-    match e:
-        case Var(n):
-            return Val(v) if n == name else e
-        case App(fun, arg):
-            return App(subst(fun, name, v), subst(arg, name, v))
-        case Send(target, msg):
-            return Send(subst(target, name, v), subst_value(msg, name, v))
-        case Mutate(target):
-            return Mutate(subst(target, name, v))
-        case Bestow(inner):
-            return Bestow(subst(inner, name, v))
-        case NewPassive() | NewActor():
-            return e
-        case Val(value):
-            return Val(subst_value(value, name, v))
-    raise TypeError(f"not an expression: {e!r}")
+    new = v if isinstance(v, Var) else Val(v)
+    new_free = free_vars(new)
 
+    def leaf(n: Expr | Value) -> Expr | Value:
+        return new if type(n) is Var and n.name == name else n
 
-def subst_value(val: Value, name: str, v: Value) -> Value:
-    if not isinstance(val, Lambda):
-        return val
-    if val.param == name:
-        return val
-    if val.param in free_vars_value(v) and name in free_vars(val.body):
-        avoid = free_vars(val.body) | free_vars_value(v) | {name}
-        q = fresh_name(val.param, avoid)
-        body = rename_var(val.body, val.param, q)
-        return Lambda(q, val.param_type, subst(body, name, v))
-    return Lambda(val.param, val.param_type, subst(val.body, name, v))
+    def skip(n: Expr | Value) -> Expr | Value | None:
+        if type(n) is not Lambda:
+            return None
+        if n.param == name:
+            return n
+        if n.param in new_free and name in free_vars(n.body):
+            avoid = free_vars(n.body) | new_free | {name}
+            q = fresh_name(n.param, avoid)
+            body = subst(n.body, n.param, Var(q))
+            return Lambda(q, n.param_type, subst(body, name, v))
+        return None
+
+    return fold(term, leaf, rebuild, skip)
 
 
 # --------------------------------------------------------------------------
@@ -270,58 +333,23 @@ def subst_value(val: Value, name: str, v: Value) -> Value:
 # --------------------------------------------------------------------------
 
 
-def iter_values(e: Expr) -> Iterator[Value]:
-    """All value nodes in ``e``, descending into lambda bodies and messages."""
-    match e:
-        case Var(_) | NewPassive() | NewActor():
-            return
-        case App(fun, arg):
-            yield from iter_values(fun)
-            yield from iter_values(arg)
-        case Send(target, msg):
-            yield from iter_values(target)
-            yield from _iter_values_of(msg)
-        case Mutate(target) | Bestow(inner=target):
-            yield from iter_values(target)
-        case Val(value):
-            yield from _iter_values_of(value)
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+def iter_values(term: Expr | Value) -> Iterator[Value]:
+    """All value nodes in ``term``, descending into lambda bodies and messages."""
+    return (n for n in walk(term) if isinstance(n, Value))
 
 
-def _iter_values_of(v: Value) -> Iterator[Value]:
-    yield v
-    if isinstance(v, Lambda):
-        yield from iter_values(v.body)
-
-
-def map_values(e: Expr, f: "Callable[[Value], Value]") -> Expr:
-    """Rewrite every leaf value in ``e`` with ``f``, descending into lambdas.
+def map_values(term: Term, f: Callable[[Value], Value]) -> Term:
+    """Rewrite every leaf value in ``term`` with ``f``, descending into lambdas.
 
     ``f`` is applied to non-lambda values only (locations, actor ids,
     bestowed locations, unit); lambdas are rebuilt around their rewritten
     bodies.  Used for renaming runtime names, which never touches binders.
     """
-    match e:
-        case Var(_) | NewPassive() | NewActor():
-            return e
-        case App(fun, arg):
-            return App(map_values(fun, f), map_values(arg, f))
-        case Send(target, msg):
-            return Send(map_values(target, f), _map_value(msg, f))
-        case Mutate(target):
-            return Mutate(map_values(target, f))
-        case Bestow(inner):
-            return Bestow(map_values(inner, f))
-        case Val(value):
-            return Val(_map_value(value, f))
-    raise TypeError(f"not an expression: {e!r}")
 
+    def leaf(n: Expr | Value) -> Expr | Value:
+        return f(n) if isinstance(n, Value) else n
 
-def _map_value(v: Value, f: "Callable[[Value], Value]") -> Value:
-    if isinstance(v, Lambda):
-        return Lambda(v.param, v.param_type, map_values(v.body, f))
-    return f(v)
+    return fold(term, leaf, rebuild)
 
 
 def contains_loc(e: Expr) -> bool:
@@ -330,22 +358,20 @@ def contains_loc(e: Expr) -> bool:
     Bestowed locations do not count: only plain ``Loc`` values betray a
     passive object.
     """
-    return any(isinstance(v, Loc) for v in iter_values(e))
+    return any(type(n) is Loc for n in walk(e))
 
 
 def locs_in(e: Expr) -> frozenset[int]:
-    return frozenset(v.loc for v in iter_values(e) if isinstance(v, Loc))
+    return frozenset(n.loc for n in walk(e) if type(n) is Loc)
 
 
 def actor_ids_in(e: Expr) -> frozenset[int]:
-    return frozenset(v.ident for v in iter_values(e) if isinstance(v, ActorId))
+    return frozenset(n.ident for n in walk(e) if type(n) is ActorId)
 
 
 def bestowed_in(e: Expr) -> frozenset[tuple[int, int]]:
     """All ``(loc, owner)`` pairs of bestowed locations occurring in ``e``."""
-    return frozenset(
-        (v.loc, v.owner) for v in iter_values(e) if isinstance(v, BestowedLoc)
-    )
+    return frozenset((n.loc, n.owner) for n in walk(e) if type(n) is BestowedLoc)
 
 
 # --------------------------------------------------------------------------
@@ -410,45 +436,48 @@ def render_type(t: Type) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
-def render_expr(e: Expr) -> str:
-    match e:
-        case Var(name):
-            return name
-        case App(fun, arg):
-            return f"(app {render_expr(fun)} {render_expr(arg)})"
-        case Send(target, msg):
-            return f"(send {render_expr(target)} {render_value(msg)})"
-        case Mutate(target):
-            return f"(mutate {render_expr(target)})"
-        case NewPassive():
-            return "(new p)"
-        case NewActor():
-            return "(new c)"
-        case Bestow(inner):
-            return f"(bestow {render_expr(inner)})"
-        case Val(value):
-            return render_value(value)
-    raise TypeError(f"not an expression: {e!r}")
+def _render_leaf(n: Expr | Value) -> str:
+    t = type(n)
+    if t is Var:
+        return n.name
+    if t is UnitVal:
+        return "unit"
+    if t is Loc:
+        return f"(loc {n.loc})"
+    if t is ActorId:
+        return f"(id {n.ident})"
+    if t is BestowedLoc:
+        return f"(bloc {n.loc} {n.owner})"
+    if t is NewPassive:
+        return "(new p)"
+    if t is NewActor:
+        return "(new c)"
+    raise TypeError(f"not a term: {n!r}")
 
 
-def render_value(v: Value) -> str:
-    match v:
-        case Lambda(param, param_type, body):
-            return f"(fn ({param} : {render_type(param_type)}) {render_expr(body)})"
-        case UnitVal():
-            return "unit"
-        case ActorId(ident):
-            return f"(id {ident})"
-        case Loc(loc):
-            return f"(loc {loc})"
-        case BestowedLoc(loc, owner):
-            return f"(bloc {loc} {owner})"
-    raise TypeError(f"not a value: {v!r}")
+def _render_post(n: Expr | Value, a: str, b: str = "") -> str:
+    t = type(n)
+    if t is Val:
+        return a
+    if t is App:
+        return f"(app {a} {b})"
+    if t is Lambda:
+        return f"(fn ({n.param} : {render_type(n.param_type)}) {a})"
+    if t is Send:
+        return f"(send {a} {b})"
+    if t is Mutate:
+        return f"(mutate {a})"
+    return f"(bestow {a})"
+
+
+def render_expr(term: Expr | Value) -> str:
+    """The one-line s-expression of an expression or a value."""
+    return fold(term, _render_leaf, _render_post)
 
 
 def render_actor(ident: int, a: Actor) -> str:
     lh = " ".join(str(loc) for loc in sorted(a.local_heap))
-    q = " ".join(render_value(m) for m in a.queue)
+    q = " ".join(render_expr(m) for m in a.queue)
     return f"(actor {ident} {a.this_loc} (lh {lh}) (q {q}) {render_expr(a.current)})"
 
 
@@ -458,5 +487,3 @@ def render_heap(h: Heap, include_counters: bool = False) -> str:
         return f"(heap [{h.next_loc} {h.next_id}] {actors})"
     return f"(heap {actors})"
 
-
-SourceExpr = Union[Var, App, Send, Mutate, NewPassive, NewActor, Bestow, Val]

@@ -85,7 +85,46 @@ class TypeEnv:
 
 
 def check(env: TypeEnv, e: Expr) -> Type:
-    """Type of ``e`` under ``env``; raises :class:`TypeCheckError` if none."""
+    """Type of ``e`` under ``env``; raises :class:`TypeCheckError` if none.
+
+    A ``val`` or ``;`` chain nests one applied lambda per statement, so the
+    chain is followed in a loop: every body first, as the application rule
+    checks the function before the argument, then each bound expression
+    from the innermost link out.
+    """
+    links: list[tuple[TypeEnv, App, Lambda]] = []
+    while type(e) is App and type(e.fun) is Val and type(e.fun.value) is Lambda:
+        lam = e.fun.value
+        links.append((env, e, lam))
+        env = env.extend(lam.param, lam.param_type)
+        e = lam.body
+    t = _check_node(env, e)
+    while links:
+        env, app, lam = links.pop()
+        t = _apply(app, Arrow(lam.param_type, t), check(env, app.arg))
+    return t
+
+
+def _apply(e: App, tf: Type, ta: Type) -> Type:
+    """The application rule, given the types of the function and argument."""
+    if not isinstance(tf, Arrow):
+        raise TypeCheckError(
+            "e-apply",
+            e,
+            f"applied a non-function of type {render_type(tf)}",
+        )
+    if tf.dom != ta:
+        raise TypeCheckError(
+            "e-apply",
+            e,
+            f"argument type {render_type(ta)} does not match "
+            f"parameter type {render_type(tf.dom)}",
+        )
+    return tf.cod
+
+
+def _check_node(env: TypeEnv, e: Expr) -> Type:
+    """The typing rule for ``e``'s own form."""
     match e:
         case Var(name):
             t = env.lookup(name)
@@ -94,22 +133,7 @@ def check(env: TypeEnv, e: Expr) -> Type:
             return t
 
         case App(fun, arg):
-            tf = check(env, fun)
-            ta = check(env, arg)
-            if not isinstance(tf, Arrow):
-                raise TypeCheckError(
-                    "e-apply",
-                    e,
-                    f"applied a non-function of type {render_type(tf)}",
-                )
-            if tf.dom != ta:
-                raise TypeCheckError(
-                    "e-apply",
-                    e,
-                    f"argument type {render_type(ta)} does not match "
-                    f"parameter type {render_type(tf.dom)}",
-                )
-            return tf.cod
+            return _apply(e, check(env, fun), check(env, arg))
 
         case NewPassive():
             return Passive()

@@ -26,7 +26,7 @@ from .syntax import (
     actor_ids_in,
     bestowed_in,
     locs_in,
-    render_value,
+    render_expr,
 )
 from .typecheck import TypeCheckError, TypeEnv, check, check_value
 
@@ -67,7 +67,7 @@ def wf_queue(heap: Heap, ident: int, actor: Actor) -> list[WfViolation]:
                 WfViolation(
                     "wf-queue-message",
                     subject,
-                    f"message {render_value(msg)} is not a function over p",
+                    f"message {render_expr(msg)} is not a function over p",
                 )
             )
             continue

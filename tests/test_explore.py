@@ -286,3 +286,12 @@ def test_singleton_space():
     space = StateSpace.singleton(h)
     assert len(space) == 1
     assert space.trace_to(space.initial) == []
+
+
+def test_import_binds_the_explore_module():
+    import types
+
+    import bestow.explore as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.explore is explore

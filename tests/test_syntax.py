@@ -36,7 +36,7 @@ from bestow.syntax import (
     render_expr,
     render_heap,
     render_type,
-    render_value,
+    render_expr as render_value,
     subst,
 )
 
