@@ -254,7 +254,8 @@ def fold(
 
 def rebuild(n: Term, a: Any, b: Any = None) -> Term:
     """``n`` with children ``a`` (and ``b``); ``n`` itself when they are
-    its own children, so unchanged subtrees stay shared."""
+    its own children, so unchanged subtrees stay shared.  Every compound
+    node but ``Lambda`` is constructed from its children alone."""
     old = _PUSH[type(n)](n)
     if b is None:
         if a is old:
