@@ -9,7 +9,8 @@ ships both operations as one message.
 
 The script enumerates every maximal scheduler path of both programs and
 reports how many keep client 1's operations adjacent in the owner's
-event order.
+event order.  It exits 1 when a batched path breaks adjacency or the
+batched program has no paths at all.
 """
 
 from __future__ import annotations
@@ -68,17 +69,24 @@ def adjacency_stats(src: str) -> tuple[int, int, int]:
 
 
 def main() -> int:
+    """Exit 1 unless the batched program keeps client 1's operations
+    adjacent on every one of at least one maximal path."""
+    status = 0
     for name, src in [("unbatched", UNBATCHED), ("batched", BATCHED)]:
         t0 = time.perf_counter()
         states, adjacent, violated = adjacency_stats(src)
         total = adjacent + violated
         dt = time.perf_counter() - t0
+        share = f"{100 * adjacent / total:.1f}%" if total else "n/a"
         print(
             f"{name:9s}: {states} states, {total} maximal paths — "
             f"{adjacent} adjacent, {violated} violated "
-            f"({100 * adjacent / total:.1f}% adjacent) [{dt:.1f}s]"
+            f"({share} adjacent) [{dt:.1f}s]"
         )
-    return 0
+        if name == "batched" and (violated or not total):
+            print("FAIL: the batched program does not keep its operations adjacent")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

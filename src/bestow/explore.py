@@ -5,8 +5,9 @@ initial heap, deduplicating states up to a canonical renaming of actor ids
 and heap locations.  On the resulting state graph, three checks replay the
 soundness story:
 
-* ``check_progress`` — every reachable state either is properly terminal
-  (all actors idle, all queues empty) or has an enabled choice;
+* ``check_progress`` — in every reachable state each busy actor can step
+  (so a state is properly terminal, all actors idle and all queues empty,
+  or has an enabled choice);
 * ``check_preservation`` — every reachable state is well-formed;
 * ``check_race_freedom`` — no reachable state lets two distinct actors
   touch the same location with their next steps.
@@ -25,13 +26,12 @@ from .syntax import (
     Actor,
     ActorId,
     BestowedLoc,
+    Expr,
     Heap,
     Loc,
     Value,
     is_value,
     map_values,
-    render_heap,
-    walk,
 )
 from .semantics import (
     SchedulerChoice,
@@ -40,7 +40,7 @@ from .semantics import (
     step_footprint,
     step_system,
 )
-from .wellformed import WfReport, assert_wf, wf_heap
+from .wellformed import Facts, TermFacts, WfReport, assert_wf, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -51,104 +51,136 @@ DEFAULT_MAX_DEPTH = 64
 # --------------------------------------------------------------------------
 
 
-def canonicalize(heap: Heap) -> Heap:
-    """Rename actor ids and locations into first-encounter order.
+class FactTable(dict):
+    """Each distinct term's facts, worked out once; call it on a term.
+
+    Keyed by term identity; each entry holds its term, so no id is reused
+    while the entry lives.  A successor shares most terms with its parent,
+    so keys and checks pay only for the terms a step changed.
+    """
+
+    def __call__(self, term: Expr | Value) -> TermFacts:
+        f = self.get(id(term))
+        if f is None:
+            f = self[id(term)] = TermFacts(term)
+        return f
+
+    def forget_since(self, size: int) -> None:
+        """Drop the entries added since the table had ``size`` of them."""
+        while len(self) > size:
+            self.popitem()
+
+
+def _renaming(heap: Heap, facts: Facts) -> tuple[dict[int, int] | None, int, int]:
+    """The canonical renaming of ``heap`` (None if it changes no number),
+    from slot codes (see ``TermFacts``) to new numbers, and how many
+    locations and actor ids it numbers.
 
     The walk starts at the root (the lowest surviving actor id) and visits
-    actors breadth-first, scanning each actor deterministically (its own
-    location, then its current expression in preorder, then its queue).
-    Two heaps that differ only in the numbering of ids and locations map to
-    the same canonical heap; fresh-name counters are normalized away.
-
-    Actors unreachable from the root are appended in original-id order; such
-    actors cannot arise from executing a single program (spawning hands the
-    new id to the spawner), so this tie-break is a don't-care.
+    actors breadth-first, scanning each one's own location, then its
+    current expression in preorder, then its queue.  Actors unreachable
+    from the root are taken in original-id order; such actors cannot arise
+    from executing a single program (spawning hands the new id to the
+    spawner), so this tie-break is a don't-care.
     """
-    id_map: dict[int, int] = {}
-    loc_map: dict[int, int] = {}
-
-    def visit_actor(ident: int, pending: deque[int]) -> None:
-        a = heap.actors[ident]
-        if a.this_loc not in loc_map:
-            loc_map[a.this_loc] = len(loc_map)
-        for term in (a.current, *a.queue):
-            for v in walk(term):
-                t = type(v)
-                if t is Loc or t is BestowedLoc:
-                    if v.loc not in loc_map:
-                        loc_map[v.loc] = len(loc_map)
-                if t is ActorId or t is BestowedLoc:
-                    owner = v.ident if t is ActorId else v.owner
-                    if owner not in id_map:
-                        id_map[owner] = len(id_map)
-                        pending.append(owner)
-
-    pending: deque[int] = deque()
-    roots = sorted(heap.actors)
-    if roots:
-        id_map[roots[0]] = 0
-        pending.append(roots[0])
-    while pending:
-        visit_actor(pending.popleft(), pending)
-        if not pending:
-            for ident in roots:
-                if ident not in id_map:
-                    id_map[ident] = len(id_map)
-                    pending.append(ident)
-                    break
-
+    actors = heap.actors
+    new: dict[int, int] = {}
+    order: list[int] = []
+    locs = 0
+    for root in sorted(actors):
+        if ~root in new:
+            continue
+        pos = new[~root] = len(order)
+        order.append(root)
+        while pos < len(order):
+            a = actors[order[pos]]
+            pos += 1
+            if a.this_loc not in new:
+                new[a.this_loc] = locs
+                locs += 1
+            for term in (a.current, *a.queue):
+                for k in facts(term).slots:
+                    if k not in new:
+                        if k >= 0:
+                            new[k] = locs
+                            locs += 1
+                        else:
+                            new[k] = len(order)
+                            order.append(~k)
     # Locations owned but never mentioned are interchangeable; give them
     # trailing numbers, actor by actor in canonical order.
-    for ident in sorted(id_map, key=id_map.get):
-        for loc in sorted(heap.actors[ident].local_heap):
-            if loc not in loc_map:
-                loc_map[loc] = len(loc_map)
+    for ident in order:
+        for loc in sorted(actors[ident].local_heap):
+            if loc not in new:
+                new[loc] = locs
+                locs += 1
+    same = all(v == (k if k >= 0 else ~k) for k, v in new.items())
+    return None if same else new, locs, len(order)
 
-    # Values whose numbers do not change are kept, so the canonical heap
-    # shares every unchanged subterm with ``heap``.
+
+def canonicalize(heap: Heap, facts: Facts = TermFacts) -> Heap:
+    """Rename actor ids and locations into first-encounter order.
+
+    Two heaps that differ only in the numbering of ids and locations map to
+    the same canonical heap (see ``_renaming`` for the order); fresh-name
+    counters are normalized away.  Terms whose numbers do not change are
+    kept, so the canonical heap shares them with ``heap``; when no number
+    changes it shares ``heap``'s actors.
+    """
+    new, locs, ids = _renaming(heap, facts)
+    if new is None:
+        return Heap(heap.actors, next_loc=locs, next_id=ids)
+
     def rewrite(v: Value) -> Value:
         t = type(v)
         if t is Loc:
-            loc = loc_map[v.loc]
-            return v if loc == v.loc else Loc(loc)
-        if t is ActorId:
-            ident = id_map[v.ident]
-            return v if ident == v.ident else ActorId(ident)
-        if t is BestowedLoc:
-            loc, owner = loc_map[v.loc], id_map[v.owner]
-            if loc == v.loc and owner == v.owner:
-                return v
-            return BestowedLoc(loc, owner)
-        return v
+            w: Value = Loc(new[v.loc])
+        elif t is ActorId:
+            w = ActorId(new[~v.ident])
+        elif t is BestowedLoc:
+            w = BestowedLoc(new[v.loc], new[~v.owner])
+        else:
+            return v
+        return v if w == v else w
 
     actors: dict[int, Actor] = {}
     for ident, a in heap.actors.items():
-        actors[id_map[ident]] = Actor(
-            this_loc=loc_map[a.this_loc],
-            local_heap=frozenset(loc_map[loc] for loc in a.local_heap),
+        actors[new[~ident]] = Actor(
+            this_loc=new[a.this_loc],
+            local_heap=frozenset(new[loc] for loc in a.local_heap),
             queue=tuple(map_values(m, rewrite) for m in a.queue),
             current=map_values(a.current, rewrite),
         )
-    return Heap(actors, next_loc=len(loc_map), next_id=len(id_map))
+    return Heap(actors, next_loc=locs, next_id=ids)
 
 
-def _represent(heap: Heap, canonical: bool) -> tuple[str, Heap]:
-    """The key of ``heap`` and the heap stored under it, canonicalized once."""
-    if canonical:
-        rep = canonicalize(heap)
-        return render_heap(rep), rep
-    return render_heap(heap, include_counters=True), heap
+def state_key(heap: Heap, canonical: bool = True, facts: Facts = TermFacts) -> str:
+    """A hashable identity for a heap, joined from its terms' renderings.
 
-
-def state_key(heap: Heap, canonical: bool = True) -> str:
-    """A hashable identity for a heap.
-
-    Canonical keys quotient out the numbering of ids/locations and the
-    fresh-name counters; exact keys include everything, which keeps actor
-    ids stable along a path (useful when a test needs to follow one actor
-    across states).
+    Canonical keys are ``render_heap(canonicalize(heap))``: they quotient
+    out the numbering of ids/locations and the fresh-name counters.  Exact
+    keys are ``render_heap(heap, include_counters=True)``: they include
+    everything, which keeps actor ids stable along a path (useful when a
+    test needs to follow one actor across states).
     """
-    return _represent(heap, canonical)[0]
+    new = _renaming(heap, facts)[0] if canonical else None
+    number = new.__getitem__ if new else lambda k: k if k >= 0 else ~k
+
+    def text(term: Expr | Value) -> str:
+        f = facts(term)
+        return f.text if new is None else f.template % tuple(map(number, f.slots))
+
+    parts = []
+    for ident in sorted(heap.actors, key=lambda i: number(~i)):
+        a = heap.actors[ident]
+        lh = " ".join(map(str, sorted(map(number, a.local_heap))))
+        q = " ".join(map(text, a.queue))
+        parts.append(
+            f"(actor {number(~ident)} {number(a.this_loc)} (lh {lh}) (q {q}) "
+            f"{text(a.current)})"
+        )
+    head = "(heap " if canonical else f"(heap [{heap.next_loc} {heap.next_id}] "
+    return head + " ".join(parts) + ")"
 
 
 # --------------------------------------------------------------------------
@@ -174,12 +206,18 @@ class StateSpace:
     truncated: bool
     canonical: bool
     lifo: bool
+    # Each state's enabled choices, computed once by ``explore``.
+    choices: dict[str, list[SchedulerChoice]]
+    # The per-term facts of every state, shared by keys and checks.
+    facts: Facts
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def singleton(heap: Heap, *, canonical: bool = True) -> StateSpace:
         """A one-state space (no exploration, no well-formedness demand)."""
-        key, rep = _represent(heap, canonical)
+        facts = FactTable()
+        key = state_key(heap, canonical, facts)
+        rep = canonicalize(heap, facts) if canonical else heap
         return StateSpace(
             initial=key,
             states={key: rep},
@@ -189,6 +227,8 @@ class StateSpace:
             truncated=False,
             canonical=canonical,
             lifo=False,
+            choices={key: enabled_choices(rep)},
+            facts=facts,
         )
 
     def successors(self, key: str) -> list[Edge]:
@@ -208,7 +248,7 @@ class StateSpace:
         return path
 
     def terminal_states(self) -> list[str]:
-        return [k for k in self.states if not enabled_choices(self.states[k])]
+        return [k for k in self.states if not self.choices[k]]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -233,8 +273,10 @@ def explore(
     if require_wf:
         assert_wf(heap)
 
-    init_key, init_rep = _represent(heap, canonical)
-    states: dict[str, Heap] = {init_key: init_rep}
+    facts = FactTable()
+    init_key = state_key(heap, canonical, facts)
+    states = {init_key: canonicalize(heap, facts) if canonical else heap}
+    choices_of: dict[str, list[SchedulerChoice]] = {}
     edges: list[Edge] = []
     parents: dict[str, Edge] = {}
     depth: dict[str, int] = {init_key: 0}
@@ -245,7 +287,7 @@ def explore(
         key = frontier.popleft()
         rep = states[key]
         d = depth[key]
-        choices = enabled_choices(rep)
+        choices = choices_of[key] = enabled_choices(rep)
         if not choices:
             continue
         if d >= max_depth:
@@ -253,18 +295,22 @@ def explore(
             continue
         for choice in choices:
             nxt, event = step_system(rep, choice, step_index=d, lifo=lifo)
-            nxt_key, nxt_rep = _represent(nxt, canonical)
+            known = len(facts)
+            nxt_key = state_key(nxt, canonical, facts)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
+                    facts.forget_since(known)
                     continue
-                states[nxt_key] = nxt_rep
+                states[nxt_key] = canonicalize(nxt, facts) if canonical else nxt
                 depth[nxt_key] = d + 1
                 edge = Edge(key, choice, event, nxt_key)
                 parents[nxt_key] = edge
                 edges.append(edge)
                 frontier.append(nxt_key)
             else:
+                # ``nxt`` is dropped, and with it the terms only it has.
+                facts.forget_since(known)
                 edges.append(Edge(key, choice, event, nxt_key))
 
     return StateSpace(
@@ -276,6 +322,8 @@ def explore(
         truncated=truncated,
         canonical=canonical,
         lifo=lifo,
+        choices=choices_of,
+        facts=facts,
     )
 
 
@@ -337,27 +385,27 @@ class RaceWitness:
 
 
 def check_progress(space: StateSpace) -> ProgressFailure | None:
-    """First stuck non-terminal state, or None.
+    """First state with a busy actor that cannot step, or None.
 
-    Enabled choices are recomputed per state, so truncation cannot produce
-    a false positive: an unexpanded frontier state still reports its
-    choices.
+    A stuck actor fails the state even while others can move; a state that
+    is not properly terminal has a busy actor, or an idle one that can pop.
+    Every state's choices are stored, so truncation cannot produce a false
+    positive: an unexpanded frontier state still has them.
     """
-    for key in space.states:
-        rep = space.states[key]
-        if enabled_choices(rep):
-            continue
-        if properly_terminal(rep):
-            continue
-        return ProgressFailure(key, rep, tuple(space.trace_to(key)))
+    for key, rep in space.states.items():
+        stepping = {c.actor for c in space.choices[key] if c.kind == "step"}
+        if any(
+            not is_value(a.current) and ident not in stepping
+            for ident, a in rep.actors.items()
+        ):
+            return ProgressFailure(key, rep, tuple(space.trace_to(key)))
     return None
 
 
 def check_preservation(space: StateSpace) -> PreservationFailure | None:
     """First reachable ill-formed state, or None."""
-    for key in space.states:
-        rep = space.states[key]
-        report = wf_heap(rep)
+    for key, rep in space.states.items():
+        report = wf_heap(rep, space.facts)
         if not report.ok:
             return PreservationFailure(key, rep, report, tuple(space.trace_to(key)))
     return None
@@ -365,11 +413,10 @@ def check_preservation(space: StateSpace) -> PreservationFailure | None:
 
 def check_race_freedom(space: StateSpace) -> RaceWitness | None:
     """First state where two actors' next steps overlap on a location."""
-    for key in space.states:
-        rep = space.states[key]
+    for key, rep in space.states.items():
         footprints = [
             (c.actor, step_footprint(rep, c))
-            for c in enabled_choices(rep)
+            for c in space.choices[key]
             if c.kind == "step"
         ]
         for i in range(len(footprints)):

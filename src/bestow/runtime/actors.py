@@ -159,6 +159,9 @@ class ActorRef:
         fut: Future[T] = Future()
         token = _override_registry().get(self)
         self._post(_Call(fn, fut, token))
+        if self._stopped.is_set():
+            # The loop's last drain may have missed this call.
+            _fail_calls(self, [])
         return fut
 
     def stop(self) -> None:
@@ -281,7 +284,12 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
 
     ref._stopped.set()
     # Fail whatever slipped in after the stop was processed.
-    leftovers = list(ready) + list(pending)
+    _fail_calls(ref, list(ready) + list(pending))
+
+
+def _fail_calls(ref: ActorRef, leftovers: list) -> None:
+    """Fail the calls in ``leftovers`` and in stopped ``ref``'s mailbox; an
+    envelope leaves the mailbox once, so one thread resolves its future."""
     while True:
         try:
             leftovers.append(ref._mailbox.get_nowait())

@@ -476,6 +476,32 @@ def render_expr(term: Expr | Value) -> str:
     return fold(term, _render_leaf, _render_post)
 
 
+_NAME_TEMPLATE = {Loc: "(loc %d)", ActorId: "(id %d)", BestowedLoc: "(bloc %d %d)"}
+
+
+def render_template(term: Expr | Value) -> tuple[str, list[Value]]:
+    """``term``'s rendering split at its runtime names: a template in which
+    each number of a ``Loc``, ``ActorId`` or ``BestowedLoc`` is ``%d`` (and
+    any other ``%`` is doubled), and those names in preorder.  Filled with
+    the names' numbers, the template gives ``render_expr(term)``; filled
+    with other numbers, it renders ``term`` renamed."""
+    names: list[Value] = []
+
+    def leaf(n: Expr | Value) -> str:
+        t = type(n)
+        if t in _NAME_TEMPLATE:
+            names.append(n)
+            return _NAME_TEMPLATE[t]
+        return n.name.replace("%", "%%") if t is Var else _render_leaf(n)
+
+    def post(n: Expr | Value, a: str, b: str = "") -> str:
+        if type(n) is Lambda and "%" in n.param:
+            n = Lambda(n.param.replace("%", "%%"), n.param_type, n.body)
+        return _render_post(n, a, b)
+
+    return fold(term, leaf, post), names
+
+
 def render_actor(ident: int, a: Actor) -> str:
     lh = " ".join(str(loc) for loc in sorted(a.local_heap))
     q = " ".join(render_expr(m) for m in a.queue)

@@ -10,8 +10,6 @@ rule; ``type_of`` is the total-function wrapper used by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .syntax import (
     ActorId,
     ActorType,
@@ -51,24 +49,41 @@ class TypeCheckError(Exception):
         super().__init__(f"[{rule}] {message}")
 
 
-@dataclass(frozen=True)
 class TypeEnv:
-    """An immutable typing environment (variable name -> type)."""
+    """An immutable typing environment (variable name -> type).  Each binding
+    links to the ones outside it, so ``extend`` is O(1)."""
 
-    bindings: tuple[tuple[str, Type], ...] = field(default=())
+    __slots__ = ("_link",)
+
+    def __init__(self, bindings: tuple[tuple[str, Type], ...] = ()) -> None:
+        self._link: tuple | None = None  # (name, type, outer link)
+        for name, t in bindings:
+            self._link = (name, t, self._link)
 
     @staticmethod
     def of(**kwargs: Type) -> TypeEnv:
         return TypeEnv(tuple(kwargs.items()))
 
     def extend(self, name: str, t: Type) -> TypeEnv:
-        return TypeEnv(self.bindings + ((name, t),))
+        env = TypeEnv()
+        env._link = (name, t, self._link)
+        return env
 
     def lookup(self, name: str) -> Type | None:
-        for n, t in reversed(self.bindings):
-            if n == name:
-                return t
+        link = self._link
+        while link is not None:
+            if link[0] == name:
+                return link[1]
+            link = link[2]
         return None
+
+    @property
+    def bindings(self) -> tuple[tuple[str, Type], ...]:
+        out, link = [], self._link
+        while link is not None:
+            out.append(link[:2])
+            link = link[2]
+        return tuple(reversed(out))
 
     def restrict_active(self) -> TypeEnv:
         """Keep only bindings at an active type (actor or bestowed).

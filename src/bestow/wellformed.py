@@ -15,18 +15,22 @@ the owner's bare location, which is fine once it sits in the owner's queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+from typing import Callable, TypeAlias
 
 from .syntax import (
     Actor,
+    ActorId,
+    BestowedLoc,
+    Expr,
     Heap,
     Lambda,
+    Loc,
     Passive,
-    Val,
-    actor_ids_in,
-    bestowed_in,
-    locs_in,
+    Value,
     render_expr,
+    render_template,
 )
 from .typecheck import TypeCheckError, TypeEnv, check, check_value
 
@@ -57,109 +61,109 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def wf_queue(heap: Heap, ident: int, actor: Actor) -> list[WfViolation]:
+class TermFacts:
+    """What one running term mentions, worked out once.
+
+    ``slots`` lists the numbers of its runtime names in preorder, location
+    ``l`` as ``l`` and actor id ``i`` as ``~i``, so one map renames both;
+    ``template`` renders it renamed (see ``render_template``), ``text`` as
+    it is.  ``locs``, ``ids`` and ``bestowed`` list, sorted, its bare
+    locations, actor ids and bestowed ``(loc, owner)`` pairs; ``error``
+    says why it does not typecheck in the empty environment, or is None.
+    """
+
+    def __init__(self, term: Expr | Value) -> None:
+        self.term = term
+        self.template, names = render_template(term)
+        self.slots = tuple(k for n in names for k in _codes(n))
+        self.text = self.template % tuple(k if k >= 0 else ~k for k in self.slots)
+        self.locs = tuple(sorted({n.loc for n in names if type(n) is Loc}))
+        self.ids = tuple(sorted({n.ident for n in names if type(n) is ActorId}))
+        self.bestowed = tuple(
+            sorted({(n.loc, n.owner) for n in names if type(n) is BestowedLoc})
+        )
+
+    @cached_property
+    def error(self) -> str | None:
+        try:
+            (check_value if isinstance(self.term, Value) else check)(TypeEnv(), self.term)
+        except TypeCheckError as err:
+            return err.message
+        return None
+
+
+def _codes(n: Value) -> tuple[int, ...]:
+    t = type(n)
+    if t is Loc:
+        return (n.loc,)
+    return (~n.ident,) if t is ActorId else (n.loc, ~n.owner)
+
+
+# A string, so that no typing cache keeps this module's classes alive.
+Facts: TypeAlias = "Callable[[Expr | Value], TermFacts]"
+
+
+def wf_queue(
+    heap: Heap, ident: int, actor: Actor, facts: Facts = TermFacts
+) -> list[WfViolation]:
     """Every queued message must be a typable function over passives."""
     out: list[WfViolation] = []
     for pos, msg in enumerate(actor.queue):
-        subject = f"actor {ident}, queue[{pos}]"
         if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
-            out.append(
-                WfViolation(
-                    "wf-queue-message",
-                    subject,
-                    f"message {render_expr(msg)} is not a function over p",
-                )
-            )
+            detail = f"message {render_expr(msg)} is not a function over p"
+        elif facts(msg).error is not None:
+            detail = f"message does not typecheck: {facts(msg).error}"
+        else:
             continue
-        try:
-            check_value(TypeEnv(), msg)
-        except TypeCheckError as err:
-            out.append(
-                WfViolation(
-                    "wf-queue-message",
-                    subject,
-                    f"message does not typecheck: {err.message}",
-                )
-            )
+        out.append(WfViolation("wf-queue-message", f"actor {ident}, queue[{pos}]", detail))
     return out
 
 
-def wf_actor(heap: Heap, ident: int) -> list[WfViolation]:
+def wf_actor(heap: Heap, ident: int, facts: Facts = TermFacts) -> list[WfViolation]:
     """All per-actor clauses; assumes ``ident`` is in the heap."""
     a = heap.actors[ident]
     subject = f"actor {ident}"
     out: list[WfViolation] = []
 
+    def bad(detail: str) -> None:
+        out.append(WfViolation("wf-actor", subject, detail))
+
     if a.this_loc not in a.local_heap:
-        out.append(
-            WfViolation(
-                "wf-actor",
-                subject,
-                f"its own location {a.this_loc} is not in its local heap",
-            )
-        )
+        bad(f"its own location {a.this_loc} is not in its local heap")
 
     # Every mentioned bare location (current expression and queued messages)
     # must be locally owned, every actor id must be allocated, and every
     # bestowed reference must resolve into its owner's local heap.
     mentioned = [("current expression", a.current)]
-    mentioned += [(f"queue[{i}]", Val(m)) for i, m in enumerate(a.queue)]
+    mentioned += [(f"queue[{i}]", m) for i, m in enumerate(a.queue)]
     for where, e in mentioned:
-        for loc in sorted(locs_in(e)):
+        f = facts(e)
+        for loc in f.locs:
             if loc not in a.local_heap:
-                out.append(
-                    WfViolation(
-                        "wf-actor",
-                        subject,
-                        f"{where} mentions location {loc} outside its local heap",
-                    )
-                )
-        for other in sorted(actor_ids_in(e)):
+                bad(f"{where} mentions location {loc} outside its local heap")
+        for other in f.ids:
             if other not in heap.actors:
-                out.append(
-                    WfViolation(
-                        "wf-actor",
-                        subject,
-                        f"{where} mentions unallocated actor id {other}",
-                    )
-                )
-        for loc, owner in sorted(bestowed_in(e)):
+                bad(f"{where} mentions unallocated actor id {other}")
+        for loc, owner in f.bestowed:
             if owner not in heap.actors:
-                out.append(
-                    WfViolation(
-                        "wf-actor",
-                        subject,
-                        f"{where} holds a reference bestowed by "
-                        f"unallocated actor {owner}",
-                    )
-                )
+                bad(f"{where} holds a reference bestowed by unallocated actor {owner}")
             elif loc not in heap.actors[owner].local_heap:
-                out.append(
-                    WfViolation(
-                        "wf-actor",
-                        subject,
-                        f"{where} holds a bestowed reference to location {loc}, "
-                        f"which actor {owner} does not own",
-                    )
+                bad(
+                    f"{where} holds a bestowed reference to location {loc}, "
+                    f"which actor {owner} does not own"
                 )
 
-    try:
-        check(TypeEnv(), a.current)
-    except TypeCheckError as err:
-        out.append(
-            WfViolation(
-                "wf-actor",
-                subject,
-                f"current expression does not typecheck: {err.message}",
-            )
-        )
+    error = facts(a.current).error
+    if error is not None:
+        bad(f"current expression does not typecheck: {error}")
 
-    out.extend(wf_queue(heap, ident, a))
+    out.extend(wf_queue(heap, ident, a, facts))
     return out
 
 
-def wf_heap(heap: Heap) -> WfReport:
-    """Check the whole system; returns a report listing all violations."""
+def wf_heap(heap: Heap, facts: Facts = TermFacts) -> WfReport:
+    """Check the whole system; returns a report listing all violations.
+    Heaps checked with one fact table pay once for each term they share."""
     out: list[WfViolation] = []
     for a, b in combinations(sorted(heap.actors), 2):
         shared = heap.actors[a].local_heap & heap.actors[b].local_heap
@@ -172,7 +176,7 @@ def wf_heap(heap: Heap) -> WfReport:
                 )
             )
     for ident in sorted(heap.actors):
-        out.extend(wf_actor(heap, ident))
+        out.extend(wf_actor(heap, ident, facts))
     return WfReport(tuple(out))
 
 

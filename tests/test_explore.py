@@ -22,12 +22,14 @@ from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
     ActorId,
+    App,
     Heap,
     Lambda,
     Loc,
     Mutate,
     Passive,
     Send,
+    UnitType,
     UnitVal,
     Val,
     Var,
@@ -211,6 +213,24 @@ def test_progress_failure_on_stuck_state():
         1,
     )
     space = explore(stuck, require_wf=False)
+    failure = check_progress(space)
+    assert failure is not None
+    assert failure.trace == ()
+
+
+def test_progress_failure_on_stuck_actor_beside_a_busy_one():
+    # Actor 0 can never step; actor 1 still has two applications to run.
+    inner = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
+    busy = App(Val(Lambda("x", UnitType(), inner)), UNIT)
+    h = Heap(
+        {
+            0: Actor(0, frozenset({0}), (), Mutate(UNIT)),
+            1: Actor(1, frozenset({1}), (), busy),
+        },
+        2,
+        2,
+    )
+    space = explore(h, require_wf=False, max_depth=1)
     failure = check_progress(space)
     assert failure is not None
     assert failure.trace == ()

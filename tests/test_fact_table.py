@@ -1,0 +1,212 @@
+"""The explorer's per-term fact table against the walks it replaced.
+
+Keys, representatives and well-formedness reports built from cached term
+facts must equal what a fresh walk of each heap gives: the reference below
+is the walk-based ``canonicalize`` that the table replaced, and keys are
+compared with ``render_heap`` of its result.
+"""
+
+from __future__ import annotations
+
+import gc
+from collections import deque
+from dataclasses import replace
+
+import pytest
+
+from bestow.explore import StateSpace, check_preservation, explore, state_key
+from bestow.gen import generate_well_typed
+from bestow.semantics import initial_heap, step_system
+from bestow.surface import compile_program
+from bestow.syntax import (
+    Actor,
+    ActorId,
+    BestowedLoc,
+    Heap,
+    Lambda,
+    Loc,
+    Mutate,
+    Passive,
+    Val,
+    Value,
+    map_values,
+    render_heap,
+    walk,
+)
+from bestow.wellformed import wf_heap
+
+
+def reference_canonicalize(heap: Heap) -> Heap:
+    """Canonical renaming by walking every term of ``heap``."""
+    id_map: dict[int, int] = {}
+    loc_map: dict[int, int] = {}
+
+    def visit_actor(ident: int, pending: deque[int]) -> None:
+        a = heap.actors[ident]
+        if a.this_loc not in loc_map:
+            loc_map[a.this_loc] = len(loc_map)
+        for term in (a.current, *a.queue):
+            for v in walk(term):
+                t = type(v)
+                if t is Loc or t is BestowedLoc:
+                    if v.loc not in loc_map:
+                        loc_map[v.loc] = len(loc_map)
+                if t is ActorId or t is BestowedLoc:
+                    owner = v.ident if t is ActorId else v.owner
+                    if owner not in id_map:
+                        id_map[owner] = len(id_map)
+                        pending.append(owner)
+
+    pending: deque[int] = deque()
+    roots = sorted(heap.actors)
+    if roots:
+        id_map[roots[0]] = 0
+        pending.append(roots[0])
+    while pending:
+        visit_actor(pending.popleft(), pending)
+        if not pending:
+            for ident in roots:
+                if ident not in id_map:
+                    id_map[ident] = len(id_map)
+                    pending.append(ident)
+                    break
+    for ident in sorted(id_map, key=id_map.get):
+        for loc in sorted(heap.actors[ident].local_heap):
+            if loc not in loc_map:
+                loc_map[loc] = len(loc_map)
+
+    def rewrite(v: Value) -> Value:
+        t = type(v)
+        if t is Loc:
+            return Loc(loc_map[v.loc])
+        if t is ActorId:
+            return ActorId(id_map[v.ident])
+        if t is BestowedLoc:
+            return BestowedLoc(loc_map[v.loc], id_map[v.owner])
+        return v
+
+    actors = {
+        id_map[ident]: Actor(
+            this_loc=loc_map[a.this_loc],
+            local_heap=frozenset(loc_map[loc] for loc in a.local_heap),
+            queue=tuple(map_values(m, rewrite) for m in a.queue),
+            current=map_values(a.current, rewrite),
+        )
+        for ident, a in heap.actors.items()
+    }
+    return Heap(actors, next_loc=len(loc_map), next_id=len(id_map))
+
+
+def contended(clients: int, sends: int) -> Heap:
+    """``clients`` actors each send ``sends`` mutates to one bestowed object."""
+    lines = ["val obj = new p", "val ref = bestow obj"]
+    lines += [f"val k{i} = new c" for i in range(clients)]
+    body = "; ".join(["ref ! \\y:p. y.mutate()"] * sends)
+    lines += [f"k{i} ! \\x:p. {{ {body} }}" for i in range(clients)]
+    return initial_heap(compile_program(";\n".join(lines)))
+
+
+def generated(count: int) -> list[Heap]:
+    return [
+        initial_heap(generate_well_typed(seed, size_budget=4 + seed % 9)[0])
+        for seed in range(count)
+    ]
+
+
+def assert_matches_reference(space: StateSpace) -> None:
+    """Every successor's key and stored heap equal a fresh computation."""
+    for key, rep in space.states.items():
+        if space.canonical:
+            assert key == render_heap(reference_canonicalize(rep))
+    for edge in space.edges:
+        nxt, event = step_system(
+            space.states[edge.src],
+            edge.choice,
+            step_index=space.depth[edge.src],
+            lifo=space.lifo,
+        )
+        assert event == edge.event
+        if space.canonical:
+            want = reference_canonicalize(nxt)
+            assert edge.dst == render_heap(want) == state_key(nxt)
+            assert space.states[edge.dst] == want
+        else:
+            assert edge.dst == render_heap(nxt, include_counters=True)
+            assert edge.dst == state_key(nxt, canonical=False)
+            assert space.states[edge.dst] == nxt
+
+
+@pytest.mark.parametrize(
+    "clients,sends,states,edges",
+    [(2, 2, 249, 539), (3, 2, 2039, 6237), (2, 4, 1409, 3619)],
+)
+def test_contended_shapes_match_reference(clients, sends, states, edges):
+    space = explore(contended(clients, sends), max_depth=96)
+    assert (len(space.states), len(space.edges)) == (states, edges)
+    assert_matches_reference(space)
+
+
+def test_exact_keys_match_rendering():
+    assert_matches_reference(explore(contended(2, 2), canonical=False))
+
+
+def test_generated_programs_match_reference():
+    branching = 0
+    for heap in generated(300):
+        for canonical in (True, False):
+            space = explore(heap, canonical=canonical)
+            assert_matches_reference(space)
+        branching += len(space.edges) >= len(space.states)
+    # Some of them must interleave actors, or this tests little.
+    assert branching > 0
+
+
+def ill_formed_variants(heap: Heap) -> list[Heap]:
+    """Copies of ``heap`` that reuse its term objects in broken contexts."""
+    out = [
+        Heap(
+            {i: replace(a, local_heap=frozenset()) for i, a in heap.actors.items()},
+            heap.next_loc,
+            heap.next_id,
+        )
+    ]
+    if len(heap.actors) > 1:
+        last = max(heap.actors)
+        rest = {i: a for i, a in heap.actors.items() if i != last}
+        out.append(Heap(rest, heap.next_loc, heap.next_id))
+    for i, a in heap.actors.items():
+        for j, b in heap.actors.items():
+            if i != j:
+                foreign = Lambda("z", Passive(), Mutate(Val(Loc(b.this_loc))))
+                queued = replace(a, queue=a.queue + (foreign,))
+                out.append(heap.with_actor(i, queued))
+    return out
+
+
+def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants():
+    spaces = [explore(contended(2, 2))] + [explore(h) for h in generated(60)]
+    ill = 0
+    for space in spaces:
+        variants = {
+            f"{key} #{n}": v
+            for key, rep in space.states.items()
+            for n, v in enumerate(ill_formed_variants(rep))
+        }
+        for v in variants.values():
+            report = wf_heap(v, space.facts)
+            assert report == wf_heap(v)
+            ill += not report.ok
+        broken = replace(space, states=variants, parents={}, initial=next(iter(variants)))
+        failure = check_preservation(broken)
+        assert failure is not None
+        assert failure.report == wf_heap(failure.heap)
+    assert ill > 1000
+
+
+def test_two_explorations_in_a_row_do_not_share_facts():
+    first, second = explore(contended(2, 2)), explore(contended(3, 1))
+    assert first.facts is not second.facts
+    del first, second
+    gc.collect()  # the ids of their terms are now free for reuse
+    for clients, sends in [(3, 1), (2, 2)]:
+        assert_matches_reference(explore(contended(clients, sends)))

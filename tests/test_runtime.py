@@ -138,6 +138,33 @@ def test_stop_rejects_new_work_and_fails_queued_calls():
         ref.perform(lambda c: c.add(1))
 
 
+class _StopsAfterFirstLook:
+    """A stop flag that reads clear once, then set: a ``perform`` that
+    passes its first check just before the loop stops and drains."""
+
+    def __init__(self, event: threading.Event) -> None:
+        self.event = event
+        self.looks = 0
+
+    def is_set(self) -> bool:
+        self.looks += 1
+        return self.looks > 1 and self.event.is_set()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        return self.event.wait(timeout)
+
+
+def test_perform_racing_stop_fails_its_future():
+    ref = spawn(Counter)
+    ref.stop()
+    ref.join(timeout=5)
+    assert ref._stopped.is_set()
+    ref._stopped = _StopsAfterFirstLook(ref._stopped)
+    fut = ref.perform(lambda c: c.add(1))
+    with pytest.raises(ActorStoppedError):
+        fut.result(timeout=1)
+
+
 def test_concurrent_external_producers_keep_counts_exact(counter):
     per_thread = 200
 
