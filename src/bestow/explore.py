@@ -1,9 +1,10 @@
 """Bounded exploration of the interleaving space, plus machine checks.
 
 ``explore`` runs a breadth-first search over every scheduler choice from an
-initial heap, deduplicating states up to a canonical renaming of actor ids
-and heap locations.  On the resulting state graph, three checks replay the
-soundness story:
+initial heap, deduplicating states by a key that is canonical up to the
+renaming of actor ids and heap locations.  Each state is stored as the heap
+its shortest trace reaches, so every trace replays from the initial heap.
+On the resulting state graph, three checks replay the soundness story:
 
 * ``check_progress`` — in every reachable state each busy actor can step
   (so a state is properly terminal, all actors idle and all queues empty,
@@ -13,7 +14,7 @@ soundness story:
   touch the same location with their next steps.
 
 Each check returns ``None`` on success or a counterexample carrying the
-offending state and a shortest trace to it.
+offending state and a shortest trace to it, printed as its schedule.
 """
 
 from __future__ import annotations
@@ -22,17 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .syntax import (
-    Actor,
-    ActorId,
-    BestowedLoc,
-    Expr,
-    Heap,
-    Loc,
-    Value,
-    is_value,
-    map_values,
-)
+from .syntax import Expr, Heap, Value, is_value
 from .semantics import (
     SchedulerChoice,
     TraceEvent,
@@ -71,17 +62,16 @@ class FactTable(dict):
             self.popitem()
 
 
-def _renaming(heap: Heap, facts: Facts) -> tuple[dict[int, int] | None, int, int]:
+def _renaming(heap: Heap, facts: Facts) -> dict[int, int] | None:
     """The canonical renaming of ``heap`` (None if it changes no number),
-    from slot codes (see ``TermFacts``) to new numbers, and how many
-    locations and actor ids it numbers.
+    from slot codes (see ``TermFacts``) to new numbers.
 
     The walk starts at the root (the lowest surviving actor id) and visits
     actors breadth-first, scanning each one's own location, then its
     current expression in preorder, then its queue.  Actors unreachable
-    from the root are taken in original-id order; such actors cannot arise
-    from executing a single program (spawning hands the new id to the
-    spawner), so this tie-break is a don't-care.
+    from the root do arise (once the root has sent to two spawned actors,
+    it holds neither id); each starts a new walk, in original-id order, so
+    two heaps that differ only in such ids get different keys.
     """
     actors = heap.actors
     new: dict[int, int] = {}
@@ -115,55 +105,19 @@ def _renaming(heap: Heap, facts: Facts) -> tuple[dict[int, int] | None, int, int
                 new[loc] = locs
                 locs += 1
     same = all(v == (k if k >= 0 else ~k) for k, v in new.items())
-    return None if same else new, locs, len(order)
-
-
-def canonicalize(heap: Heap, facts: Facts = TermFacts) -> Heap:
-    """Rename actor ids and locations into first-encounter order.
-
-    Two heaps that differ only in the numbering of ids and locations map to
-    the same canonical heap (see ``_renaming`` for the order); fresh-name
-    counters are normalized away.  Terms whose numbers do not change are
-    kept, so the canonical heap shares them with ``heap``; when no number
-    changes it shares ``heap``'s actors.
-    """
-    new, locs, ids = _renaming(heap, facts)
-    if new is None:
-        return Heap(heap.actors, next_loc=locs, next_id=ids)
-
-    def rewrite(v: Value) -> Value:
-        t = type(v)
-        if t is Loc:
-            w: Value = Loc(new[v.loc])
-        elif t is ActorId:
-            w = ActorId(new[~v.ident])
-        elif t is BestowedLoc:
-            w = BestowedLoc(new[v.loc], new[~v.owner])
-        else:
-            return v
-        return v if w == v else w
-
-    actors: dict[int, Actor] = {}
-    for ident, a in heap.actors.items():
-        actors[new[~ident]] = Actor(
-            this_loc=new[a.this_loc],
-            local_heap=frozenset(new[loc] for loc in a.local_heap),
-            queue=tuple(map_values(m, rewrite) for m in a.queue),
-            current=map_values(a.current, rewrite),
-        )
-    return Heap(actors, next_loc=locs, next_id=ids)
+    return None if same else new
 
 
 def state_key(heap: Heap, canonical: bool = True, facts: Facts = TermFacts) -> str:
     """A hashable identity for a heap, joined from its terms' renderings.
 
-    Canonical keys are ``render_heap(canonicalize(heap))``: they quotient
+    Canonical keys render ``heap`` renamed by ``_renaming``: they quotient
     out the numbering of ids/locations and the fresh-name counters.  Exact
     keys are ``render_heap(heap, include_counters=True)``: they include
     everything, which keeps actor ids stable along a path (useful when a
     test needs to follow one actor across states).
     """
-    new = _renaming(heap, facts)[0] if canonical else None
+    new = _renaming(heap, facts) if canonical else None
     number = new.__getitem__ if new else lambda k: k if k >= 0 else ~k
 
     def text(term: Expr | Value) -> str:
@@ -212,25 +166,6 @@ class StateSpace:
     facts: Facts
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
 
-    @staticmethod
-    def singleton(heap: Heap, *, canonical: bool = True) -> StateSpace:
-        """A one-state space (no exploration, no well-formedness demand)."""
-        facts = FactTable()
-        key = state_key(heap, canonical, facts)
-        rep = canonicalize(heap, facts) if canonical else heap
-        return StateSpace(
-            initial=key,
-            states={key: rep},
-            edges=[],
-            parents={},
-            depth={key: 0},
-            truncated=False,
-            canonical=canonical,
-            lifo=False,
-            choices={key: enabled_choices(rep)},
-            facts=facts,
-        )
-
     def successors(self, key: str) -> list[Edge]:
         if not self._out:
             for e in self.edges:
@@ -275,7 +210,7 @@ def explore(
 
     facts = FactTable()
     init_key = state_key(heap, canonical, facts)
-    states = {init_key: canonicalize(heap, facts) if canonical else heap}
+    states = {init_key: heap}
     choices_of: dict[str, list[SchedulerChoice]] = {}
     edges: list[Edge] = []
     parents: dict[str, Edge] = {}
@@ -302,7 +237,7 @@ def explore(
                     truncated = True
                     facts.forget_since(known)
                     continue
-                states[nxt_key] = canonicalize(nxt, facts) if canonical else nxt
+                states[nxt_key] = nxt
                 depth[nxt_key] = d + 1
                 edge = Edge(key, choice, event, nxt_key)
                 parents[nxt_key] = edge
@@ -339,6 +274,12 @@ def properly_terminal(heap: Heap) -> bool:
     )
 
 
+def _after(trace: tuple[Edge, ...]) -> str:
+    """The trace's length and its schedule, one ``actor:kind`` per step."""
+    steps = "".join(f" {e.choice.actor}:{e.choice.kind}" for e in trace)
+    return f"after {len(trace)} steps (schedule:{steps})"
+
+
 @dataclass(frozen=True)
 class ProgressFailure:
     """A reachable state that is neither terminal nor able to step."""
@@ -348,7 +289,7 @@ class ProgressFailure:
     trace: tuple[Edge, ...]
 
     def __str__(self) -> str:
-        return f"stuck non-terminal state after {len(self.trace)} steps: {self.state}"
+        return f"stuck non-terminal state {_after(self.trace)}: {self.state}"
 
 
 @dataclass(frozen=True)
@@ -361,9 +302,7 @@ class PreservationFailure:
     trace: tuple[Edge, ...]
 
     def __str__(self) -> str:
-        return (
-            f"ill-formed state after {len(self.trace)} steps: {self.report}"
-        )
+        return f"ill-formed state {_after(self.trace)}: {self.report}"
 
 
 @dataclass(frozen=True)
@@ -380,7 +319,7 @@ class RaceWitness:
         a, b = self.actors
         return (
             f"actors {a} and {b} can both touch location {self.loc} "
-            f"after {len(self.trace)} steps"
+            f"{_after(self.trace)}"
         )
 
 
@@ -435,7 +374,9 @@ def check_race_freedom(space: StateSpace) -> RaceWitness | None:
 
 def find_race(heap: Heap) -> RaceWitness | None:
     """Race check on a single heap as-is (no exploration, wf not required)."""
-    return check_race_freedom(StateSpace.singleton(heap, canonical=False))
+    return check_race_freedom(
+        explore(heap, max_depth=0, canonical=False, require_wf=False)
+    )
 
 
 def check_all(space: StateSpace) -> dict[str, object | None]:

@@ -11,8 +11,6 @@ from .actors import (
     OverrideToken,
     current_actor,
     override_queue,
-    perform,
-    resume,
     spawn,
 )
 from .bestowed import BestowedRef, BestowError, bestow
@@ -53,8 +51,6 @@ __all__ = [
     "expected_hops",
     "lock_bestow",
     "override_queue",
-    "perform",
-    "resume",
     "run_list_iterator",
     "spawn",
 ]

@@ -97,21 +97,24 @@ class Future(Generic[T]):
 
 
 class OverrideToken:
-    """Capability to run ahead of an actor's queue until resumed."""
+    """Capability to run ahead of an actor's queue until resumed.
 
-    __slots__ = ("ref", "_released")
+    It sits in its creator's registry until resumed, from whichever thread.
+    """
 
-    def __init__(self, ref: "ActorRef") -> None:
+    __slots__ = ("ref", "_released", "_registry")
+
+    def __init__(self, ref: "ActorRef", registry: dict) -> None:
         self.ref = ref
         self._released = False
+        self._registry = registry
 
     def resume(self) -> None:
         if self._released:
             return
         self._released = True
-        reg = _override_registry()
-        if reg.get(self.ref) is self:
-            del reg[self.ref]
+        if self._registry.get(self.ref) is self:
+            del self._registry[self.ref]
         self.ref._post(_Resume(self))
 
 
@@ -188,19 +191,9 @@ def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> Over
     reg = _override_registry()
     if ref in reg:
         raise NestedOverrideError(f"this thread already overrides {ref}")
-    token = OverrideToken(ref)
-    reg[ref] = token
+    token = reg[ref] = OverrideToken(ref, reg)
     ref._post(_Override(token, watchdog))
     return token
-
-
-def resume(token: OverrideToken) -> None:
-    token.resume()
-
-
-def perform(ref: "ActorRef", fn: Callable[[Any], T]) -> Future[T]:
-    """Free-function spelling of :meth:`ActorRef.perform`."""
-    return ref.perform(fn)
 
 
 def _execute(instance: Any, call: _Call) -> None:

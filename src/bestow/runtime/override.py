@@ -11,8 +11,8 @@ issued inside the block land contiguously:
   around the whole block.
 
 The queue flavor builds on :func:`~bestow.runtime.actors.override_queue`
-and :func:`~bestow.runtime.actors.resume`, which are re-exported here for
-callers that want the two halves explicitly.
+and :meth:`~bestow.runtime.actors.OverrideToken.resume`, the two halves
+for callers that want them explicitly.
 """
 
 from __future__ import annotations
@@ -20,21 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Protocol, runtime_checkable
 
-from .actors import (
-    DEFAULT_WATCHDOG,
-    NestedOverrideError,
-    OverrideToken,
-    override_queue,
-    resume,
-)
-
-__all__ = [
-    "atomic_batch",
-    "override_queue",
-    "resume",
-    "OverrideToken",
-    "NestedOverrideError",
-]
+from .actors import DEFAULT_WATCHDOG
 
 
 @runtime_checkable

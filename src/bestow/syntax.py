@@ -362,19 +362,6 @@ def contains_loc(e: Expr) -> bool:
     return any(type(n) is Loc for n in walk(e))
 
 
-def locs_in(e: Expr) -> frozenset[int]:
-    return frozenset(n.loc for n in walk(e) if type(n) is Loc)
-
-
-def actor_ids_in(e: Expr) -> frozenset[int]:
-    return frozenset(n.ident for n in walk(e) if type(n) is ActorId)
-
-
-def bestowed_in(e: Expr) -> frozenset[tuple[int, int]]:
-    """All ``(loc, owner)`` pairs of bestowed locations occurring in ``e``."""
-    return frozenset((n.loc, n.owner) for n in walk(e) if type(n) is BestowedLoc)
-
-
 # --------------------------------------------------------------------------
 # Actors and heaps
 # --------------------------------------------------------------------------

@@ -238,14 +238,6 @@ def type_of(e: Expr, env: TypeEnv | None = None) -> Type:
     return check(env if env is not None else TypeEnv(), e)
 
 
-def is_well_typed(e: Expr, env: TypeEnv | None = None) -> bool:
-    try:
-        type_of(e, env)
-        return True
-    except TypeCheckError:
-        return False
-
-
 def describe_failure(e: Expr, env: TypeEnv | None = None) -> str | None:
     """Human-readable failure report, or None if ``e`` typechecks."""
     try:

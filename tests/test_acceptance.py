@@ -48,7 +48,6 @@ from bestow.runtime import (
     bestow,
     current_actor,
     override_queue,
-    resume,
     run_list_iterator,
     spawn,
     atomic_batch,
@@ -386,7 +385,7 @@ def test_acceptance_override_protocol(verdict):
             t.join(timeout=5)
             for i in range(3):
                 ref.perform(lambda j, i=i: j.note(f"mine{i}")).result(timeout=5)
-            resume(token)
+            token.resume()
             log = ref.perform(lambda j: list(j.entries)).result(timeout=5)
             assert log == [
                 "mine0", "mine1", "mine2",
@@ -420,7 +419,7 @@ def test_acceptance_override_protocol(verdict):
                         ]
                         for f in fs:
                             f.result(timeout=5)
-                        resume(token)
+                        token.resume()
                     else:
                         for op in ops:
                             ref.perform(lambda j, op=op: j.note(op)).result(

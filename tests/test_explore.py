@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bestow.explore import (
     StateSpace,
-    canonicalize,
     check_all,
     check_preservation,
     check_progress,
@@ -17,7 +18,7 @@ from bestow.explore import (
     properly_terminal,
     state_key,
 )
-from bestow.semantics import initial_heap
+from bestow.semantics import SchedulerChoice, initial_heap, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -56,12 +57,10 @@ def test_canonicalize_renames_to_encounter_order():
         next_loc=99,
         next_id=99,
     )
-    c = canonicalize(h)
-    assert set(c.actors) == {0, 1}
-    assert c.actors[0].this_loc == 0
-    assert c.actors[1].this_loc == 1
-    assert c.actors[0].current == Send(Val(ActorId(1)), msg)
-    assert (c.next_loc, c.next_id) == (2, 2)
+    assert state_key(h) == (
+        "(heap (actor 0 0 (lh 0) (q ) (send (id 1) (fn (x : p) unit))) "
+        "(actor 1 1 (lh 1) (q ) unit))"
+    )
 
 
 def test_canonicalize_is_invariant_under_renaming():
@@ -84,7 +83,6 @@ def test_canonicalize_is_invariant_under_renaming():
 
     a = build(0, 1, 0, 1, 2)
     b = build(3, 8, 17, 4, 11)
-    assert canonicalize(a) == canonicalize(b)
     assert state_key(a) == state_key(b)
 
 
@@ -236,6 +234,51 @@ def test_progress_failure_on_stuck_actor_beside_a_busy_one():
     assert failure.trace == ()
 
 
+def _stuck_after_one_step() -> Heap:
+    """Actor 5 applies once and is then stuck beside busy actor 2."""
+    inner = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
+    busy = App(Val(Lambda("x", UnitType(), inner)), UNIT)
+    stuck = App(Val(Lambda("x", UnitType(), Mutate(UNIT))), UNIT)
+    return Heap(
+        {
+            2: Actor(3, frozenset({3}), (), busy),
+            5: Actor(8, frozenset({8}), (), stuck),
+        },
+        9,
+        6,
+    )
+
+
+def _race_after_one_step() -> Heap:
+    """Actor 4 applies once and then, like actor 9, mutates location 5."""
+    late = App(Val(Lambda("x", UnitType(), Mutate(Val(Loc(5))))), UNIT)
+    return Heap(
+        {
+            4: Actor(1, frozenset({1, 5}), (), late),
+            9: Actor(2, frozenset({2}), (), Mutate(Val(Loc(5)))),
+        },
+        6,
+        10,
+    )
+
+
+@pytest.mark.parametrize(
+    "heap,check",
+    [(_stuck_after_one_step(), check_progress), (_race_after_one_step(), check_race_freedom)],
+)
+@pytest.mark.parametrize("canonical", [True, False])
+def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
+    failure = check(explore(heap, require_wf=False, canonical=canonical))
+    assert failure is not None
+    printed = re.search(r"\(schedule:((?: \d+:(?:pop|step))*)\)", str(failure))
+    assert printed is not None
+    schedule = [tok.split(":") for tok in printed.group(1).split()]
+    assert len(schedule) == len(failure.trace) == 1
+    for i, (actor, kind) in enumerate(schedule):
+        heap, _ = step_system(heap, SchedulerChoice(int(actor), kind), step_index=i)
+    assert heap == failure.heap
+
+
 def test_preservation_failure_on_ill_formed_state():
     bad = Heap({0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(9))))}, 10, 1)
     space = explore(bad, require_wf=False)
@@ -303,7 +346,7 @@ def test_maximal_paths_limit():
 
 def test_singleton_space():
     h = initial_heap(UNIT)
-    space = StateSpace.singleton(h)
+    space = explore(h, max_depth=0)
     assert len(space) == 1
     assert space.trace_to(space.initial) == []
 

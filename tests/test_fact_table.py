@@ -1,9 +1,10 @@
 """The explorer's per-term fact table against the walks it replaced.
 
-Keys, representatives and well-formedness reports built from cached term
-facts must equal what a fresh walk of each heap gives: the reference below
-is the walk-based ``canonicalize`` that the table replaced, and keys are
-compared with ``render_heap`` of its result.
+Keys and well-formedness reports built from cached term facts must equal
+what a fresh walk of each heap gives: the reference below is a walk-based
+canonical renaming, and keys are compared with ``render_heap`` of its
+result.  Stored heaps must be the heaps their traces reach: every trace
+replays from the initial heap.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ def generated(count: int) -> list[Heap]:
 
 
 def assert_matches_reference(space: StateSpace) -> None:
-    """Every successor's key and stored heap equal a fresh computation."""
+    """Every successor's key equals a fresh computation, and a state is
+    stored as the successor that first reached it."""
     for key, rep in space.states.items():
         if space.canonical:
             assert key == render_heap(reference_canonicalize(rep))
@@ -129,7 +131,9 @@ def assert_matches_reference(space: StateSpace) -> None:
         if space.canonical:
             want = reference_canonicalize(nxt)
             assert edge.dst == render_heap(want) == state_key(nxt)
-            assert space.states[edge.dst] == want
+            assert reference_canonicalize(space.states[edge.dst]) == want
+            if edge is space.parents[edge.dst]:
+                assert space.states[edge.dst] == nxt
         else:
             assert edge.dst == render_heap(nxt, include_counters=True)
             assert edge.dst == state_key(nxt, canonical=False)
@@ -159,6 +163,27 @@ def test_generated_programs_match_reference():
         branching += len(space.edges) >= len(space.states)
     # Some of them must interleave actors, or this tests little.
     assert branching > 0
+
+
+def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
+    """Every state's shortest trace, replayed from ``initial``, makes the
+    events its edges record and ends on the heap stored for the state."""
+    for key, stored in space.states.items():
+        heap = initial
+        for i, edge in enumerate(space.trace_to(key)):
+            assert edge.choice in space.choices[edge.src]
+            heap, event = step_system(heap, edge.choice, step_index=i, lifo=space.lifo)
+            assert event == edge.event
+        assert heap == stored
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("lifo", [False, True])
+def test_every_trace_replays_from_the_initial_heap(canonical, lifo):
+    shapes = [contended(c, s) for c, s in [(2, 2), (3, 2), (2, 4)]]
+    for heap in shapes + generated(300):
+        space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
+        assert_traces_replay(heap, space)
 
 
 def ill_formed_variants(heap: Heap) -> list[Heap]:

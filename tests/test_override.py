@@ -15,7 +15,6 @@ from bestow.runtime import (
     bestow,
     current_actor,
     override_queue,
-    resume,
     spawn,
 )
 
@@ -63,7 +62,7 @@ def test_override_defers_other_clients(journal):
     fs = [journal.perform(lambda j, i=i: j.note(f"mine{i}")) for i in range(3)]
     for f in fs:
         f.result(timeout=5)
-    resume(token)
+    token.resume()
     t.join(timeout=5)
     log = entries(journal)
     assert log == ["mine0", "mine1", "mine2", "rival0", "rival1", "rival2"]
@@ -81,7 +80,7 @@ def test_deferred_calls_replay_in_arrival_order(journal):
         t.start()
         t.join(timeout=5)
     journal.perform(lambda j: j.note("mine")).result(timeout=5)
-    resume(token)
+    token.resume()
     for f in rivals:
         f.result(timeout=5)
     assert entries(journal) == ["mine", "r0", "r1", "r2", "r3", "r4"]
@@ -93,7 +92,7 @@ def test_nested_override_rejected(journal):
         with pytest.raises(NestedOverrideError):
             override_queue(journal)
     finally:
-        resume(token)
+        token.resume()
 
 
 def test_override_same_actor_from_two_threads_serializes(journal):
@@ -106,7 +105,7 @@ def test_override_same_actor_from_two_threads_serializes(journal):
         ]
         for f in fs:
             f.result(timeout=10)
-        resume(token)
+        token.resume()
 
     barrier = threading.Barrier(2)
     threads = [
@@ -129,10 +128,23 @@ def test_override_same_actor_from_two_threads_serializes(journal):
 
 def test_resume_is_idempotent(journal):
     token = override_queue(journal)
-    resume(token)
-    resume(token)
+    token.resume()
+    token.resume()
     journal.perform(lambda j: j.note("after")).result(timeout=5)
     assert entries(journal) == ["after"]
+
+
+def test_resume_from_another_thread_frees_the_creator(journal):
+    token = override_queue(journal)
+    t = threading.Thread(target=token.resume)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    # the creator may override the same actor again
+    again = override_queue(journal)
+    journal.perform(lambda j: j.note("again")).result(timeout=5)
+    again.resume()
+    assert entries(journal) == ["again"]
 
 
 def test_watchdog_rescues_an_abandoned_override(journal):
@@ -157,7 +169,7 @@ def test_stop_waits_for_an_active_override(journal):
     token = override_queue(journal)
     journal.stop()
     journal.perform(lambda j: j.note("still served")).result(timeout=5)
-    resume(token)
+    token.resume()
     journal.join(timeout=5)
 
 
@@ -238,7 +250,7 @@ def test_batch_equivalent_to_manual_override_and_plain_calls():
                     fs = [ref.perform(lambda j, op=op: apply_op(j, op)) for op in ops]
                     for f in fs:
                         f.result(timeout=5)
-                    resume(token)
+                    token.resume()
                 else:
                     for op in ops:
                         ref.perform(lambda j, op=op: apply_op(j, op)).result(timeout=5)

@@ -15,7 +15,6 @@ from bestow.runtime import (
     Future,
     bestow,
     current_actor,
-    perform,
     spawn,
 )
 
@@ -59,10 +58,6 @@ def test_perform_runs_calls_in_submission_order(counter):
     results = [f.result(timeout=5) for f in futures]
     # running totals prove both ordering and single-threaded execution
     assert results == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
-
-
-def test_perform_free_function_matches_method(counter):
-    assert perform(counter, lambda c: c.add(5)).result(timeout=5) == 5
 
 
 def test_future_propagates_exceptions(counter):

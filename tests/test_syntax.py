@@ -26,12 +26,9 @@ from bestow.syntax import (
     UnitVal,
     Val,
     Var,
-    actor_ids_in,
-    bestowed_in,
     contains_loc,
     free_vars,
     is_active,
-    locs_in,
     map_values,
     render_expr,
     render_heap,
@@ -39,6 +36,7 @@ from bestow.syntax import (
     render_expr as render_value,
     subst,
 )
+from bestow.wellformed import TermFacts
 
 IDENT = Lambda("x", Passive(), Var("x"))
 
@@ -150,9 +148,10 @@ def test_value_scanners():
         Send(Val(ActorId(4)), Lambda("x", Passive(), Val(BestowedLoc(9, 4)))),
         Val(Loc(2)),
     )
-    assert locs_in(e) == {2}
-    assert actor_ids_in(e) == {4}
-    assert bestowed_in(e) == {(9, 4)}
+    facts = TermFacts(e)
+    assert facts.locs == (2,)
+    assert facts.ids == (4,)
+    assert facts.bestowed == ((9, 4),)
 
 
 def test_map_values_renames_runtime_names():
