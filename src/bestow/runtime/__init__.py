@@ -6,6 +6,7 @@ from .actors import (
     ActorRef,
     ActorStoppedError,
     AwaitInsideActorError,
+    BatchBrokenError,
     Future,
     NestedOverrideError,
     OverrideToken,
@@ -15,7 +16,7 @@ from .actors import (
 )
 from .bestowed import BestowedRef, BestowError, bestow
 from .locks import CountingRLock, LockedRef, lock_bestow
-from .override import Batchable, atomic_batch
+from .override import atomic_batch
 from .listiter import (
     LinkedList,
     ListHolder,
@@ -31,7 +32,7 @@ __all__ = [
     "ActorRef",
     "ActorStoppedError",
     "AwaitInsideActorError",
-    "Batchable",
+    "BatchBrokenError",
     "BestowError",
     "BestowedRef",
     "CountingRLock",

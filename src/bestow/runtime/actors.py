@@ -9,8 +9,10 @@ The mailbox speaks four envelope kinds: calls, a stop request, and the
 override/resume pair used for queue batching (see
 :mod:`bestow.runtime.override`).  While an override is active, calls
 carrying the overriding token run immediately and everything else is
-deferred, in arrival order, until the matching resume (or a watchdog
-timeout force-resumes to keep a lost client from wedging the actor).
+deferred, in arrival order, until the matching resume.  A client quiet for
+the watchdog's timeout is force-resumed rather than let it wedge the actor;
+its batch is broken, and each later call carrying its token fails with
+:class:`BatchBrokenError` instead of running between other clients' calls.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class ActorStoppedError(RuntimeError):
 
 class NestedOverrideError(RuntimeError):
     """This thread already holds an override on the same actor."""
+
+
+class BatchBrokenError(RuntimeError):
+    """The watchdog force-resumed this call's override: the batch is over."""
 
 
 class Future(Generic[T]):
@@ -174,11 +180,6 @@ class ActorRef:
     def join(self, timeout: float | None = None) -> None:
         self._stopped.wait(timeout)
 
-    # Batching protocol: an override on an actor targets the actor itself.
-    def _batch_begin(self, watchdog: float) -> Callable[[], None]:
-        token = override_queue(self, watchdog=watchdog)
-        return token.resume
-
 
 def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> OverrideToken:
     """Jump the queue of ``ref``: until the returned token is resumed,
@@ -186,7 +187,8 @@ def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> Over
 
     Deferred work is executed in arrival order on resume.  If the actor
     hears nothing for ``watchdog`` seconds while overridden it resumes by
-    itself rather than stay hostage to a lost client.
+    itself rather than stay hostage to a lost client; this thread's calls
+    then fail with :class:`BatchBrokenError` until the token is resumed.
     """
     reg = _override_registry()
     if ref in reg:
@@ -217,6 +219,7 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
     ready: deque = deque()  # the active override's adopted envelopes
     mode: OverrideToken | None = None
     watchdog = DEFAULT_WATCHDOG
+    broken: set[OverrideToken] = set()  # overrides the watchdog ended
     running = True
 
     def activate(token: OverrideToken, wd: float) -> None:
@@ -249,12 +252,17 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
             try:
                 env = ref._mailbox.get(timeout=watchdog)
             except Empty:
-                deactivate()  # force-resume: the client went quiet
+                broken.add(mode)  # force-resume: the client went quiet
+                deactivate()
                 continue
 
         match env:
             case _Call() as call:
-                if mode is not None and call.token is not mode:
+                if call.token in broken:
+                    call.future.set_exception(
+                        BatchBrokenError(f"{ref}'s watchdog broke this batch")
+                    )
+                elif mode is not None and call.token is not mode:
                     pending.append(call)
                 else:
                     _execute(instance, call)
@@ -268,7 +276,10 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
                     deactivate()
                 elif mode is not None:
                     pending.append(env)
-                # else: stale resume (watchdog already fired) — drop it
+                else:
+                    # a stale resume (the watchdog already fired): drop it and
+                    # forget the break, as the client has left the batch
+                    broken.discard(token)
             case _Stop():
                 if mode is not None:
                     pending.append(env)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .actors import ActorRef, Future, current_actor, override_queue
+from .actors import ActorRef, Future, current_actor
 
 
 class BestowError(RuntimeError):
@@ -35,12 +35,6 @@ class BestowedRef:
         """Run ``fn(underlying_object)`` on the owner's thread."""
         obj = self.object
         return self.owner.perform(lambda _actor: fn(obj))
-
-    # Batching protocol: batching a bestowed ref overrides its owner's
-    # queue, so the whole batch lands as one contiguous run on the owner.
-    def _batch_begin(self, watchdog: float) -> Callable[[], None]:
-        token = override_queue(self.owner, watchdog=watchdog)
-        return token.resume
 
 
 def bestow(obj: Any) -> BestowedRef:

@@ -146,9 +146,7 @@ def expected_hops(mode: str, clients: int, elements: int) -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def run_list_iterator(
-    clients: int, elements: int, mode: str, *, watchdog: float = 5.0
-) -> ListIterStats:
+def run_list_iterator(clients: int, elements: int, mode: str) -> ListIterStats:
     """Run one scenario and report hop counts and per-client sums."""
     holder = spawn(ListHolder, elements, name="list-holder")
     try:
@@ -185,7 +183,7 @@ def run_list_iterator(
                 total = 0
                 while True:
                     pair: list[object] = []
-                    with atomic_batch(shared, watchdog=watchdog):
+                    with atomic_batch(shared):
                         for _ in range(2):
                             if shared.perform(lambda i: i.has_next()).result():
                                 pair.append(

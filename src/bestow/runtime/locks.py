@@ -1,10 +1,10 @@
 """Lock-guarded sharing: the conventional alternative to bestowing.
 
 A :class:`LockedRef` pairs an object with a reentrant lock; ``perform``
-acquires the lock and runs the closure on the *calling* thread.  Batching a
-locked ref (see :func:`bestow.runtime.override.atomic_batch`) takes the
-lock once around the whole block, so the per-operation acquires inside are
-reentrant no-ops.
+acquires the lock and runs the closure on the *calling* thread.
+:func:`bestow.runtime.override.atomic_batch` holds the lock across the
+whole block, so the per-operation acquires inside are reentrant no-ops and
+no watchdog can end the batch early.
 
 :class:`CountingRLock` counts outermost acquisitions, which is how the
 tests pin down "a batch costs one lock acquisition, k bare operations cost
@@ -75,12 +75,6 @@ class LockedRef:
                 return fut
         fut.set_result(result)
         return fut
-
-    # Batching protocol: hold the lock across the block.
-    def _batch_begin(self, watchdog: float) -> Callable[[], None]:
-        del watchdog  # lock batches cannot be abandoned mid-flight
-        self.lock.acquire()
-        return self.lock.release
 
 
 def lock_bestow(obj: Any, lock: CountingRLock | None = None) -> LockedRef:

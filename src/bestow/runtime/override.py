@@ -1,40 +1,37 @@
-"""Atomic batching over any kind of shared reference.
+"""Atomic batching: the one batching entry point for all three reference kinds.
 
-``atomic_batch(ref)`` is a context manager that makes every operation
-issued inside the block land contiguously:
-
-* for an :class:`~bestow.runtime.actors.ActorRef` or a
-  :class:`~bestow.runtime.bestowed.BestowedRef`, it overrides the (owner's)
-  message queue — the block's performs run immediately, everyone else's are
-  deferred in arrival order until the block ends;
-* for a :class:`~bestow.runtime.locks.LockedRef`, it takes the lock once
-  around the whole block.
-
-The queue flavor builds on :func:`~bestow.runtime.actors.override_queue`
-and :meth:`~bestow.runtime.actors.OverrideToken.resume`, the two halves
-for callers that want them explicitly.
+``atomic_batch(ref)`` makes every operation issued inside the block land
+contiguously.  On an :class:`~bestow.runtime.actors.ActorRef` it overrides
+the actor's queue, on a :class:`~bestow.runtime.bestowed.BestowedRef` its
+owner's (see :func:`~bestow.runtime.actors.override_queue`): the block's
+performs run at once and everyone else's wait, in arrival order, until the
+block ends.  If the owner's watchdog breaks the override, the block's later
+calls fail with ``BatchBrokenError``.  On a
+:class:`~bestow.runtime.locks.LockedRef` it holds the lock across the block.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
-from .actors import DEFAULT_WATCHDOG
-
-
-@runtime_checkable
-class Batchable(Protocol):
-    def _batch_begin(self, watchdog: float) -> "object": ...
+from .actors import ActorRef, override_queue
+from .bestowed import BestowedRef
+from .locks import LockedRef
 
 
 @contextmanager
-def atomic_batch(ref: Batchable, *, watchdog: float = DEFAULT_WATCHDOG) -> Iterator[None]:
+def atomic_batch(ref: ActorRef | BestowedRef | LockedRef) -> Iterator[None]:
     """Run the block's operations on ``ref`` as one indivisible burst."""
-    if not isinstance(ref, Batchable):
+    if isinstance(ref, LockedRef):
+        with ref.lock:
+            yield
+        return
+    actor = ref.owner if isinstance(ref, BestowedRef) else ref
+    if not isinstance(actor, ActorRef):
         raise TypeError(f"{ref!r} does not support batching")
-    end = ref._batch_begin(watchdog)
+    token = override_queue(actor)
     try:
         yield
     finally:
-        end()
+        token.resume()

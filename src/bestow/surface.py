@@ -525,40 +525,6 @@ def _sequence(links: list[tuple[str | None, Expr, Type]], last: Expr) -> Expr:
     return body
 
 
-def _surface_uses(node: SNode, name: str) -> bool:
-    """Does ``name`` occur free in the surface term?"""
-    match node:
-        case SVar(n):
-            return n == name
-        case SUnit() | SNew(_):
-            return False
-        case SLambda(param, _, body):
-            return param != name and _surface_uses(body, name)
-        case SApp(fun, arg):
-            return _surface_uses(fun, name) or _surface_uses(arg, name)
-        case SSend(target, msg):
-            return _surface_uses(target, name) or _surface_uses(msg, name)
-        case SMutate(target) | SBestow(inner=target):
-            return _surface_uses(target, name)
-        case SBind(_, expr):
-            return _surface_uses(expr, name)
-        case SBlock(stmts):
-            shadowed = False
-            for s in stmts:
-                if not shadowed and _surface_uses(s, name):
-                    return True
-                if isinstance(s, SBind) and s.name == name:
-                    shadowed = True
-            return False
-        case SAtomic(alias, target, stmts):
-            if _surface_uses(target, name):
-                return True
-            if alias == name:
-                return False
-            return any(_surface_uses(s, name) for s in stmts)
-    raise TypeError(f"not a surface node: {node!r}")
-
-
 def _elab_atomic(node: SAtomic, env: TypeEnv, in_atomic: bool) -> Expr:
     if in_atomic:
         raise DesugarError(
@@ -590,29 +556,27 @@ def _elab_atomic(node: SAtomic, env: TypeEnv, in_atomic: bool) -> Expr:
     parts: list[Expr] = []
     body_env = env.restrict_active().extend(alias, Passive())
     for s in node.stmts:
-        if not (isinstance(s, SSend) and s.target == SVar(alias)):
-            if _surface_uses(s, alias):
-                raise DesugarError(
-                    "alias-misuse",
-                    f"inside an atomic block, {alias!r} may only be used as "
-                    "the target of a send",
-                    t_pos(s) or node.pos,
-                )
+        # Elaboration keeps free variables, so the alias checks read the
+        # core term: of the message for a send to the alias, else of the
+        # whole statement.
+        is_send = isinstance(s, SSend) and s.target == SVar(alias)
+        checked = s.msg if is_send else s
+        core = _elab(checked, body_env, in_atomic=True)
+        if alias in free_vars(core):
+            raise DesugarError(
+                "alias-misuse",
+                f"inside an atomic block, {alias!r} may only be used as "
+                "the target of a send",
+                t_pos(checked) or node.pos,
+            )
+        if not is_send:
             raise DesugarError(
                 "batch-shape",
                 f"every statement in an atomic block must send to {alias!r}",
                 t_pos(s) or node.pos,
             )
-        if _surface_uses(s.msg, alias):
-            raise DesugarError(
-                "alias-misuse",
-                f"inside an atomic block, {alias!r} may only be used as "
-                "the target of a send",
-                t_pos(s.msg) or node.pos,
-            )
-        msg_core = _elab(s.msg, body_env, in_atomic=True)
         # Each `alias ! m` runs m directly on the underlying object.
-        parts.append(App(msg_core, Var(alias)))
+        parts.append(App(core, Var(alias)))
 
     body: Expr = Val(UnitVal())
     if parts:

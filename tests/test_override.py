@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
 from bestow.runtime import (
-    Batchable,
+    BatchBrokenError,
     BestowedRef,
+    CountingRLock,
     NestedOverrideError,
     atomic_batch,
     bestow,
     current_actor,
+    lock_bestow,
     override_queue,
     spawn,
 )
+from bestow.runtime.actors import _override_registry
 
 
 class Journal:
@@ -160,9 +164,34 @@ def test_watchdog_rescues_an_abandoned_override(journal):
     t.join(timeout=5)
     assert fut.result(timeout=5) == 1
     # clear the stale registry entry so later tests on this thread are clean
-    from bestow.runtime.actors import _override_registry
-
     _override_registry().clear()
+
+
+def in_other_thread(fn) -> list:
+    """Run ``fn`` on a fresh daemon thread; its result, or [] if it hangs."""
+    out: list = []
+    t = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    t.start()
+    t.join(timeout=5)
+    return out
+
+
+def test_watchdog_break_fails_the_clients_later_calls(journal):
+    token = override_queue(journal, watchdog=0.1)
+    try:
+        journal.perform(lambda j: j.note("mine0")).result(timeout=5)
+        time.sleep(0.3)  # the watchdog breaks the batch
+        # a rival's call can only run once the override is gone
+        assert in_other_thread(
+            lambda: journal.perform(lambda j: j.note("rival")).result(timeout=5)
+        ) == [2]
+        with pytest.raises(BatchBrokenError):
+            journal.perform(lambda j: j.note("mine1")).result(timeout=5)
+        assert in_other_thread(lambda: entries(journal)) == [["mine0", "rival"]]
+    finally:
+        token.resume()
+    assert journal.perform(lambda j: j.note("mine2")).result(timeout=5) == 3
+    assert entries(journal) == ["mine0", "rival", "mine2"]
 
 
 def test_stop_waits_for_an_active_override(journal):
@@ -199,10 +228,39 @@ def test_atomic_batch_releases_on_exception(journal):
     assert entries(journal) == ["alive"]
 
 
+@pytest.mark.parametrize("kind", ["actor", "bestowed", "locked"])
+def test_atomic_batch_ends_when_the_block_raises(journal, kind):
+    lock = CountingRLock()
+    ref = {
+        "actor": lambda: journal,
+        "bestowed": lambda: journal.perform(bestow).result(timeout=5),
+        "locked": lambda: lock_bestow(Journal(), lock),
+    }[kind]()
+    with pytest.raises(ValueError):
+        with atomic_batch(ref):
+            ref.perform(lambda j: j.note("inside")).result(timeout=5)
+            raise ValueError("bail out")
+    if kind == "locked":
+        assert lock.acquisitions == 1  # the whole batch took the lock once
+    # the batch is over: another thread's call goes through (for the locked
+    # ref, the lock is free)
+    assert in_other_thread(
+        lambda: ref.perform(lambda j: j.note("other")).result(timeout=5)
+    ) == [2]
+    if kind == "locked":
+        assert lock.acquisitions == 2
+
+
+def test_atomic_batch_rejects_other_objects():
+    with pytest.raises(TypeError, match="does not support batching"):
+        with atomic_batch(object()):
+            pass
+    assert _override_registry() == {}
+
+
 def test_atomic_batch_on_bestowed_ref_overrides_owner(journal):
     lent = journal.perform(lambda j: bestow(j.entries)).result(timeout=5)
     assert isinstance(lent, BestowedRef)
-    assert isinstance(lent, Batchable)
 
     other_done = threading.Event()
     with atomic_batch(lent):

@@ -286,10 +286,15 @@ def test_atomic_whole_program_typechecks_and_runs():
 
 def test_nested_atomic_rejected():
     env = TypeEnv.of(a=ActorType(), b=Bestowed())
-    src = "atomic y <- a { y ! atomic z <- b { z ! m } }"
-    with pytest.raises(DesugarError) as exc:
-        desugar(parse_program(src), env)
-    assert exc.value.code == "nested-atomic"
+    for src in [
+        "atomic y <- a { y ! atomic z <- b { z ! m } }",
+        # a statement that is an atomic block, using the alias or not
+        "atomic y <- a { atomic z <- y { z ! m } }",
+        "atomic y <- a { atomic z <- b { z ! m } }",
+    ]:
+        with pytest.raises(DesugarError) as exc:
+            desugar(parse_program(src), env)
+        assert exc.value.code == "nested-atomic"
 
 
 def test_atomic_target_must_be_a_name():
