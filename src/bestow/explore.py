@@ -21,17 +21,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
-from .syntax import Expr, Heap, Value, is_value
+from .syntax import Actor, Expr, Heap, Lambda, Value, is_value
 from .semantics import (
+    Effect,
     SchedulerChoice,
     TraceEvent,
-    enabled_choices,
-    step_footprint,
-    step_system,
+    actor_step,
+    apply_effect,
+    enqueue,
+    poised,
 )
-from .wellformed import Facts, TermFacts, WfReport, assert_wf, wf_heap
+from .wellformed import TermFacts, WfReport, assert_wf, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -42,38 +45,77 @@ DEFAULT_MAX_DEPTH = 64
 # --------------------------------------------------------------------------
 
 
-class FactTable(dict):
-    """Each distinct term's facts, worked out once; call it on a term.
+class ActorFacts:
+    """What one actor state contributes to keys, choices and the race check.
 
-    Keyed by term identity; each entry holds its term, so no id is reused
-    while the entry lives.  A successor shares most terms with its parent,
-    so keys and checks pay only for the terms a step changed.
+    ``terms`` are the facts of its current expression and then of its
+    queued messages; ``slots`` lists its own location and then those terms'
+    slot codes, in the order ``_renaming`` scans them; ``lh`` is its local
+    heap, sorted.  ``text`` is its key fragment after the actor id, as it
+    is (not renamed).  ``kind`` is the choice it enables, if any, and
+    ``touches`` the location that step would touch (see ``poised``).
     """
+
+    def __init__(self, a: Actor, facts: FactTable) -> None:
+        self.actor = a
+        self.terms = (facts(a.current), *map(facts, a.queue))
+        self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
+        self.lh = tuple(sorted(a.local_heap))
+        current, *queue = self.terms
+        lh = " ".join(map(str, self.lh))
+        q = " ".join(f.text for f in queue)
+        self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
+        self.kind, self.touches = poised(a)
+
+
+class FactTable:
+    """Each distinct term's and actor state's facts, worked out once; call
+    it on a term, or ``actor`` on an actor.
+
+    Keyed by object identity; each entry holds its object, so no id is
+    reused while the entry lives.  A successor shares most actors and terms
+    with its parent, so keys, choices and checks pay only for what a step
+    changed.
+    """
+
+    def __init__(self) -> None:
+        self.terms: dict[int, TermFacts] = {}
+        self.actors: dict[int, ActorFacts] = {}
 
     def __call__(self, term: Expr | Value) -> TermFacts:
-        f = self.get(id(term))
+        f = self.terms.get(id(term))
         if f is None:
-            f = self[id(term)] = TermFacts(term)
+            f = self.terms[id(term)] = TermFacts(term)
         return f
 
-    def forget_since(self, size: int) -> None:
-        """Drop the entries added since the table had ``size`` of them."""
-        while len(self) > size:
-            self.popitem()
+    def actor(self, a: Actor) -> ActorFacts:
+        f = self.actors.get(id(a))
+        if f is None:
+            f = self.actors[id(a)] = ActorFacts(a, self)
+        return f
+
+    def choices(self, heap: Heap) -> list[SchedulerChoice]:
+        """``enabled_choices(heap)``, read from the actors' records."""
+        out: list[SchedulerChoice] = []
+        for ident in sorted(heap.actors):
+            kind = self.actor(heap.actors[ident]).kind
+            if kind is not None:
+                out.append(SchedulerChoice(ident, kind))
+        return out
 
 
-def _renaming(heap: Heap, facts: Facts) -> dict[int, int] | None:
-    """The canonical renaming of ``heap`` (None if it changes no number),
-    from slot codes (see ``TermFacts``) to new numbers.
+def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
+    """The canonical renaming of a heap given its actors' records (None if
+    it changes no number), from slot codes (see ``TermFacts``) to new
+    numbers.
 
     The walk starts at the root (the lowest surviving actor id) and visits
-    actors breadth-first, scanning each one's own location, then its
-    current expression in preorder, then its queue.  Actors unreachable
-    from the root do arise (once the root has sent to two spawned actors,
-    it holds neither id); each starts a new walk, in original-id order, so
-    two heaps that differ only in such ids get different keys.
+    actors breadth-first, scanning each one's slots (see ``ActorFacts``).
+    Actors unreachable from the root do arise (once the root has sent to
+    two spawned actors, it holds neither id); each starts a new walk, in
+    original-id order, so two heaps that differ only in such ids get
+    different keys.
     """
-    actors = heap.actors
     new: dict[int, int] = {}
     order: list[int] = []
     locs = 0
@@ -83,24 +125,20 @@ def _renaming(heap: Heap, facts: Facts) -> dict[int, int] | None:
         pos = new[~root] = len(order)
         order.append(root)
         while pos < len(order):
-            a = actors[order[pos]]
+            slots = actors[order[pos]].slots
             pos += 1
-            if a.this_loc not in new:
-                new[a.this_loc] = locs
-                locs += 1
-            for term in (a.current, *a.queue):
-                for k in facts(term).slots:
-                    if k not in new:
-                        if k >= 0:
-                            new[k] = locs
-                            locs += 1
-                        else:
-                            new[k] = len(order)
-                            order.append(~k)
+            for k in slots:
+                if k not in new:
+                    if k >= 0:
+                        new[k] = locs
+                        locs += 1
+                    else:
+                        new[k] = len(order)
+                        order.append(~k)
     # Locations owned but never mentioned are interchangeable; give them
     # trailing numbers, actor by actor in canonical order.
     for ident in order:
-        for loc in sorted(actors[ident].local_heap):
+        for loc in actors[ident].lh:
             if loc not in new:
                 new[loc] = locs
                 locs += 1
@@ -108,31 +146,37 @@ def _renaming(heap: Heap, facts: Facts) -> dict[int, int] | None:
     return None if same else new
 
 
-def state_key(heap: Heap, canonical: bool = True, facts: Facts = TermFacts) -> str:
-    """A hashable identity for a heap, joined from its terms' renderings.
+def state_key(heap: Heap, canonical: bool = True, facts: FactTable | None = None) -> str:
+    """A hashable identity for a heap, joined from its actors' fragments.
 
     Canonical keys render ``heap`` renamed by ``_renaming``: they quotient
     out the numbering of ids/locations and the fresh-name counters.  Exact
     keys are ``render_heap(heap, include_counters=True)``: they include
     everything, which keeps actor ids stable along a path (useful when a
-    test needs to follow one actor across states).
+    test needs to follow one actor across states).  When no number changes,
+    the key joins the cached fragments as they are.
     """
-    new = _renaming(heap, facts) if canonical else None
-    number = new.__getitem__ if new else lambda k: k if k >= 0 else ~k
+    facts = FactTable() if facts is None else facts
+    actors = {i: facts.actor(a) for i, a in heap.actors.items()}
+    new = _renaming(actors) if canonical else None
+    if new is None:
+        parts = [f"(actor {i} {actors[i].text}" for i in sorted(actors)]
+    else:
+        number = new.__getitem__
 
-    def text(term: Expr | Value) -> str:
-        f = facts(term)
-        return f.text if new is None else f.template % tuple(map(number, f.slots))
+        def text(f: TermFacts) -> str:
+            return f.template % tuple(map(number, f.slots))
 
-    parts = []
-    for ident in sorted(heap.actors, key=lambda i: number(~i)):
-        a = heap.actors[ident]
-        lh = " ".join(map(str, sorted(map(number, a.local_heap))))
-        q = " ".join(map(text, a.queue))
-        parts.append(
-            f"(actor {number(~ident)} {number(a.this_loc)} (lh {lh}) (q {q}) "
-            f"{text(a.current)})"
-        )
+        parts = []
+        for ident in sorted(actors, key=lambda i: new[~i]):
+            r = actors[ident]
+            current, *queue = r.terms
+            lh = " ".join(map(str, sorted(map(number, r.lh))))
+            q = " ".join(map(text, queue))
+            parts.append(
+                f"(actor {new[~ident]} {new[r.actor.this_loc]} (lh {lh}) (q {q}) "
+                f"{text(current)})"
+            )
     head = "(heap " if canonical else f"(heap [{heap.next_loc} {heap.next_id}] "
     return head + " ".join(parts) + ")"
 
@@ -162,8 +206,9 @@ class StateSpace:
     lifo: bool
     # Each state's enabled choices, computed once by ``explore``.
     choices: dict[str, list[SchedulerChoice]]
-    # The per-term facts of every state, shared by keys and checks.
-    facts: Facts
+    # The per-term and per-actor facts of every state, shared by keys,
+    # choices and checks.
+    facts: FactTable
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
 
     def successors(self, key: str) -> list[Edge]:
@@ -209,6 +254,23 @@ def explore(
         assert_wf(heap)
 
     facts = FactTable()
+    # Memoized transitions, keyed by object identity; each entry holds the
+    # objects its key names, so no id is reused while it lives.  A step is
+    # a pure function of the actor and its id (``bestow`` names the
+    # stepper), the choice kind and the fresh-name counters, the queue
+    # order being fixed per space; a post is one of the receiver and the
+    # message.  Interleavings that reach one actor state thus share its
+    # object, and its step, record and key fragment are worked out once.
+    steps: dict[tuple[int, int, str, int, int], tuple[Actor, Effect]] = {}
+    posts: dict[tuple[int, int], tuple[Actor, Lambda, Actor]] = {}
+
+    def post(recv: Actor, msg: Lambda) -> Actor:
+        k = (id(recv), id(msg))
+        hit = posts.get(k)
+        if hit is None:
+            hit = posts[k] = (recv, msg, enqueue(recv, msg))
+        return hit[2]
+
     init_key = state_key(heap, canonical, facts)
     states = {init_key: heap}
     choices_of: dict[str, list[SchedulerChoice]] = {}
@@ -222,20 +284,27 @@ def explore(
         key = frontier.popleft()
         rep = states[key]
         d = depth[key]
-        choices = choices_of[key] = enabled_choices(rep)
+        choices = choices_of[key] = facts.choices(rep)
         if not choices:
             continue
         if d >= max_depth:
             truncated = True
             continue
+        counters = rep.next_loc, rep.next_id
         for choice in choices:
-            nxt, event = step_system(rep, choice, step_index=d, lifo=lifo)
-            known = len(facts)
+            ident, kind = choice.actor, choice.kind
+            a = rep.actors[ident]
+            k = (ident, id(a), kind, *counters)
+            hit = steps.get(k)
+            if hit is None:
+                hit = steps[k] = (a, actor_step(ident, a, kind, *counters, lifo=lifo))
+            eff = hit[1]
+            nxt = apply_effect(rep, ident, eff, post)
+            event = TraceEvent(d, ident, eff.rule, eff.loc)
             nxt_key = state_key(nxt, canonical, facts)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
-                    facts.forget_since(known)
                     continue
                 states[nxt_key] = nxt
                 depth[nxt_key] = d + 1
@@ -244,8 +313,6 @@ def explore(
                 edges.append(edge)
                 frontier.append(nxt_key)
             else:
-                # ``nxt`` is dropped, and with it the terms only it has.
-                facts.forget_since(known)
                 edges.append(Edge(key, choice, event, nxt_key))
 
     return StateSpace(
@@ -351,24 +418,17 @@ def check_preservation(space: StateSpace) -> PreservationFailure | None:
 
 
 def check_race_freedom(space: StateSpace) -> RaceWitness | None:
-    """First state where two actors' next steps overlap on a location."""
+    """First state where two actors' next steps touch the same location."""
     for key, rep in space.states.items():
-        footprints = [
-            (c.actor, step_footprint(rep, c))
+        touching = [
+            (c.actor, loc)
             for c in space.choices[key]
-            if c.kind == "step"
+            if (loc := space.facts.actor(rep.actors[c.actor]).touches) is not None
         ]
-        for i in range(len(footprints)):
-            for j in range(i + 1, len(footprints)):
-                a, fa = footprints[i]
-                b, fb = footprints[j]
-                if a == b:
-                    continue
-                shared = fa & fb
-                if shared:
-                    return RaceWitness(
-                        key, rep, (a, b), min(shared), tuple(space.trace_to(key))
-                    )
+        for i, (a, loc) in enumerate(touching):
+            for b, other in touching[i + 1 :]:
+                if loc == other:
+                    return RaceWitness(key, rep, (a, b), loc, tuple(space.trace_to(key)))
     return None
 
 

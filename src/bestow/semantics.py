@@ -8,6 +8,11 @@ all nondeterminism lives in the choice of actor.
 
 Every step yields a :class:`TraceEvent` naming the rule that fired and, for
 heap-touching rules, the location involved.
+
+Actors are isolated, so a step reads only the stepping actor (and the
+fresh-name counters).  ``actor_step`` computes it as an :class:`Effect` and
+``apply_effect`` applies that to a heap; ``step_system`` composes the two,
+and the explorer memoizes the first.
 """
 
 from __future__ import annotations
@@ -193,31 +198,51 @@ def _stuck_reason(actor: int, e: Expr) -> StuckError:
 
 
 # --------------------------------------------------------------------------
-# Single-actor expression step
+# Single-actor step
 # --------------------------------------------------------------------------
 
 
-def step_expr(heap: Heap, actor_id: int, e: Expr) -> tuple[Heap, Expr, str, int | None]:
-    """One reduction of ``e`` running on ``actor_id``.
+@dataclass(frozen=True)
+class Effect:
+    """What one actor's step does to the system.
 
-    Returns the new heap, the reduced expression, the rule name and the
-    touched location (if any).  Raises :class:`StuckError` when ``e`` is
-    neither a value nor decomposable.
+    ``actor`` is the stepping actor's new state; ``rule`` and ``loc`` make
+    its trace event.  ``post`` is a message, as ``(target, msg)``, appended
+    to the target's queue; ``spawned`` is a new actor, which takes the next
+    actor id and the next location (``new-passive`` takes the next location
+    too).  Nothing else changes: a step reads only its own actor.
     """
-    d = decompose(e)
+
+    actor: Actor
+    rule: str
+    loc: int | None = None
+    post: tuple[int, Lambda] | None = None
+    spawned: Actor | None = None
+
+
+def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
+    """One reduction of actor ``a``'s expression, running as ``ident``, when
+    the next fresh location and actor id are ``next_loc`` and ``next_id``.
+
+    Raises :class:`StuckError` when the expression is neither a value nor
+    decomposable.
+    """
+    d = decompose(a.current)
     if d is None:
-        raise _stuck_reason(actor_id, e)
+        raise _stuck_reason(ident, a.current)
     redex, plug = d
 
+    def to(e: Expr) -> Actor:
+        return Actor(a.this_loc, a.local_heap, a.queue, plug(e))
+
+    unit = Val(UnitVal())
     match redex:
         case App(Val(Lambda(param, _, body)), Val(arg)):
-            return heap, plug(subst(body, param, arg)), "apply", None
+            return Effect(to(subst(body, param, arg)), "apply")
 
         case Send(Val(ActorId(target)), msg):
             assert isinstance(msg, Lambda)
-            recv = heap.actors[target]
-            recv = Actor(recv.this_loc, recv.local_heap, recv.queue + (msg,), recv.current)
-            return heap.with_actor(target, recv), plug(Val(UnitVal())), "send-actor", None
+            return Effect(to(unit), "send-actor", post=(target, msg))
 
         case Send(Val(BestowedLoc(loc, owner)), msg):
             assert isinstance(msg, Lambda)
@@ -225,39 +250,102 @@ def step_expr(heap: Heap, actor_id: int, e: Expr) -> tuple[Heap, Expr, str, int 
             # it applies the original function to the underlying object.
             y = fresh_name("y", free_vars(msg))
             wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(loc))))
-            recv = heap.actors[owner]
-            recv = Actor(
-                recv.this_loc, recv.local_heap, recv.queue + (wrapper,), recv.current
-            )
-            return heap.with_actor(owner, recv), plug(Val(UnitVal())), "send-bestowed", None
+            return Effect(to(unit), "send-bestowed", post=(owner, wrapper))
 
         case Mutate(Val(Loc(loc))):
             # Mutation of the object at `loc` is abstract: the heap is not
             # changed, but the event records which location was written.
-            return heap, plug(Val(UnitVal())), "mutate", loc
+            return Effect(to(unit), "mutate", loc)
 
         case Bestow(Val(Loc(loc))):
-            return heap, plug(Val(BestowedLoc(loc, actor_id))), "bestow", loc
+            return Effect(to(Val(BestowedLoc(loc, ident))), "bestow", loc)
 
         case NewPassive():
-            heap2, loc = heap.alloc_loc()
-            me = heap2.actors[actor_id]
-            me = Actor(me.this_loc, me.local_heap | {loc}, me.queue, me.current)
-            return heap2.with_actor(actor_id, me), plug(Val(Loc(loc))), "new-passive", loc
+            me = Actor(
+                a.this_loc, a.local_heap | {next_loc}, a.queue, plug(Val(Loc(next_loc)))
+            )
+            return Effect(me, "new-passive", next_loc)
 
         case NewActor():
-            heap2, ident = heap.alloc_id()
-            heap3, loc = heap2.alloc_loc()
-            spawned = Actor(loc, frozenset({loc}), (), Val(UnitVal()))
-            heap4 = heap3.with_actor(ident, spawned)
-            return heap4, plug(Val(ActorId(ident))), "new-actor", None
+            spawned = Actor(next_loc, frozenset({next_loc}), (), unit)
+            return Effect(to(Val(ActorId(next_id))), "new-actor", spawned=spawned)
 
     raise AssertionError(f"unreachable redex {redex!r}")
+
+
+def actor_step(
+    ident: int, a: Actor, kind: str, next_loc: int, next_id: int, *, lifo: bool = False
+) -> Effect:
+    """The effect of choice ``kind`` on actor ``a``, running as ``ident``.
+
+    A pure function of its arguments, so callers may memoize it.  Raises
+    :class:`ScheduleError` if the choice is not enabled.
+    """
+    if kind == "pop":
+        if not is_value(a.current):
+            raise ScheduleError(f"actor {ident} is still busy; cannot pop")
+        if not a.queue:
+            raise ScheduleError(f"actor {ident} has an empty queue")
+        if lifo:
+            msg, rest = a.queue[-1], a.queue[:-1]
+        else:
+            msg, rest = a.queue[0], a.queue[1:]
+        current = App(Val(msg), Val(Loc(a.this_loc)))
+        return Effect(Actor(a.this_loc, a.local_heap, rest, current), "actor-msg")
+
+    if kind == "step":
+        if is_value(a.current):
+            raise ScheduleError(f"actor {ident} has nothing to step")
+        return step_expr(ident, a, next_loc, next_id)
+
+    raise ScheduleError(f"unknown choice kind: {kind!r}")
+
+
+def enqueue(recv: Actor, msg: Lambda) -> Actor:
+    """``recv`` with ``msg`` appended to its queue."""
+    return Actor(recv.this_loc, recv.local_heap, recv.queue + (msg,), recv.current)
+
+
+def apply_effect(
+    heap: Heap,
+    ident: int,
+    eff: Effect,
+    enqueue: Callable[[Actor, Lambda], Actor] = enqueue,
+) -> Heap:
+    """``heap`` after actor ``ident`` stepped with effect ``eff``; a posted
+    message reaches its target through ``enqueue``."""
+    actors = {**heap.actors, ident: eff.actor}
+    if eff.post is not None:
+        target, msg = eff.post
+        actors[target] = enqueue(actors[target], msg)
+    next_loc, next_id = heap.next_loc, heap.next_id
+    if eff.rule == "new-passive":
+        next_loc += 1
+    elif eff.spawned is not None:
+        actors[next_id] = eff.spawned
+        next_loc, next_id = next_loc + 1, next_id + 1
+    return Heap(actors, next_loc, next_id)
 
 
 # --------------------------------------------------------------------------
 # System step and scheduling
 # --------------------------------------------------------------------------
+
+
+def poised(a: Actor) -> tuple[str | None, int | None]:
+    """The choice kind ``a`` enables (``"pop"``, ``"step"`` or None) and the
+    location that step would read or write (None for rules that touch no
+    existing location).  Never raises: a stuck actor enables nothing.
+    """
+    if is_value(a.current):
+        return ("pop" if a.queue else None), None
+    d = decompose(a.current)
+    if d is None:
+        return None, None
+    match d[0]:
+        case Mutate(Val(Loc(loc))) | Bestow(Val(Loc(loc))):
+            return "step", loc
+    return "step", None
 
 
 def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
@@ -268,12 +356,10 @@ def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
     """
     out: list[SchedulerChoice] = []
     for ident in sorted(heap.actors):
-        a = heap.actors[ident]
-        if is_value(a.current) and a.queue:
-            out.append(SchedulerChoice(ident, "pop"))
-        if not is_value(a.current) and decompose(a.current) is not None:
-            out.append(SchedulerChoice(ident, "step"))
-    return sorted(out)
+        kind, _ = poised(heap.actors[ident])
+        if kind is not None:
+            out.append(SchedulerChoice(ident, kind))
+    return out
 
 
 def quiescent(heap: Heap) -> bool:
@@ -291,30 +377,10 @@ def step_system(
     ident = choice.actor
     if ident not in heap.actors:
         raise ScheduleError(f"no such actor: {ident}")
-    a = heap.actors[ident]
-
-    if choice.kind == "pop":
-        if not is_value(a.current):
-            raise ScheduleError(f"actor {ident} is still busy; cannot pop")
-        if not a.queue:
-            raise ScheduleError(f"actor {ident} has an empty queue")
-        if lifo:
-            msg, rest = a.queue[-1], a.queue[:-1]
-        else:
-            msg, rest = a.queue[0], a.queue[1:]
-        current = App(Val(msg), Val(Loc(a.this_loc)))
-        heap2 = heap.with_actor(ident, Actor(a.this_loc, a.local_heap, rest, current))
-        return heap2, TraceEvent(step_index, ident, "actor-msg", None)
-
-    if choice.kind == "step":
-        if is_value(a.current):
-            raise ScheduleError(f"actor {ident} has nothing to step")
-        heap2, e2, rule, touched = step_expr(heap, ident, a.current)
-        a2 = heap2.actors[ident]
-        heap3 = heap2.with_actor(ident, Actor(a2.this_loc, a2.local_heap, a2.queue, e2))
-        return heap3, TraceEvent(step_index, ident, rule, touched)
-
-    raise ScheduleError(f"unknown choice kind: {choice.kind!r}")
+    eff = actor_step(
+        ident, heap.actors[ident], choice.kind, heap.next_loc, heap.next_id, lifo=lifo
+    )
+    return apply_effect(heap, ident, eff), TraceEvent(step_index, ident, eff.rule, eff.loc)
 
 
 def initial_heap(e: Expr) -> Heap:
@@ -374,29 +440,6 @@ def run_program(
 ) -> tuple[Heap, list[TraceEvent]]:
     """Convenience wrapper: run ``e`` from a fresh root actor to quiescence."""
     return run_to_quiescence(initial_heap(e), seed=seed, fuel=fuel, lifo=lifo)
-
-
-def step_footprint(heap: Heap, choice: SchedulerChoice) -> frozenset[int]:
-    """Locations the choice would touch if fired (empty for non-heap rules).
-
-    Used by the race checker: two distinct actors with overlapping
-    footprints in the same state constitute a potential data race.
-    """
-    if choice.kind != "step":
-        return frozenset()
-    a = heap.actors.get(choice.actor)
-    if a is None or is_value(a.current):
-        return frozenset()
-    d = decompose(a.current)
-    if d is None:
-        return frozenset()
-    redex, _ = d
-    match redex:
-        case Mutate(Val(Loc(loc))):
-            return frozenset({loc})
-        case Bestow(Val(Loc(loc))):
-            return frozenset({loc})
-    return frozenset()
 
 
 def events_to_jsonl(trace: Iterable[TraceEvent]) -> str:

@@ -397,12 +397,6 @@ class Heap:
     def with_actor(self, ident: int, actor: Actor) -> Heap:
         return Heap({**self.actors, ident: actor}, self.next_loc, self.next_id)
 
-    def alloc_loc(self) -> tuple[Heap, int]:
-        return Heap(self.actors, self.next_loc + 1, self.next_id), self.next_loc
-
-    def alloc_id(self) -> tuple[Heap, int]:
-        return Heap(self.actors, self.next_loc, self.next_id + 1), self.next_id
-
 
 # --------------------------------------------------------------------------
 # Rendering (one-line s-expressions)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import re
 
 import pytest
@@ -24,10 +25,12 @@ from bestow.syntax import (
     Actor,
     ActorId,
     App,
+    Bestow,
     Heap,
     Lambda,
     Loc,
     Mutate,
+    NewPassive,
     Passive,
     Send,
     UnitType,
@@ -321,6 +324,103 @@ def test_race_check_covers_reachable_states():
         "a ! \\x:p. b ! \\y:p. y.mutate(); obj.mutate()"
     )
     assert check_race_freedom(space) is None
+
+
+# --- memoized transitions -------------------------------------------------
+
+# k0 allocates a location first, k1 and k2 an actor first, so one actor
+# state steps under different fresh-name counters: some with the same next
+# location and a different next actor id.
+SPAWNERS = (
+    "val k0 = new c; val k1 = new c; val k2 = new c;"
+    "k0 ! \\x:p. {{ val o = new {0}; new {1} }};"
+    "k1 ! \\x:p. {{ val a = new {1}; new {0} }};"
+    "k2 ! \\x:p. {{ val a = new {1}; new {0} }}"
+)
+
+
+def assert_steps_match_step_system(space: StateSpace) -> None:
+    """Every edge's event and destination, and every state's stored heap,
+    are what ``step_system`` gives from the edge's source."""
+    for edge in space.edges:
+        nxt, event = step_system(
+            space.states[edge.src],
+            edge.choice,
+            step_index=space.depth[edge.src],
+            lifo=space.lifo,
+        )
+        assert event == edge.event
+        assert state_key(nxt, space.canonical) == edge.dst
+        if edge is space.parents[edge.dst]:
+            assert space.states[edge.dst] == nxt
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_one_actor_state_steps_under_different_counters(canonical):
+    space = space_of(SPAWNERS.format("p", "c"), canonical=canonical)
+    assert_steps_match_step_system(space)
+    # The allocations interleave: each spawned actor's ``new p`` gets more
+    # than one location, and its ``new c`` more than one actor id.
+    made: dict[tuple[int, str], set[int]] = {}
+    for edge in space.edges:
+        ev = edge.event
+        if ev.rule in ("new-passive", "new-actor") and ev.actor != 0:
+            new = ev.touched_loc if ev.rule == "new-passive" else space.states[edge.src].next_id
+            made.setdefault((ev.actor, ev.rule), set()).add(new)
+    assert len(made) == 6 and all(len(m) > 1 for m in made.values())
+
+
+def test_one_actor_object_at_two_ids():
+    # ``bestow`` names the stepping actor, so a step depends on its id too.
+    twin = Actor(5, frozenset({5}), (), Bestow(Val(Loc(5))))
+    space = explore(Heap({0: twin, 1: twin}, 6, 2), require_wf=False)
+    assert_steps_match_step_system(space)
+    assert {e.event.actor for e in space.edges} == {0, 1}
+
+
+def test_two_senders_race_to_one_queue():
+    # One receiver state takes either message first: an append depends on
+    # the message as well as the receiver.
+    first = Lambda("x", P, NewPassive())
+    second = Lambda("x", P, Mutate(Var("x")))
+    heap = Heap(
+        {
+            0: Actor(0, frozenset({0}), (), Send(Val(ActorId(2)), first)),
+            1: Actor(1, frozenset({1}), (), Send(Val(ActorId(2)), second)),
+            2: Actor(2, frozenset({2}), (), UNIT),
+        },
+        3,
+        3,
+    )
+    space = explore(heap)
+    assert_steps_match_step_system(space)
+    queues = {rep.actors[2].queue for rep in space.states.values()}
+    assert {(first, second), (second, first)} <= queues
+
+
+def test_fifo_then_lifo_in_one_process():
+    # Actor 0's send races actor 1's pop of an older message.
+    older = Lambda("x", P, NewPassive())
+    newer = Lambda("x", P, Mutate(Var("x")))
+    heap = Heap(
+        {
+            0: Actor(0, frozenset({0}), (), Send(Val(ActorId(1)), newer)),
+            1: Actor(1, frozenset({1}), (older,), UNIT),
+        },
+        2,
+        2,
+    )
+    spaces = [explore(heap, lifo=lifo) for lifo in (False, True, False)]
+    for space in spaces:
+        assert_steps_match_step_system(space)
+    assert spaces[0].states.keys() == spaces[2].states.keys()
+    assert spaces[0].states.keys() != spaces[1].states.keys()
+
+
+def test_explorations_in_a_row_after_gc():
+    for kinds in [("p", "c"), ("c", "p")] * 2:
+        assert_steps_match_step_system(space_of(SPAWNERS.format(*kinds)))
+        gc.collect()  # the ids of its actors and terms are now free for reuse
 
 
 # --- path enumeration -----------------------------------------------------

@@ -114,6 +114,12 @@ def generated(count: int) -> list[Heap]:
     ]
 
 
+@pytest.fixture(scope="module")
+def programs() -> list[Heap]:
+    """300 generated programs, built once for the module."""
+    return generated(300)
+
+
 def assert_matches_reference(space: StateSpace) -> None:
     """Every successor's key equals a fresh computation, and a state is
     stored as the successor that first reached it."""
@@ -154,9 +160,9 @@ def test_exact_keys_match_rendering():
     assert_matches_reference(explore(contended(2, 2), canonical=False))
 
 
-def test_generated_programs_match_reference():
+def test_generated_programs_match_reference(programs):
     branching = 0
-    for heap in generated(300):
+    for heap in programs:
         for canonical in (True, False):
             space = explore(heap, canonical=canonical)
             assert_matches_reference(space)
@@ -167,21 +173,31 @@ def test_generated_programs_match_reference():
 
 def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     """Every state's shortest trace, replayed from ``initial``, makes the
-    events its edges record and ends on the heap stored for the state."""
+    events its edges record and ends on the heap stored for the state.
+
+    A state's trace is its parent's plus its parent edge, and ``states``
+    lists each parent before its children, so each state is replayed once,
+    from its parent's replayed heap."""
+    replayed = {space.initial: initial}
     for key, stored in space.states.items():
-        heap = initial
-        for i, edge in enumerate(space.trace_to(key)):
+        if key != space.initial:
+            edge = space.parents[key]
             assert edge.choice in space.choices[edge.src]
-            heap, event = step_system(heap, edge.choice, step_index=i, lifo=space.lifo)
+            replayed[key], event = step_system(
+                replayed[edge.src],
+                edge.choice,
+                step_index=space.depth[edge.src],
+                lifo=space.lifo,
+            )
             assert event == edge.event
-        assert heap == stored
+        assert replayed[key] == stored
 
 
 @pytest.mark.parametrize("canonical", [True, False])
 @pytest.mark.parametrize("lifo", [False, True])
-def test_every_trace_replays_from_the_initial_heap(canonical, lifo):
+def test_every_trace_replays_from_the_initial_heap(programs, canonical, lifo):
     shapes = [contended(c, s) for c, s in [(2, 2), (3, 2), (2, 4)]]
-    for heap in shapes + generated(300):
+    for heap in shapes + programs:
         space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
         assert_traces_replay(heap, space)
 
@@ -208,8 +224,8 @@ def ill_formed_variants(heap: Heap) -> list[Heap]:
     return out
 
 
-def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants():
-    spaces = [explore(contended(2, 2))] + [explore(h) for h in generated(60)]
+def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(programs):
+    spaces = [explore(contended(2, 2))] + [explore(h) for h in programs[:60]]
     ill = 0
     for space in spaces:
         variants = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from bestow.semantics import (
     SchedulerChoice,
     SendToNonActiveError,
     StuckError,
+    apply_effect,
     decompose,
     enabled_choices,
     events_to_jsonl,
@@ -51,6 +53,13 @@ MSG = Lambda("x", P, Mutate(Var("x")))
 
 def one_actor(e, lh=frozenset({0}), queue=()):
     return Heap({0: Actor(0, frozenset(lh), tuple(queue), e)}, next_loc=10, next_id=10)
+
+
+def step_one(heap, ident=0):
+    """Reduce actor ``ident``'s expression once: the heap after the step's
+    effect, the new expression, the rule and the touched location."""
+    eff = step_expr(ident, heap.actors[ident], heap.next_loc, heap.next_id)
+    return apply_effect(heap, ident, eff), eff.actor.current, eff.rule, eff.loc
 
 
 # --- decomposition --------------------------------------------------------
@@ -108,10 +117,10 @@ def test_decompose_none_for_values_and_stuck():
 
 def test_step_apply_substitutes():
     heap = one_actor(App(Val(MSG), Val(Loc(0))))
-    heap2, e2, rule, touched = step_expr(heap, 0, heap.actors[0].current)
+    heap2, e2, rule, touched = step_one(heap)
     assert (rule, touched) == ("apply", None)
     assert e2 == Mutate(Val(Loc(0)))
-    assert heap2.actors == heap.actors
+    assert heap2.actors == {0: replace(heap.actors[0], current=e2)}
 
 
 def test_step_send_actor_enqueues_at_receiver():
@@ -123,7 +132,7 @@ def test_step_send_actor_enqueues_at_receiver():
         next_loc=2,
         next_id=2,
     )
-    heap2, e2, rule, _ = step_expr(heap, 0, heap.actors[0].current)
+    heap2, e2, rule, _ = step_one(heap)
     assert rule == "send-actor"
     assert e2 == UNIT
     assert heap2.actors[1].queue == (MSG,)
@@ -139,7 +148,7 @@ def test_step_send_bestowed_wraps_and_forwards_to_owner():
         next_loc=6,
         next_id=2,
     )
-    heap2, e2, rule, _ = step_expr(heap, 0, heap.actors[0].current)
+    heap2, e2, rule, _ = step_one(heap)
     assert rule == "send-bestowed"
     assert e2 == UNIT
     (wrapper,) = heap2.actors[1].queue
@@ -151,7 +160,7 @@ def test_step_send_bestowed_wraps_and_forwards_to_owner():
 
 def test_step_mutate_reports_location():
     heap = one_actor(Mutate(Val(Loc(0))))
-    _, e2, rule, touched = step_expr(heap, 0, heap.actors[0].current)
+    _, e2, rule, touched = step_one(heap)
     assert (e2, rule, touched) == (UNIT, "mutate", 0)
 
 
@@ -159,7 +168,7 @@ def test_step_bestow_stamps_acting_actor_as_owner():
     heap = Heap(
         {7: Actor(0, frozenset({0}), (), Bestow(Val(Loc(0))))}, next_loc=1, next_id=8
     )
-    _, e2, rule, touched = step_expr(heap, 7, heap.actors[7].current)
+    _, e2, rule, touched = step_one(heap, 7)
     assert rule == "bestow"
     assert touched == 0
     assert e2 == Val(BestowedLoc(0, 7))
@@ -167,7 +176,7 @@ def test_step_bestow_stamps_acting_actor_as_owner():
 
 def test_step_new_passive_allocates_locally():
     heap = one_actor(NewPassive())
-    heap2, e2, rule, touched = step_expr(heap, 0, heap.actors[0].current)
+    heap2, e2, rule, touched = step_one(heap)
     assert rule == "new-passive"
     assert e2 == Val(Loc(10))  # next_loc was 10
     assert touched == 10
@@ -177,7 +186,7 @@ def test_step_new_passive_allocates_locally():
 
 def test_step_new_actor_spawns_idle_actor():
     heap = one_actor(NewActor())
-    heap2, e2, rule, touched = step_expr(heap, 0, heap.actors[0].current)
+    heap2, e2, rule, touched = step_one(heap)
     assert (rule, touched) == ("new-actor", None)
     assert e2 == Val(ActorId(10))  # next_id was 10
     spawned = heap2.actors[10]
@@ -192,10 +201,10 @@ def test_step_new_actor_spawns_idle_actor():
 def test_step_stuck_diagnoses():
     heap = one_actor(Send(Val(Loc(0)), MSG))
     with pytest.raises(SendToNonActiveError):
-        step_expr(heap, 0, heap.actors[0].current)
+        step_one(heap)
     heap = one_actor(App(UNIT, UNIT))
     with pytest.raises(StuckError):
-        step_expr(heap, 0, heap.actors[0].current)
+        step_one(heap)
 
 
 # --- scheduling -----------------------------------------------------------
