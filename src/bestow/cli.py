@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success; 1 the program failed a check (type error, stuck
 run, violated property); 2 the input could not be processed at all (parse
-or desugar error, unreadable file).
+or desugar error, unreadable file, unwritable trace).
 """
 
 from __future__ import annotations
@@ -52,6 +52,14 @@ def _load(path: str) -> Expr:
         raise SystemExit(2) from err
 
 
+def _write_trace(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err}", file=sys.stderr)
+        raise SystemExit(2) from err
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     core = _load(args.file)
     try:
@@ -85,14 +93,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     except FuelExhaustedError as err:
         if args.trace:
-            Path(args.trace).write_text(events_to_jsonl(err.trace))
+            _write_trace(args.trace, events_to_jsonl(err.trace))
         print(f"error: {err}", file=sys.stderr)
         return 1
     except StuckError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.trace:
-        Path(args.trace).write_text(events_to_jsonl(trace))
+        _write_trace(args.trace, events_to_jsonl(trace))
     print(f"steps: {len(trace)}")
     print(f"final: {render_heap(heap)}")
     return 0

@@ -15,14 +15,16 @@ On the resulting state graph, three checks replay the soundness story:
 
 Each check returns ``None`` on success or a counterexample carrying the
 offending state and a shortest trace to it, printed as its schedule.
+``batch_adjacency`` checks contiguous batches on the same graph in one pass:
+it counts the maximal paths that split a batch and gives one as a schedule.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator
+from typing import Callable
 
 from .syntax import Actor, Expr, Heap, Lambda, Value, is_value
 from .semantics import (
@@ -432,6 +434,56 @@ def check_race_freedom(space: StateSpace) -> RaceWitness | None:
     return None
 
 
+@dataclass(frozen=True)
+class BatchAdjacency:
+    """Maximal paths that keep the owner's batch together or split it, and a split one."""
+
+    adjacent: int
+    violated: int
+    witness: tuple[Edge, ...] | None
+
+    def __str__(self) -> str:
+        s = f"{self.adjacent} adjacent, {self.violated} violated"
+        return s if self.witness is None else f"{s}; a batch is split {_after(self.witness)}"
+
+
+def batch_adjacency(
+    space: StateSpace, owner: int, is_batch_op: Callable[[TraceEvent], bool]
+) -> BatchAdjacency:
+    """Count the maximal paths on which ``owner``'s batch ops run contiguously,
+    in one topological pass that carries path counts per (state, monitor)
+    pair; the monitor reads the owner's events that touch a location.
+    Raises ``ValueError`` on a cycle (none arises for a terminating program
+    explored with ``canonical=False``)."""
+    BEFORE, INSIDE, AFTER, VIOLATED = range(4)
+    # The monitor's move on a batch op and on another op, by the state it leaves.
+    moves = {True: (INSIDE, INSIDE, VIOLATED, VIOLATED), False: (BEFORE, AFTER, AFTER, VIOLATED)}
+    indeg = Counter(e.dst for e in space.edges)
+    ready = [k for k in space.states if not indeg[k]]
+    paths = defaultdict(Counter, {space.initial: Counter({BEFORE: 1})})
+    first = {(space.initial, BEFORE): ()}  # the first path found to each node
+    while ready:
+        key = ready.pop()
+        for e in space.successors(key):
+            move = range(4)
+            if e.event.actor == owner and e.event.touched_loc is not None:
+                move = moves[is_batch_op(e.event)]
+            for m, n in paths[key].items():
+                if (e.dst, move[m]) not in first:
+                    first[e.dst, move[m]] = (*first[key, m], e)
+                paths[e.dst][move[m]] += n
+            indeg[e.dst] -= 1
+            if not indeg[e.dst]:
+                ready.append(e.dst)
+    if any(indeg.values()):
+        raise ValueError("state graph has a cycle; cannot count paths")
+    ends = [k for k in space.states if not space.successors(k)]
+    split = [k for k in ends if paths[k][VIOLATED]]
+    kept = sum(paths[k].total() - paths[k][VIOLATED] for k in ends)
+    witness = first[split[0], VIOLATED] if split else None
+    return BatchAdjacency(kept, sum(paths[k][VIOLATED] for k in split), witness)
+
+
 def find_race(heap: Heap) -> RaceWitness | None:
     """Race check on a single heap as-is (no exploration, wf not required)."""
     return check_race_freedom(
@@ -446,39 +498,3 @@ def check_all(space: StateSpace) -> dict[str, object | None]:
         "preservation": check_preservation(space),
         "race-freedom": check_race_freedom(space),
     }
-
-
-# --------------------------------------------------------------------------
-# Path enumeration
-# --------------------------------------------------------------------------
-
-
-def maximal_paths(
-    space: StateSpace, *, limit: int | None = None
-) -> Iterator[list[Edge]]:
-    """All edge paths from the initial state to states with no successors.
-
-    Requires an acyclic graph (guaranteed for terminating programs explored
-    with ``canonical=False``); raises ``ValueError`` on a cycle.
-    """
-    count = 0
-
-    def walk(key: str, on_path: set[str], acc: list[Edge]) -> Iterator[list[Edge]]:
-        nonlocal count
-        succs = space.successors(key)
-        if not succs:
-            count += 1
-            yield list(acc)
-            return
-        for edge in succs:
-            if edge.dst in on_path:
-                raise ValueError("state graph has a cycle; cannot enumerate paths")
-            if limit is not None and count >= limit:
-                return
-            on_path.add(edge.dst)
-            acc.append(edge)
-            yield from walk(edge.dst, on_path, acc)
-            acc.pop()
-            on_path.remove(edge.dst)
-
-    yield from walk(space.initial, {space.initial}, [])

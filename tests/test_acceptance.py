@@ -10,14 +10,16 @@ code under test.
 from __future__ import annotations
 
 import random
+import runpy
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from bestow.explore import check_all, explore, find_race, maximal_paths
+from bestow.explore import check_all, explore, find_race, state_key
 from bestow.gen import generate_well_typed
-from bestow.semantics import initial_heap, run_to_quiescence
+from bestow.semantics import initial_heap, run_to_quiescence, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -52,6 +54,9 @@ from bestow.runtime import (
     spawn,
     atomic_batch,
 )
+
+# The batching script holds the two programs of section 4 and their check.
+BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
 
 
 @pytest.fixture
@@ -198,46 +203,6 @@ def test_acceptance_queue_policy_reversal(verdict):
 # 4. Atomic batches keep their operations adjacent in every interleaving
 # --------------------------------------------------------------------------
 
-UNBATCHED = """
-val obj = new p;
-val b = bestow obj;
-val c1 = new c;
-val c2 = new c;
-c1 ! \\x:p. { b ! \\y:p. y.mutate(); b ! \\y:p. y.mutate() };
-c2 ! \\x:p. b ! \\y:p. new p
-"""
-
-BATCHED = """
-val obj = new p;
-val b = bestow obj;
-val c1 = new c;
-val c2 = new c;
-c1 ! \\x:p. atomic y <- b { y ! \\z:p. z.mutate(); y ! \\z:p. z.mutate() };
-c2 ! \\x:p. b ! \\y:p. new p
-"""
-
-
-def _adjacency(src: str) -> tuple[int, int]:
-    """(adjacent, violated) over all maximal scheduler paths."""
-    core = compile_program(src)
-    type_of(core)
-    space = explore(initial_heap(core), canonical=False)
-    assert not space.truncated
-    adjacent = violated = 0
-    for path in maximal_paths(space):
-        owner_ops = [
-            e.event.rule
-            for e in path
-            if e.event.actor == 0 and e.event.rule in ("mutate", "new-passive")
-        ]
-        first = owner_ops.index("mutate")
-        last = len(owner_ops) - 1 - owner_ops[::-1].index("mutate")
-        if all(op == "mutate" for op in owner_ops[first : last + 1]):
-            adjacent += 1
-        else:
-            violated += 1
-    return adjacent, violated
-
 
 def test_acceptance_batch_adjacency(verdict):
     label = (
@@ -245,13 +210,20 @@ def test_acceptance_batch_adjacency(verdict):
         "maximal path; the unbatched program provably interleaves"
     )
     with verdict(label):
-        adjacent, violated = _adjacency(UNBATCHED)
-        assert violated > 0  # a rival op can land between the two mutates
-        assert adjacent > 0  # but does not have to
+        _, unbatched = BATCHING["measure"](BATCHING["UNBATCHED"])
+        assert unbatched.violated > 0  # a rival op can land between the two mutates
+        assert unbatched.adjacent > 0  # but does not have to
+        # The witness replays, and puts another owner op between two mutates.
+        heap, marks = initial_heap(compile_program(BATCHING["UNBATCHED"])), ""
+        for e in unbatched.witness:
+            heap, event = step_system(heap, e.choice, step_index=e.event.step_index)
+            assert (event, state_key(heap, canonical=False)) == (e.event, e.dst)
+            if event.actor == 0 and event.touched_loc is not None:
+                marks += "M" if event.rule == "mutate" else "-"
+        assert "-" in marks.strip("-"), marks
 
-        adjacent, violated = _adjacency(BATCHED)
-        assert violated == 0
-        assert adjacent > 0
+        _, batched = BATCHING["measure"](BATCHING["BATCHED"])
+        assert batched.adjacent > 0 and batched.violated == 0 and batched.witness is None
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,15 @@ def test_run_fuel_exhaustion_exits_1_and_dumps_partial_trace(
     assert len(trace.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("fuel", ["1000", "2"])  # the run ends; fuel runs out
+def test_run_unwritable_trace_exits_2(src, tmp_path, capsys, fuel):
+    trace = str(tmp_path / "absent" / "t.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", src(GOOD), "--fuel", fuel, "--trace", trace])
+    assert exc.value.code == 2
+    assert f"error: cannot write {trace}" in capsys.readouterr().err
+
+
 def test_run_seed_is_deterministic(src, capsys):
     path = src(GOOD)
     assert main(["run", path, "--seed", "7"]) == 0

@@ -8,14 +8,15 @@ import re
 import pytest
 
 from bestow.explore import (
+    BatchAdjacency,
     StateSpace,
+    batch_adjacency,
     check_all,
     check_preservation,
     check_progress,
     check_race_freedom,
     explore,
     find_race,
-    maximal_paths,
     properly_terminal,
     state_key,
 )
@@ -423,25 +424,35 @@ def test_explorations_in_a_row_after_gc():
         gc.collect()  # the ids of its actors and terms are now free for reuse
 
 
-# --- path enumeration -----------------------------------------------------
+# --- batch adjacency ------------------------------------------------------
 
 
-def test_maximal_paths_counts_interleavings():
-    # two idle actors each holding one queued message: 2 orders, then the
-    # per-actor steps interleave further
-    space = space_of("new p", canonical=False)
-    paths = list(maximal_paths(space))
-    assert len(paths) == 1
-    assert [e.event.rule for e in paths[0]] == ["new-passive"]
-
-
-def test_maximal_paths_limit():
-    src = "val a = new c; val b = new c; a ! \\x:p. new p; b ! \\x:p. new p"
+def adjacency_of(src: str, rule: str = "mutate") -> tuple[int, BatchAdjacency]:
     space = space_of(src, canonical=False)
-    all_paths = list(maximal_paths(space))
-    assert len(all_paths) > 1
-    limited = list(maximal_paths(space, limit=1))
-    assert len(limited) == 1
+    return len(space), batch_adjacency(space, 0, lambda ev: ev.rule == rule)
+
+
+def test_batch_adjacency_counts_one_path():
+    assert adjacency_of("new p")[1] == BatchAdjacency(1, 0, None)
+
+
+def test_batch_adjacency_counts_interleavings():
+    src = "val a = new c; val b = new c; a ! \\x:p. new p; b ! \\x:p. new p"
+    assert adjacency_of(src) == (30, BatchAdjacency(56, 0, None))
+
+
+def test_batch_adjacency_reads_only_the_owner():
+    # actor 1's mutate can land between the root's two allocations
+    src = "val a = new c; a ! \\x:p. x.mutate(); new p; new p"
+    assert adjacency_of(src, "new-passive")[1].violated == 0
+
+
+def test_batch_adjacency_rejects_a_cycle():
+    w = Val(Lambda("x", P, App(Var("x"), Var("x"))))  # applies itself forever
+    space = explore(initial_heap(App(w, w)), canonical=False, require_wf=False)
+    assert [(e.src, e.dst) for e in space.edges] == [(space.initial, space.initial)]
+    with pytest.raises(ValueError, match="cycle"):
+        batch_adjacency(space, 0, lambda ev: True)
 
 
 def test_singleton_space():
