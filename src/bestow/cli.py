@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 the program failed a check (type error, stuck
 run, violated property); 2 the input could not be processed at all (parse
-or desugar error, unreadable file, unwritable trace).
+or desugar error, unreadable or non-UTF-8 file, negative count, unwritable
+trace).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _read_source(path: str) -> str:
 def _load(path: str) -> Expr:
     try:
         src = _read_source(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         raise SystemExit(2) from err
     try:
@@ -50,6 +51,13 @@ def _load(path: str) -> Expr:
     except (ParseError, DesugarError) as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from err
+
+
+def count(text: str) -> int:
+    """A count option's value: an integer, 0 or more."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return int(text)
 
 
 def _write_trace(path: str, text: str) -> None:
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file", help="source file, or - for stdin")
     p_run.add_argument("--seed", type=int, default=None,
                        help="randomize scheduling with this seed")
-    p_run.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    p_run.add_argument("--fuel", type=count, default=DEFAULT_FUEL,
                        help=f"max steps before giving up (default {DEFAULT_FUEL})")
     p_run.add_argument("--trace", metavar="PATH", default=None,
                        help="write the step trace as JSON lines to PATH")
@@ -167,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="enumerate interleavings and verify soundness properties"
     )
     p_explore.add_argument("file", help="source file, or - for stdin")
-    p_explore.add_argument("--bound", type=int, default=50_000,
+    p_explore.add_argument("--bound", type=count, default=50_000,
                            help="max states to collect (default 50000)")
-    p_explore.add_argument("--depth", type=int, default=64,
+    p_explore.add_argument("--depth", type=count, default=64,
                            help="max steps from the initial state (default 64)")
     p_explore.add_argument("--lifo-queue", action="store_true",
                            help="deliver newest queued message first")

@@ -13,8 +13,11 @@ On the resulting state graph, three checks replay the soundness story:
 * ``check_race_freedom`` — no reachable state lets two distinct actors
   touch the same location with their next steps.
 
-Each check returns ``None`` on success or a counterexample carrying the
-offending state and a shortest trace to it, printed as its schedule.
+Keys, choices and all three checks read the actors' records in the
+space's fact table (see ``wellformed.FactTable``), so each distinct actor
+state is rendered and judged once.  Each check returns ``None`` on
+success or a counterexample carrying the offending state and a shortest
+trace to it, printed as its schedule.
 ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
 it counts the maximal paths that split a batch and gives one as a schedule.
 """
@@ -23,10 +26,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
-from .syntax import Actor, Expr, Heap, Lambda, Value, is_value
+from .syntax import Actor, Heap, Lambda, is_value
 from .semantics import (
     Effect,
     SchedulerChoice,
@@ -34,9 +36,8 @@ from .semantics import (
     actor_step,
     apply_effect,
     enqueue,
-    poised,
 )
-from .wellformed import TermFacts, WfReport, assert_wf, wf_heap
+from .wellformed import ActorFacts, FactTable, TermFacts, WfReport, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -45,65 +46,6 @@ DEFAULT_MAX_DEPTH = 64
 # --------------------------------------------------------------------------
 # Canonical renaming
 # --------------------------------------------------------------------------
-
-
-class ActorFacts:
-    """What one actor state contributes to keys, choices and the race check.
-
-    ``terms`` are the facts of its current expression and then of its
-    queued messages; ``slots`` lists its own location and then those terms'
-    slot codes, in the order ``_renaming`` scans them; ``lh`` is its local
-    heap, sorted.  ``text`` is its key fragment after the actor id, as it
-    is (not renamed).  ``kind`` is the choice it enables, if any, and
-    ``touches`` the location that step would touch (see ``poised``).
-    """
-
-    def __init__(self, a: Actor, facts: FactTable) -> None:
-        self.actor = a
-        self.terms = (facts(a.current), *map(facts, a.queue))
-        self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
-        self.lh = tuple(sorted(a.local_heap))
-        current, *queue = self.terms
-        lh = " ".join(map(str, self.lh))
-        q = " ".join(f.text for f in queue)
-        self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
-        self.kind, self.touches = poised(a)
-
-
-class FactTable:
-    """Each distinct term's and actor state's facts, worked out once; call
-    it on a term, or ``actor`` on an actor.
-
-    Keyed by object identity; each entry holds its object, so no id is
-    reused while the entry lives.  A successor shares most actors and terms
-    with its parent, so keys, choices and checks pay only for what a step
-    changed.
-    """
-
-    def __init__(self) -> None:
-        self.terms: dict[int, TermFacts] = {}
-        self.actors: dict[int, ActorFacts] = {}
-
-    def __call__(self, term: Expr | Value) -> TermFacts:
-        f = self.terms.get(id(term))
-        if f is None:
-            f = self.terms[id(term)] = TermFacts(term)
-        return f
-
-    def actor(self, a: Actor) -> ActorFacts:
-        f = self.actors.get(id(a))
-        if f is None:
-            f = self.actors[id(a)] = ActorFacts(a, self)
-        return f
-
-    def choices(self, heap: Heap) -> list[SchedulerChoice]:
-        """``enabled_choices(heap)``, read from the actors' records."""
-        out: list[SchedulerChoice] = []
-        for ident in sorted(heap.actors):
-            kind = self.actor(heap.actors[ident]).kind
-            if kind is not None:
-                out.append(SchedulerChoice(ident, kind))
-        return out
 
 
 def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
@@ -252,10 +194,9 @@ def explore(
     whether any frontier was cut off.  The initial heap must be well-formed
     (disable with ``require_wf`` for deliberately broken inputs).
     """
-    if require_wf:
-        assert_wf(heap)
-
     facts = FactTable()
+    if require_wf and not (report := wf_heap(heap, facts)).ok:
+        raise ValueError(f"heap is not well-formed:\n{report}")
     # Memoized transitions, keyed by object identity; each entry holds the
     # objects its key names, so no id is reused while it lives.  A step is
     # a pure function of the actor and its id (``bestow`` names the
@@ -397,14 +338,15 @@ def check_progress(space: StateSpace) -> ProgressFailure | None:
 
     A stuck actor fails the state even while others can move; a state that
     is not properly terminal has a busy actor, or an idle one that can pop.
-    Every state's choices are stored, so truncation cannot produce a false
-    positive: an unexpanded frontier state still has them.
+    Each actor's record holds the choice it enables, so truncation cannot
+    produce a false positive: an unexpanded frontier state's actors have
+    records too.
     """
+    actor = space.facts.actor
     for key, rep in space.states.items():
-        stepping = {c.actor for c in space.choices[key] if c.kind == "step"}
         if any(
-            not is_value(a.current) and ident not in stepping
-            for ident, a in rep.actors.items()
+            not is_value(a.current) and actor(a).kind != "step"
+            for a in rep.actors.values()
         ):
             return ProgressFailure(key, rep, tuple(space.trace_to(key)))
     return None

@@ -44,7 +44,6 @@ DEFAULT_SIZE_BUDGET = 12
 class GenConfig:
     """Production weights and limits for the generator."""
 
-    size_budget: int = DEFAULT_SIZE_BUDGET
     var_weight: int = 4
     app_weight: int = 2
     send_weight: int = 4
@@ -220,17 +219,16 @@ def random_goal(rng: random.Random, cfg: GenConfig) -> Type:
 
 def generate_well_typed(
     seed: int,
-    size_budget: int | None = None,
+    size_budget: int = DEFAULT_SIZE_BUDGET,
     config: GenConfig | None = None,
 ) -> tuple[Expr, Type]:
     """A closed well-typed program and its type, from a seed."""
     cfg = config or GenConfig()
-    budget = size_budget if size_budget is not None else cfg.size_budget
     rng = random.Random(seed)
     goal = random_goal(rng, cfg)
-    while min_size(goal) > budget:
+    while min_size(goal) > size_budget:
         goal = random_goal(rng, cfg)
-    expr = _gen(rng, TypeEnv(), goal, budget, cfg, [0])
+    expr = _gen(rng, TypeEnv(), goal, size_budget, cfg, [0])
     return expr, goal
 
 

@@ -34,7 +34,6 @@ from .syntax import (
     Var,
     contains_loc,
     is_active,
-    render_expr,
     render_type,
 )
 
@@ -237,11 +236,3 @@ def type_of(e: Expr, env: TypeEnv | None = None) -> Type:
     """Type of ``e`` in the given (default empty) environment."""
     return check(env if env is not None else TypeEnv(), e)
 
-
-def describe_failure(e: Expr, env: TypeEnv | None = None) -> str | None:
-    """Human-readable failure report, or None if ``e`` typechecks."""
-    try:
-        type_of(e, env)
-        return None
-    except TypeCheckError as err:
-        return f"{err.rule}: {err.message} (in {render_expr(e)})"

@@ -1,4 +1,5 @@
-"""Well-formedness of running heaps.
+"""Well-formedness of running heaps, and the per-term and per-actor facts
+that keys, choices and checks share.
 
 A heap is well formed when the actors' local heaps partition the allocated
 locations and every actor is internally consistent: it owns its own ``this``
@@ -6,6 +7,11 @@ location and every bare location it mentions, every actor id it mentions is
 allocated, every bestowed reference points into its owner's local heap, its
 current expression is typable, and every queued message is a deliverable
 function over the passive type.
+
+A ``FactTable`` keeps one record per distinct term and per distinct actor
+state.  An actor's record judges the clauses that read only that actor once
+(``ActorFacts.wf``); the two that read other actors (allocated ids, bestowed
+owners) and disjointness are judged by ``wf_heap`` against each heap.
 
 Queued messages are checked as plain functions (not with the stricter rule
 for send expressions): a forwarded message for a bestowed reference embeds
@@ -16,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, TypeAlias
+from itertools import chain, combinations
 
 from .syntax import (
     Actor,
@@ -29,9 +34,9 @@ from .syntax import (
     Loc,
     Passive,
     Value,
-    render_expr,
     render_template,
 )
+from .semantics import SchedulerChoice, poised
 from .typecheck import TypeCheckError, TypeEnv, check, check_value
 
 
@@ -99,84 +104,136 @@ def _codes(n: Value) -> tuple[int, ...]:
     return (~n.ident,) if t is ActorId else (n.loc, ~n.owner)
 
 
-# A string, so that no typing cache keeps this module's classes alive.
-Facts: TypeAlias = "Callable[[Expr | Value], TermFacts]"
+class ActorFacts:
+    """What one actor state contributes to keys, choices and the checks.
+
+    ``terms`` are the facts of its current expression and then of its
+    queued messages; ``slots`` lists its own location and then those terms'
+    slot codes, in the order the explorer's renaming scans them; ``lh`` is
+    its local heap, sorted.  ``text`` is its key fragment after the actor
+    id, as it is (not renamed).  ``kind`` is the choice it enables, if any,
+    and ``touches`` the location that step would touch (see ``poised``).
+    """
+
+    def __init__(self, a: Actor, facts: FactTable) -> None:
+        self.actor = a
+        self.terms = (facts(a.current), *map(facts, a.queue))
+        self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
+        self.lh = tuple(sorted(a.local_heap))
+        current, *queue = self.terms
+        lh = " ".join(map(str, self.lh))
+        q = " ".join(f.text for f in queue)
+        self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
+        self.kind, self.touches = poised(a)
+
+    @cached_property
+    def wf(self) -> tuple[tuple[str, str, str | tuple], ...]:
+        """Its wf clauses in report order, as ``(rule, suffix, detail)``;
+        the subject is ``actor i`` and then ``suffix``.
+
+        A clause that reads only this actor is judged here: ``detail`` is
+        the violation's text.  One that reads other actors stays pending as
+        ``(where, owner, loc)``, judged by ``wf_heap`` against each heap:
+        ``owner`` must be allocated and, unless ``loc`` is None, own it.
+        """
+        a = self.actor
+        out: list[tuple[str, str, str | tuple]] = []
+
+        def bad(detail: str | tuple) -> None:
+            out.append(("wf-actor", "", detail))
+
+        if a.this_loc not in a.local_heap:
+            bad(f"its own location {a.this_loc} is not in its local heap")
+        wheres = ["current expression", *(f"queue[{i}]" for i in range(len(a.queue)))]
+        for where, f in zip(wheres, self.terms):
+            for loc in f.locs:
+                if loc not in a.local_heap:
+                    bad(f"{where} mentions location {loc} outside its local heap")
+            for other in f.ids:
+                bad((where, other, None))
+            for loc, owner in f.bestowed:
+                bad((where, owner, loc))
+        if self.terms[0].error is not None:
+            bad(f"current expression does not typecheck: {self.terms[0].error}")
+        for pos, (msg, f) in enumerate(zip(a.queue, self.terms[1:])):
+            if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
+                detail = f"message {f.text} is not a function over p"
+            elif f.error is not None:
+                detail = f"message does not typecheck: {f.error}"
+            else:
+                continue
+            out.append(("wf-queue-message", f", queue[{pos}]", detail))
+        return tuple(out)
 
 
-def wf_queue(
-    heap: Heap, ident: int, actor: Actor, facts: Facts = TermFacts
-) -> list[WfViolation]:
-    """Every queued message must be a typable function over passives."""
-    out: list[WfViolation] = []
-    for pos, msg in enumerate(actor.queue):
-        if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
-            detail = f"message {render_expr(msg)} is not a function over p"
-        elif facts(msg).error is not None:
-            detail = f"message does not typecheck: {facts(msg).error}"
-        else:
-            continue
-        out.append(WfViolation("wf-queue-message", f"actor {ident}, queue[{pos}]", detail))
-    return out
+class FactTable:
+    """Each distinct term's and actor state's facts, worked out once; call
+    it on a term, or ``actor`` on an actor.
+
+    Keyed by object identity; each entry holds its object, so no id is
+    reused while the entry lives.  A successor shares most actors and terms
+    with its parent, so keys, choices and checks pay only for what a step
+    changed.
+    """
+
+    def __init__(self) -> None:
+        self.terms: dict[int, TermFacts] = {}
+        self.actors: dict[int, ActorFacts] = {}
+
+    def __call__(self, term: Expr | Value) -> TermFacts:
+        f = self.terms.get(id(term))
+        if f is None:
+            f = self.terms[id(term)] = TermFacts(term)
+        return f
+
+    def actor(self, a: Actor) -> ActorFacts:
+        f = self.actors.get(id(a))
+        if f is None:
+            f = self.actors[id(a)] = ActorFacts(a, self)
+        return f
+
+    def choices(self, heap: Heap) -> list[SchedulerChoice]:
+        """``enabled_choices(heap)``, read from the actors' records."""
+        kinds = ((i, self.actor(heap.actors[i]).kind) for i in sorted(heap.actors))
+        return [SchedulerChoice(i, kind) for i, kind in kinds if kind is not None]
 
 
-def wf_actor(heap: Heap, ident: int, facts: Facts = TermFacts) -> list[WfViolation]:
-    """All per-actor clauses; assumes ``ident`` is in the heap."""
-    a = heap.actors[ident]
-    subject = f"actor {ident}"
-    out: list[WfViolation] = []
-
-    def bad(detail: str) -> None:
-        out.append(WfViolation("wf-actor", subject, detail))
-
-    if a.this_loc not in a.local_heap:
-        bad(f"its own location {a.this_loc} is not in its local heap")
-
-    # Every mentioned bare location (current expression and queued messages)
-    # must be locally owned, every actor id must be allocated, and every
-    # bestowed reference must resolve into its owner's local heap.
-    mentioned = [("current expression", a.current)]
-    mentioned += [(f"queue[{i}]", m) for i, m in enumerate(a.queue)]
-    for where, e in mentioned:
-        f = facts(e)
-        for loc in f.locs:
-            if loc not in a.local_heap:
-                bad(f"{where} mentions location {loc} outside its local heap")
-        for other in f.ids:
-            if other not in heap.actors:
-                bad(f"{where} mentions unallocated actor id {other}")
-        for loc, owner in f.bestowed:
-            if owner not in heap.actors:
-                bad(f"{where} holds a reference bestowed by unallocated actor {owner}")
-            elif loc not in heap.actors[owner].local_heap:
-                bad(
-                    f"{where} holds a bestowed reference to location {loc}, "
-                    f"which actor {owner} does not own"
-                )
-
-    error = facts(a.current).error
-    if error is not None:
-        bad(f"current expression does not typecheck: {error}")
-
-    out.extend(wf_queue(heap, ident, a, facts))
-    return out
+def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
+    """A pending clause's violation in ``heap`` (see ``ActorFacts.wf``), or None."""
+    if loc is None:
+        if owner not in heap.actors:
+            return f"{where} mentions unallocated actor id {owner}"
+    elif owner not in heap.actors:
+        return f"{where} holds a reference bestowed by unallocated actor {owner}"
+    elif loc not in heap.actors[owner].local_heap:
+        return (
+            f"{where} holds a bestowed reference to location {loc}, "
+            f"which actor {owner} does not own"
+        )
+    return None
 
 
-def wf_heap(heap: Heap, facts: Facts = TermFacts) -> WfReport:
+def wf_heap(heap: Heap, facts: FactTable | None = None) -> WfReport:
     """Check the whole system; returns a report listing all violations.
-    Heaps checked with one fact table pay once for each term they share."""
+
+    Local heaps must be disjoint, and each actor's record (see
+    ``ActorFacts.wf``) must hold in ``heap``.  Heaps checked with one fact
+    table judge each actor state's own clauses once.
+    """
+    facts = FactTable() if facts is None else facts
     out: list[WfViolation] = []
     for a, b in combinations(sorted(heap.actors), 2):
         shared = heap.actors[a].local_heap & heap.actors[b].local_heap
         if shared:
-            out.append(
-                WfViolation(
-                    "wf-heap",
-                    f"actors {a} and {b}",
-                    f"local heaps overlap on location(s) {sorted(shared)}",
-                )
-            )
+            detail = f"local heaps overlap on location(s) {sorted(shared)}"
+            out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
     for ident in sorted(heap.actors):
-        out.extend(wf_actor(heap, ident, facts))
+        for rule, suffix, detail in facts.actor(heap.actors[ident]).wf:
+            if type(detail) is tuple:
+                detail = _judge(heap, *detail)
+                if detail is None:
+                    continue
+            out.append(WfViolation(rule, f"actor {ident}{suffix}", detail))
     return WfReport(tuple(out))
 
 

@@ -56,6 +56,30 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# Not UTF-8: a lone continuation byte, then a truncated multi-byte lead.
+NOT_UTF8 = b"val a = new c;\n\x80\xff\xfe\xc3"
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "binary.bst"
+    f.write_bytes(NOT_UTF8)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(f)])
+    assert exc.value.code == 2
+    assert f"error: cannot read {f}:" in capsys.readouterr().err
+
+
+def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-"])
+    assert exc.value.code == 2
+    assert "error: cannot read -:" in capsys.readouterr().err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -160,6 +184,27 @@ def test_explore_reports_truncation(src, capsys):
     assert main(["explore", src(GOOD), "--bound", "2"]) == 0
     out = capsys.readouterr().out
     assert "truncated: yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--bound", "-1"],
+        ["explore", "--depth", "-1"],
+        ["run", "--fuel", "-1"],
+    ],
+)
+def test_negative_counts_exit_2(src, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, src(GOOD)])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: expected a count >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["explore", "--bound", "0"], ["explore", "--depth", "0"]])
+def test_zero_counts_stay_valid(src, capsys, argv):
+    assert main([*argv, src(GOOD)]) == 0
+    assert "truncated: yes" in capsys.readouterr().out
 
 
 def test_explore_rejects_ill_typed(src, capsys):

@@ -1,10 +1,10 @@
-"""The explorer's per-term fact table against the walks it replaced.
+"""The fact table against the walks it replaced.
 
-Keys and well-formedness reports built from cached term facts must equal
-what a fresh walk of each heap gives: the reference below is a walk-based
-canonical renaming, and keys are compared with ``render_heap`` of its
-result.  Stored heaps must be the heaps their traces reach: every trace
-replays from the initial heap.
+Keys and well-formedness reports built from cached term and actor records
+must equal what a fresh walk of each heap gives.  The references below
+walk every term: a canonical renaming, whose result keys are compared
+with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
+heaps their traces reach: every trace replays from the initial heap.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -23,18 +24,22 @@ from bestow.syntax import (
     Actor,
     ActorId,
     BestowedLoc,
+    Expr,
     Heap,
     Lambda,
     Loc,
     Mutate,
     Passive,
+    UnitVal,
     Val,
     Value,
     map_values,
+    render_expr,
     render_heap,
     walk,
 )
-from bestow.wellformed import wf_heap
+from bestow.typecheck import TypeCheckError, TypeEnv, check, check_value
+from bestow.wellformed import FactTable, WfReport, WfViolation, wf_heap
 
 
 def reference_canonicalize(heap: Heap) -> Heap:
@@ -96,6 +101,64 @@ def reference_canonicalize(heap: Heap) -> Heap:
         for ident, a in heap.actors.items()
     }
     return Heap(actors, next_loc=len(loc_map), next_id=len(id_map))
+
+
+def reference_wf_heap(heap: Heap) -> WfReport:
+    """``wf_heap`` by walking and typechecking every term of ``heap``."""
+    out: list[WfViolation] = []
+    for a, b in combinations(sorted(heap.actors), 2):
+        shared = heap.actors[a].local_heap & heap.actors[b].local_heap
+        if shared:
+            detail = f"local heaps overlap on location(s) {sorted(shared)}"
+            out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
+
+    def error(term: Expr | Value) -> str | None:
+        try:
+            (check_value if isinstance(term, Value) else check)(TypeEnv(), term)
+        except TypeCheckError as err:
+            return err.message
+        return None
+
+    for ident in sorted(heap.actors):
+        a = heap.actors[ident]
+
+        def bad(detail: str) -> None:
+            out.append(WfViolation("wf-actor", f"actor {ident}", detail))
+
+        if a.this_loc not in a.local_heap:
+            bad(f"its own location {a.this_loc} is not in its local heap")
+        mentioned = [("current expression", a.current)]
+        mentioned += [(f"queue[{i}]", m) for i, m in enumerate(a.queue)]
+        for where, term in mentioned:
+            names = list(walk(term))
+            for loc in sorted({v.loc for v in names if type(v) is Loc}):
+                if loc not in a.local_heap:
+                    bad(f"{where} mentions location {loc} outside its local heap")
+            for other in sorted({v.ident for v in names if type(v) is ActorId}):
+                if other not in heap.actors:
+                    bad(f"{where} mentions unallocated actor id {other}")
+            for loc, owner in sorted(
+                {(v.loc, v.owner) for v in names if type(v) is BestowedLoc}
+            ):
+                if owner not in heap.actors:
+                    bad(f"{where} holds a reference bestowed by unallocated actor {owner}")
+                elif loc not in heap.actors[owner].local_heap:
+                    bad(
+                        f"{where} holds a bestowed reference to location {loc}, "
+                        f"which actor {owner} does not own"
+                    )
+        if error(a.current) is not None:
+            bad(f"current expression does not typecheck: {error(a.current)}")
+        for pos, msg in enumerate(a.queue):
+            if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
+                detail = f"message {render_expr(msg)} is not a function over p"
+            elif error(msg) is not None:
+                detail = f"message does not typecheck: {error(msg)}"
+            else:
+                continue
+            subject = f"actor {ident}, queue[{pos}]"
+            out.append(WfViolation("wf-queue-message", subject, detail))
+    return WfReport(tuple(out))
 
 
 def contended(clients: int, sends: int) -> Heap:
@@ -235,7 +298,7 @@ def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(progra
         }
         for v in variants.values():
             report = wf_heap(v, space.facts)
-            assert report == wf_heap(v)
+            assert report == wf_heap(v) == reference_wf_heap(v)
             ill += not report.ok
         broken = replace(space, states=variants, parents={}, initial=next(iter(variants)))
         failure = check_preservation(broken)
@@ -251,3 +314,34 @@ def test_two_explorations_in_a_row_do_not_share_facts():
     gc.collect()  # the ids of their terms are now free for reuse
     for clients, sends in [(3, 1), (2, 2)]:
         assert_matches_reference(explore(contended(clients, sends)))
+
+
+def test_a_shared_record_caches_no_cross_actor_verdict():
+    """Heaps that share one holder object, checked with one table, are
+    judged each against its own other actors."""
+    owner = Actor(1, frozenset({1, 5}), (), Val(UnitVal()))
+    facts = FactTable()
+    cases = [
+        (
+            Val(BestowedLoc(5, 1)),
+            replace(owner, local_heap=frozenset({1})),
+            "current expression holds a bestowed reference to location 5, "
+            "which actor 1 does not own",
+        ),
+        (
+            Val(BestowedLoc(5, 1)),
+            None,
+            "current expression holds a reference bestowed by unallocated actor 1",
+        ),
+        (Val(ActorId(1)), None, "current expression mentions unallocated actor id 1"),
+    ]
+    for current, other, detail in cases:
+        holder = Actor(0, frozenset({0}), (), current)
+        good = Heap({0: holder, 1: owner}, 6, 2)
+        bad = Heap({0: holder} if other is None else {0: holder, 1: other}, 6, 2)
+        for heap in (good, bad, good):
+            assert wf_heap(heap, facts) == wf_heap(heap) == reference_wf_heap(heap)
+        assert wf_heap(good, facts).ok
+        assert wf_heap(bad, facts).violations == (
+            WfViolation("wf-actor", "actor 0", detail),
+        )

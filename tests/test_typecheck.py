@@ -26,7 +26,7 @@ from bestow.syntax import (
     Val,
     Var,
 )
-from bestow.typecheck import TypeCheckError, TypeEnv, describe_failure, type_of
+from bestow.typecheck import TypeCheckError, TypeEnv, type_of
 
 P, C, U, B = Passive(), ActorType(), UnitType(), Bestowed()
 
@@ -204,12 +204,6 @@ def test_restrict_active():
     env = TypeEnv.of(a=C, y=P, b=B, f=Arrow(P, U), u=U)
     kept = dict(env.restrict_active().bindings)
     assert kept == {"a": C, "b": B}
-
-
-def test_describe_failure():
-    assert describe_failure(Val(UnitVal())) is None
-    text = describe_failure(Var("ghost"))
-    assert text is not None and "e-var" in text
 
 
 @given(st.integers(min_value=0, max_value=3000))

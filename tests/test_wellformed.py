@@ -22,7 +22,7 @@ from bestow.syntax import (
     Val,
     Var,
 )
-from bestow.wellformed import assert_wf, wf_actor, wf_heap
+from bestow.wellformed import assert_wf, wf_heap
 
 P = Passive()
 UNIT = Val(UnitVal())
@@ -155,8 +155,9 @@ def test_assert_wf_raises_with_report():
 
 def test_wf_actor_checks_one_actor():
     h = heap_of({0: idle(0, {0}), 1: idle(1, {1}, cur=Mutate(Val(Loc(0))))})
-    assert wf_actor(h, 0) == []
-    assert any(v.rule == "wf-actor" for v in wf_actor(h, 1))
+    report = wf_heap(h)
+    assert not any(v.subject == "actor 0" for v in report.violations)
+    assert any(v.rule == "wf-actor" and v.subject == "actor 1" for v in report.violations)
 
 
 def test_report_str_mentions_everything():
