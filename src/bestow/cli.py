@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success; 1 the program failed a check (type error, stuck
 run, violated property); 2 the input could not be processed at all (parse
-or desugar error, unreadable or non-UTF-8 file, negative count, unwritable
+or desugar error, unreadable or non-UTF-8 input, negative count, unwritable
 trace).
 """
 
@@ -36,7 +36,7 @@ from .typecheck import TypeCheckError, type_of
 
 def _read_source(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode()  # strict UTF-8, whatever the locale
     return Path(path).read_text()
 
 

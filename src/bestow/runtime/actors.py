@@ -25,22 +25,22 @@ from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
-_tls = threading.local()
+
+class _ThreadState(threading.local):
+    ref: "ActorRef | None" = None  # the actor whose loop runs this thread
+
+    def __init__(self) -> None:
+        self.overrides: dict = {}  # this thread's override tokens, by ref
+
+
+_tls = _ThreadState()
 
 DEFAULT_WATCHDOG = 5.0
 
 
 def current_actor() -> "ActorRef | None":
     """The ref of the actor whose loop is running this thread, if any."""
-    return getattr(_tls, "ref", None)
-
-
-def _override_registry() -> dict:
-    reg = getattr(_tls, "overrides", None)
-    if reg is None:
-        reg = {}
-        _tls.overrides = reg
-    return reg
+    return _tls.ref
 
 
 class AwaitInsideActorError(RuntimeError):
@@ -64,39 +64,50 @@ class BatchBrokenError(RuntimeError):
 
 
 class Future(Generic[T]):
-    """A write-once result slot."""
+    """A write-once result slot on one lock, held until the slot is filled;
+    a waiter takes the lock and drops it at once, so every waiter gets by."""
 
-    __slots__ = ("_event", "_value", "_exc")
+    __slots__ = ("_lock", "_done", "_value", "_exc")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value: T | None = None
-        self._exc: BaseException | None = None
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._value, self._exc, self._done = None, None, False
+
+    @classmethod
+    def _settled(cls, value: Any, exc: BaseException | None) -> "Future":
+        """A future born resolved; it never needs a lock."""
+        fut = cls.__new__(cls)
+        fut._value, fut._exc, fut._done = value, exc, True
+        return fut
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
+
+    def _resolve(self, value: T | None, exc: BaseException | None) -> None:
+        if self._done:
+            raise RuntimeError("future already resolved")
+        self._value, self._exc, self._done = value, exc, True
+        self._lock.release()
 
     def set_result(self, value: T) -> None:
-        if self._event.is_set():
-            raise RuntimeError("future already resolved")
-        self._value = value
-        self._event.set()
+        self._resolve(value, None)
 
     def set_exception(self, exc: BaseException) -> None:
-        if self._event.is_set():
-            raise RuntimeError("future already resolved")
-        self._exc = exc
-        self._event.set()
+        self._resolve(None, exc)
 
     def result(self, timeout: float | None = None) -> T:
-        if not self._event.is_set() and current_actor() is not None:
-            raise AwaitInsideActorError(
-                "an actor may not block on an unresolved future; "
-                "hand the future to an external thread or restructure "
-                "the protocol as further messages"
-            )
-        if not self._event.wait(timeout):
-            raise TimeoutError("future did not resolve in time")
+        if not self._done:
+            if current_actor() is not None:
+                raise AwaitInsideActorError(
+                    "an actor may not block on an unresolved future; "
+                    "hand the future to an external thread or restructure "
+                    "the protocol as further messages"
+                )
+            block = timeout is None or timeout > 0  # <= 0 polls, as in Event.wait
+            if not self._lock.acquire(block, timeout if block and timeout else -1):
+                raise TimeoutError("future did not resolve in time")
+            self._lock.release()
         if self._exc is not None:
             raise self._exc
         return self._value  # type: ignore[return-value]
@@ -166,7 +177,7 @@ class ActorRef:
         if self._stopped.is_set():
             raise ActorStoppedError(f"{self} has stopped")
         fut: Future[T] = Future()
-        token = _override_registry().get(self)
+        token = _tls.overrides.get(self)
         self._post(_Call(fn, fut, token))
         if self._stopped.is_set():
             # The loop's last drain may have missed this call.
@@ -190,7 +201,7 @@ def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> Over
     itself rather than stay hostage to a lost client; this thread's calls
     then fail with :class:`BatchBrokenError` until the token is resumed.
     """
-    reg = _override_registry()
+    reg = _tls.overrides
     if ref in reg:
         raise NestedOverrideError(f"this thread already overrides {ref}")
     token = reg[ref] = OverrideToken(ref, reg)

@@ -1,7 +1,8 @@
 """Lock-guarded sharing: the conventional alternative to bestowing.
 
 A :class:`LockedRef` pairs an object with a reentrant lock; ``perform``
-acquires the lock and runs the closure on the *calling* thread.
+acquires the lock, runs the closure on the *calling* thread and returns a
+future born resolved, which holds no lock of its own.
 :func:`bestow.runtime.override.atomic_batch` holds the lock across the
 whole block, so the per-operation acquires inside are reentrant no-ops and
 no watchdog can end the batch early.
@@ -62,19 +63,15 @@ class LockedRef:
     def perform(self, fn: Callable[[Any], Any]) -> Future:
         """Run ``fn(object)`` under the lock; returns an already-done future.
 
-        The future keeps the call shape identical to
-        :meth:`BestowedRef.perform`, so the same client code drives either
-        kind of reference.
+        The future keeps the call shape of :meth:`BestowedRef.perform`, so
+        the same client code drives either kind of reference.
         """
-        fut: Future = Future()
         with self.lock:
             try:
                 result = fn(self.object)
             except BaseException as exc:  # noqa: BLE001 — delivered via the future
-                fut.set_exception(exc)
-                return fut
-        fut.set_result(result)
-        return fut
+                return Future._settled(None, exc)
+        return Future._settled(result, None)
 
 
 def lock_bestow(obj: Any, lock: CountingRLock | None = None) -> LockedRef:

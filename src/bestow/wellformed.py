@@ -66,6 +66,13 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+class _cached(cached_property):
+    """``cached_property`` minus the lock Python 3.11 takes on first reads."""
+
+    def __get__(self, obj: object, cls: type | None = None) -> object:
+        return obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class TermFacts:
     """What one running term mentions, worked out once.
 
@@ -88,7 +95,7 @@ class TermFacts:
             sorted({(n.loc, n.owner) for n in names if type(n) is BestowedLoc})
         )
 
-    @cached_property
+    @_cached
     def error(self) -> str | None:
         try:
             (check_value if isinstance(self.term, Value) else check)(TypeEnv(), self.term)
@@ -126,7 +133,7 @@ class ActorFacts:
         self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
         self.kind, self.touches = poised(a)
 
-    @cached_property
+    @_cached
     def wf(self) -> tuple[tuple[str, str, str | tuple], ...]:
         """Its wf clauses in report order, as ``(rule, suffix, detail)``;
         the subject is ``actor i`` and then ``suffix``.

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bestow
 from bestow.cli import main
 
 GOOD = "val a = new c;\na ! \\x:p. x.mutate()\n"
@@ -69,21 +75,33 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     assert f"error: cannot read {f}:" in capsys.readouterr().err
 
 
-def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
-    import io
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A bytes-backed stdin that, like a real one, decodes leniently."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
-    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
+
+def test_non_utf8_stdin_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _stdin(NOT_UTF8))
     with pytest.raises(SystemExit) as exc:
         main(["check", "-"])
     assert exc.value.code == 2
     assert "error: cannot read -:" in capsys.readouterr().err
 
 
-def test_stdin_input(capsys, monkeypatch):
-    import io
+def test_non_utf8_stdin_under_c_locale_exits_2():
+    # Python decodes a real stdin with surrogateescape under the C locale, so
+    # a text read would hand the parser lone surrogates instead of failing.
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(Path(bestow.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bestow.cli", "check", "-"],
+        input=b"new p \xb2\xff", capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot read -:")
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("new p"))
+
+def test_stdin_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _stdin(b"new p"))
     assert main(["check", "-"]) == 0
     assert capsys.readouterr().out == "type: p\n"
 

@@ -128,7 +128,8 @@ def test_ill_typed_bound_and_later_statement_reports_the_later_one():
 def run_cli(argv: list[str], src: str) -> tuple[int, str]:
     """``main(argv + ["-"])`` on ``src`` as standard input: the exit code
     and what went to standard error."""
-    stdin, sys.stdin = sys.stdin, io.StringIO(src)
+    bytes_in = io.TextIOWrapper(io.BytesIO(src.encode()), encoding="utf-8")
+    stdin, sys.stdin = sys.stdin, bytes_in
     err = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -20,7 +20,7 @@ from bestow.runtime import (
     override_queue,
     spawn,
 )
-from bestow.runtime.actors import _override_registry
+from bestow.runtime.actors import _tls
 
 
 class Journal:
@@ -164,7 +164,7 @@ def test_watchdog_rescues_an_abandoned_override(journal):
     t.join(timeout=5)
     assert fut.result(timeout=5) == 1
     # clear the stale registry entry so later tests on this thread are clean
-    _override_registry().clear()
+    _tls.overrides.clear()
 
 
 def in_other_thread(fn) -> list:
@@ -255,7 +255,7 @@ def test_atomic_batch_rejects_other_objects():
     with pytest.raises(TypeError, match="does not support batching"):
         with atomic_batch(object()):
             pass
-    assert _override_registry() == {}
+    assert _tls.overrides == {}
 
 
 def test_atomic_batch_on_bestowed_ref_overrides_owner(journal):

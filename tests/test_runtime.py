@@ -15,6 +15,7 @@ from bestow.runtime import (
     Future,
     bestow,
     current_actor,
+    lock_bestow,
     spawn,
 )
 
@@ -87,6 +88,88 @@ def test_future_is_write_once():
     with pytest.raises(RuntimeError):
         fut.set_exception(ValueError())
     assert fut.result() == 1
+
+
+def test_future_is_write_once_after_an_exception():
+    fut = Future()
+    fut.set_exception(KeyError("first"))
+    with pytest.raises(RuntimeError, match="already resolved"):
+        fut.set_result(2)
+    with pytest.raises(RuntimeError, match="already resolved"):
+        fut.set_exception(ValueError())
+    with pytest.raises(KeyError, match="first"):
+        fut.result()
+
+
+def test_future_nonpositive_timeout_polls():
+    # Event.wait treats timeout <= 0 as a poll; a poll must not block.  The
+    # polls run on a daemon thread so a blocking one fails the test.
+    fut = Future()
+    elapsed: dict[float, float] = {}
+
+    def poll() -> None:
+        for timeout in (0, -1, -0.5):
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError, match="did not resolve in time"):
+                fut.result(timeout=timeout)
+            elapsed[timeout] = time.monotonic() - t0
+
+    poller = threading.Thread(target=poll, daemon=True)
+    poller.start()
+    poller.join(timeout=5)
+    assert sorted(elapsed) == [-1, -0.5, 0]
+    assert max(elapsed.values()) < 0.1
+
+
+@pytest.mark.parametrize("outcome", ["value", "exception"])
+def test_future_wakes_every_waiter(outcome):
+    fut = Future()
+    boom = LookupError("shared")
+    got: list = []
+
+    def wait() -> None:
+        try:
+            got.append(fut.result(timeout=5))
+        except LookupError as exc:
+            got.append(exc)
+
+    waiters = [threading.Thread(target=wait) for _ in range(4)]
+    for t in waiters:
+        t.start()
+    time.sleep(0.05)  # let the waiters block
+    assert got == []
+    if outcome == "value":
+        setter, expected = threading.Thread(target=fut.set_result, args=(7,)), 7
+    else:
+        setter, expected = threading.Thread(target=fut.set_exception, args=(boom,)), boom
+    setter.start()
+    for t in [setter, *waiters]:
+        t.join(timeout=5)
+    assert got == [expected] * 4
+
+
+def test_future_timed_out_waiter_gets_the_value_later():
+    fut = Future()
+    with pytest.raises(TimeoutError):
+        fut.result(timeout=0.01)
+    with pytest.raises(TimeoutError):
+        fut.result(timeout=0)
+    fut.set_result("late")
+    assert fut.done()
+    assert fut.result() == "late"
+    assert fut.result(timeout=0) == "late"
+
+
+def test_locked_ref_future_is_done_on_return(counter):
+    ref = lock_bestow([1])
+    fut = ref.perform(lambda xs: xs[0])
+    assert fut.done() and fut.result() == 1
+    failed = ref.perform(lambda xs: xs[5])
+    assert failed.done()
+    with pytest.raises(IndexError):
+        failed.result()
+    # resolved at birth, so even an actor may read it
+    assert counter.perform(lambda _c: fut.result()).result(timeout=5) == 1
 
 
 def test_current_actor_is_none_on_external_threads(counter):
