@@ -15,7 +15,8 @@ On the resulting state graph, three checks replay the soundness story:
 
 Keys, choices and all three checks read the actors' records in the
 space's fact table (see ``wellformed.FactTable``), so each distinct actor
-state is rendered and judged once.  Each check returns ``None`` on
+state is rendered and judged once; the space stores no copy of a state's
+choices or depth.  Each check returns ``None`` on
 success or a counterexample carrying the offending state and a shortest
 trace to it, printed as its schedule.
 ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
@@ -144,12 +145,9 @@ class StateSpace:
     states: dict[str, Heap]
     edges: list[Edge]
     parents: dict[str, Edge]
-    depth: dict[str, int]
     truncated: bool
     canonical: bool
     lifo: bool
-    # Each state's enabled choices, computed once by ``explore``.
-    choices: dict[str, list[SchedulerChoice]]
     # The per-term and per-actor facts of every state, shared by keys,
     # choices and checks.
     facts: FactTable
@@ -172,7 +170,7 @@ class StateSpace:
         return path
 
     def terminal_states(self) -> list[str]:
-        return [k for k in self.states if not self.choices[k]]
+        return [k for k, rep in self.states.items() if not self.facts.choices(rep)]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -216,18 +214,16 @@ def explore(
 
     init_key = state_key(heap, canonical, facts)
     states = {init_key: heap}
-    choices_of: dict[str, list[SchedulerChoice]] = {}
     edges: list[Edge] = []
     parents: dict[str, Edge] = {}
-    depth: dict[str, int] = {init_key: 0}
     truncated = False
 
-    frontier: deque[str] = deque([init_key])
+    # Each state with its distance from the start.
+    frontier: deque[tuple[str, int]] = deque([(init_key, 0)])
     while frontier:
-        key = frontier.popleft()
+        key, d = frontier.popleft()
         rep = states[key]
-        d = depth[key]
-        choices = choices_of[key] = facts.choices(rep)
+        choices = facts.choices(rep)
         if not choices:
             continue
         if d >= max_depth:
@@ -250,11 +246,10 @@ def explore(
                     truncated = True
                     continue
                 states[nxt_key] = nxt
-                depth[nxt_key] = d + 1
                 edge = Edge(key, choice, event, nxt_key)
                 parents[nxt_key] = edge
                 edges.append(edge)
-                frontier.append(nxt_key)
+                frontier.append((nxt_key, d + 1))
             else:
                 edges.append(Edge(key, choice, event, nxt_key))
 
@@ -263,11 +258,9 @@ def explore(
         states=states,
         edges=edges,
         parents=parents,
-        depth=depth,
         truncated=truncated,
         canonical=canonical,
         lifo=lifo,
-        choices=choices_of,
         facts=facts,
     )
 
@@ -275,13 +268,6 @@ def explore(
 # --------------------------------------------------------------------------
 # Machine checks
 # --------------------------------------------------------------------------
-
-
-def properly_terminal(heap: Heap) -> bool:
-    """All actors idle on a value with nothing queued anywhere."""
-    return all(
-        is_value(a.current) and not a.queue for a in heap.actors.values()
-    )
 
 
 def _after(trace: tuple[Edge, ...]) -> str:
@@ -363,11 +349,12 @@ def check_preservation(space: StateSpace) -> PreservationFailure | None:
 
 def check_race_freedom(space: StateSpace) -> RaceWitness | None:
     """First state where two actors' next steps touch the same location."""
+    actor = space.facts.actor
     for key, rep in space.states.items():
         touching = [
-            (c.actor, loc)
-            for c in space.choices[key]
-            if (loc := space.facts.actor(rep.actors[c.actor]).touches) is not None
+            (i, loc)
+            for i in sorted(rep.actors)
+            if (loc := actor(rep.actors[i]).touches) is not None
         ]
         for i, (a, loc) in enumerate(touching):
             for b, other in touching[i + 1 :]:
@@ -395,8 +382,11 @@ def batch_adjacency(
     """Count the maximal paths on which ``owner``'s batch ops run contiguously,
     in one topological pass that carries path counts per (state, monitor)
     pair; the monitor reads the owner's events that touch a location.
-    Raises ``ValueError`` on a cycle (none arises for a terminating program
+    Raises ``ValueError`` on a truncated space, whose cut-off states are not
+    path ends, and on a cycle (none arises for a terminating program
     explored with ``canonical=False``)."""
+    if space.truncated:
+        raise ValueError("state space is truncated; cannot count maximal paths")
     BEFORE, INSIDE, AFTER, VIOLATED = range(4)
     # The monitor's move on a batch op and on another op, by the state it leaves.
     moves = {True: (INSIDE, INSIDE, VIOLATED, VIOLATED), False: (BEFORE, AFTER, AFTER, VIOLATED)}

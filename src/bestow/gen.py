@@ -14,7 +14,7 @@ actor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .syntax import (
     ActorType,
@@ -38,29 +38,30 @@ from .syntax import (
 from .typecheck import TypeEnv
 
 DEFAULT_SIZE_BUDGET = 12
+T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Production weights and limits for the generator."""
-
-    var_weight: int = 4
-    app_weight: int = 2
-    send_weight: int = 4
-    mutate_weight: int = 3
-    bestow_weight: int = 2
-    new_weight: int = 3
-    unit_weight: int = 2
-    lambda_weight: int = 3
-    # Argument types considered when inventing an application.
-    arg_types: tuple[Type, ...] = (Passive(), ActorType(), UnitType(), Bestowed())
-    # Goal types for whole programs, with weights.
-    program_goals: tuple[tuple[Type, int], ...] = (
-        (UnitType(), 5),
-        (Passive(), 2),
-        (ActorType(), 2),
-        (Bestowed(), 1),
-    )
+# Each production's weight, where it fits the goal and the budget.
+WEIGHTS = {
+    "var": 4,
+    "apply": 2,
+    "send": 4,
+    "mutate": 3,
+    "bestow": 2,
+    "new-passive": 3,
+    "new-actor": 3,
+    "unit": 2,
+    "lambda": 3,
+}
+# Argument types considered when inventing an application.
+ARG_TYPES: tuple[Type, ...] = (Passive(), ActorType(), UnitType(), Bestowed())
+# Goal types for whole programs, with weights.
+PROGRAM_GOALS: tuple[tuple[Type, int], ...] = (
+    (UnitType(), 5),
+    (Passive(), 2),
+    (ActorType(), 2),
+    (Bestowed(), 1),
+)
 
 
 def min_size(t: Type) -> int:
@@ -101,59 +102,45 @@ def _fresh(counter: list[int]) -> str:
 
 
 def _gen(
-    rng: random.Random,
-    env: TypeEnv,
-    goal: Type,
-    budget: int,
-    cfg: GenConfig,
-    counter: list[int],
+    rng: random.Random, env: TypeEnv, goal: Type, budget: int, counter: list[int]
 ) -> Expr:
     if budget <= min_size(goal):
         return _minimal(env, goal, counter)
 
-    # Collect (weight, thunk) pairs for every production that fits.
-    options: list[tuple[int, str]] = []
+    # Every production that fits.
+    options: list[str] = []
 
     candidates = [name for name, t in env.bindings if t == goal]
     if candidates:
-        options.append((cfg.var_weight, "var"))
+        options.append("var")
 
     match goal:
         case UnitType():
-            options.append((cfg.unit_weight, "unit"))
+            options.append("unit")
             if budget >= 2:
-                options.append((cfg.mutate_weight, "mutate"))
+                options.append("mutate")
             if budget >= 4:
-                options.append((cfg.send_weight, "send"))
+                options.append("send")
         case Passive():
-            options.append((cfg.new_weight, "new-passive"))
+            options.append("new-passive")
         case ActorType():
-            options.append((cfg.new_weight, "new-actor"))
+            options.append("new-actor")
         case Bestowed():
             if budget >= 2:
-                options.append((cfg.bestow_weight, "bestow"))
+                options.append("bestow")
         case Arrow(_, _):
-            options.append((cfg.lambda_weight, "lambda"))
+            options.append("lambda")
 
     arg_candidates = [
-        t for t in cfg.arg_types if budget >= 2 + min_size(goal) + min_size(t) + 1
+        t for t in ARG_TYPES if budget >= 2 + min_size(goal) + min_size(t) + 1
     ]
     if arg_candidates:
-        options.append((cfg.app_weight, "apply"))
+        options.append("apply")
 
     if not options:
         return _minimal(env, goal, counter)
 
-    total = sum(w for w, _ in options)
-    pick = rng.randrange(total)
-    production = ""
-    for w, p in options:
-        if pick < w:
-            production = p
-            break
-        pick -= w
-
-    match production:
+    match production := _draw(rng, [(p, WEIGHTS[p]) for p in options]):
         case "var":
             return Var(rng.choice(candidates))
         case "unit":
@@ -163,16 +150,16 @@ def _gen(
         case "new-actor":
             return NewActor()
         case "mutate":
-            return Mutate(_gen(rng, env, Passive(), budget - 1, cfg, counter))
+            return Mutate(_gen(rng, env, Passive(), budget - 1, counter))
         case "bestow":
-            return Bestow(_gen(rng, env, Passive(), budget - 1, cfg, counter))
+            return Bestow(_gen(rng, env, Passive(), budget - 1, counter))
         case "lambda":
             assert isinstance(goal, Arrow)
             x = _fresh(counter)
-            body = _gen(rng, env.extend(x, goal.dom), goal.cod, budget - 1, cfg, counter)
+            body = _gen(rng, env.extend(x, goal.dom), goal.cod, budget - 1, counter)
             return Val(Lambda(x, goal.dom, body))
         case "send":
-            return _gen_send(rng, env, budget, cfg, counter)
+            return _gen_send(rng, env, budget, counter)
         case "apply":
             arg_t = rng.choice(arg_candidates)
             # Split what remains after the app node between function and
@@ -181,59 +168,51 @@ def _gen(
             fun_min = 1 + min_size(goal)
             fun_budget = rng.randint(fun_min, rest - min_size(arg_t))
             arg_budget = rest - fun_budget
-            fun = _gen(rng, env, Arrow(arg_t, goal), fun_budget, cfg, counter)
-            arg = _gen(rng, env, arg_t, arg_budget, cfg, counter)
+            fun = _gen(rng, env, Arrow(arg_t, goal), fun_budget, counter)
+            arg = _gen(rng, env, arg_t, arg_budget, counter)
             return App(fun, arg)
     raise AssertionError(f"unknown production {production!r}")
 
 
 def _gen_send(
-    rng: random.Random,
-    env: TypeEnv,
-    budget: int,
-    cfg: GenConfig,
-    counter: list[int],
+    rng: random.Random, env: TypeEnv, budget: int, counter: list[int]
 ) -> Expr:
     """A send: active target, message over p typed on the receiver."""
     target_t: Type = ActorType() if rng.random() < 0.7 else Bestowed()
     rest = budget - 2  # send node + message lambda node
     target_budget = rng.randint(min_size(target_t), max(min_size(target_t), rest - 1))
     body_budget = rest - target_budget
-    target = _gen(rng, env, target_t, target_budget, cfg, counter)
+    target = _gen(rng, env, target_t, target_budget, counter)
     x = _fresh(counter)
     body_goal: Type = UnitType() if rng.random() < 0.7 else Passive()
     body_env = env.restrict_active().extend(x, Passive())
-    body = _gen(rng, body_env, body_goal, max(body_budget, 1), cfg, counter)
+    body = _gen(rng, body_env, body_goal, max(body_budget, 1), counter)
     return Send(target, Lambda(x, Passive(), body))
 
 
-def random_goal(rng: random.Random, cfg: GenConfig) -> Type:
-    total = sum(w for _, w in cfg.program_goals)
-    pick = rng.randrange(total)
-    for t, w in cfg.program_goals:
+def _draw(rng: random.Random, weighted: Sequence[tuple[T, int]]) -> T:
+    """One of the items in ``weighted``, drawn by weight."""
+    pick = rng.randrange(sum(w for _, w in weighted))
+    for item, w in weighted:
         if pick < w:
-            return t
+            return item
         pick -= w
-    return UnitType()
+    raise AssertionError("the draw exceeds the total weight")
 
 
 def generate_well_typed(
-    seed: int,
-    size_budget: int = DEFAULT_SIZE_BUDGET,
-    config: GenConfig | None = None,
+    seed: int, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> tuple[Expr, Type]:
     """A closed well-typed program and its type, from a seed."""
-    cfg = config or GenConfig()
     rng = random.Random(seed)
-    goal = random_goal(rng, cfg)
+    goal = _draw(rng, PROGRAM_GOALS)
     while min_size(goal) > size_budget:
-        goal = random_goal(rng, cfg)
-    expr = _gen(rng, TypeEnv(), goal, size_budget, cfg, [0])
+        goal = _draw(rng, PROGRAM_GOALS)
+    expr = _gen(rng, TypeEnv(), goal, size_budget, [0])
     return expr, goal
 
 
 __all__ = [
-    "GenConfig",
     "DEFAULT_SIZE_BUDGET",
     "generate_well_typed",
     "min_size",

@@ -4,7 +4,10 @@ An actor system steps by picking a scheduler choice: either an idle actor
 pops the next message off its queue, or a busy actor reduces its current
 expression by one step.  Expression reduction uses a unique evaluation
 context (leftmost-innermost), so each actor's next step is deterministic;
-all nondeterminism lives in the choice of actor.
+all nondeterminism lives in the choice of actor.  One walk down that
+context (``_focus``) finds the node where an actor moves; ``step_expr``
+reduces it and ``poised`` reports what it enables, each with one match of
+that node against the redex shapes.
 
 Every step yields a :class:`TraceEvent` naming the rule that fired and, for
 heap-touching rules, the location involved.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .syntax import (
@@ -110,32 +112,19 @@ class FuelExhaustedError(Exception):
 # --------------------------------------------------------------------------
 
 
-def is_redex(e: Expr) -> bool:
-    match e:
-        case App(Val(Lambda()), Val()):
-            return True
-        case Send(Val(ActorId() | BestowedLoc()), msg):
-            return isinstance(msg, Lambda)
-        case Mutate(Val(Loc())):
-            return True
-        case Bestow(Val(Loc())):
-            return True
-        case NewPassive() | NewActor():
-            return True
-    return False
-
-
 def _focus(e: Expr) -> tuple[list[Expr], Expr]:
     """Follow the evaluation context down from ``e``.
 
     Contexts descend into the function position of an application first,
     then the argument; into send targets, mutate targets and bestow
-    arguments.  Message positions are values and are never reduced.  Returns
-    the context's nodes, outermost first, and the subexpression where the
-    descent stops: the redex, or the node that has none.
+    arguments.  Message positions are values and are never reduced.  The
+    descent stops at the first node whose hole is a value or that has no
+    hole: the redex, since every redex has only values in its holes, or
+    the node where the actor is stuck.  Returns the context's nodes,
+    outermost first, and that node.
     """
     path: list[Expr] = []
-    while not is_redex(e):
+    while True:
         t = type(e)
         if t is App:
             hole = e.fun if type(e.fun) is not Val else e.arg
@@ -144,12 +133,11 @@ def _focus(e: Expr) -> tuple[list[Expr], Expr]:
         elif t is Bestow:
             hole = e.inner
         else:
-            break
+            return path, e
         if type(hole) is Val:
-            break
+            return path, e
         path.append(e)
         e = hole
-    return path, e
 
 
 def _plug(path: list[Expr], x: Expr) -> Expr:
@@ -164,21 +152,8 @@ def _plug(path: list[Expr], x: Expr) -> Expr:
     return x
 
 
-def decompose(e: Expr) -> tuple[Expr, Callable[[Expr], Expr]] | None:
-    """Split ``e`` into its unique redex and context, or None.
-
-    The context is returned as a plug function; ``plug(redex)`` rebuilds
-    ``e``.
-    """
-    path, focus = _focus(e)
-    if not is_redex(focus):
-        return None
-    return focus, partial(_plug, path)
-
-
 def _stuck_reason(actor: int, e: Expr) -> StuckError:
-    """Best-effort diagnosis of why a non-value expression has no redex."""
-    _, e = _focus(e)
+    """Best-effort diagnosis of why the focused node ``e`` matches no rule."""
     match e:
         case Var(name):
             return StuckError(actor, e, f"free variable {name}")
@@ -224,28 +199,23 @@ def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
     """One reduction of actor ``a``'s expression, running as ``ident``, when
     the next fresh location and actor id are ``next_loc`` and ``next_id``.
 
-    Raises :class:`StuckError` when the expression is neither a value nor
-    decomposable.
+    Raises :class:`StuckError` when the focused node matches no rule (a
+    value matches none).
     """
-    d = decompose(a.current)
-    if d is None:
-        raise _stuck_reason(ident, a.current)
-    redex, plug = d
+    path, node = _focus(a.current)
 
     def to(e: Expr) -> Actor:
-        return Actor(a.this_loc, a.local_heap, a.queue, plug(e))
+        return Actor(a.this_loc, a.local_heap, a.queue, _plug(path, e))
 
     unit = Val(UnitVal())
-    match redex:
+    match node:
         case App(Val(Lambda(param, _, body)), Val(arg)):
             return Effect(to(subst(body, param, arg)), "apply")
 
-        case Send(Val(ActorId(target)), msg):
-            assert isinstance(msg, Lambda)
+        case Send(Val(ActorId(target)), Lambda() as msg):
             return Effect(to(unit), "send-actor", post=(target, msg))
 
-        case Send(Val(BestowedLoc(loc, owner)), msg):
-            assert isinstance(msg, Lambda)
+        case Send(Val(BestowedLoc(loc, owner)), Lambda() as msg):
             # Forward to the owner: wrap the message so that, once delivered,
             # it applies the original function to the underlying object.
             y = fresh_name("y", free_vars(msg))
@@ -261,16 +231,15 @@ def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
             return Effect(to(Val(BestowedLoc(loc, ident))), "bestow", loc)
 
         case NewPassive():
-            me = Actor(
-                a.this_loc, a.local_heap | {next_loc}, a.queue, plug(Val(Loc(next_loc)))
-            )
+            current = _plug(path, Val(Loc(next_loc)))
+            me = Actor(a.this_loc, a.local_heap | {next_loc}, a.queue, current)
             return Effect(me, "new-passive", next_loc)
 
         case NewActor():
             spawned = Actor(next_loc, frozenset({next_loc}), (), unit)
             return Effect(to(Val(ActorId(next_id))), "new-actor", spawned=spawned)
 
-    raise AssertionError(f"unreachable redex {redex!r}")
+    raise _stuck_reason(ident, node)
 
 
 def actor_step(
@@ -335,17 +304,22 @@ def apply_effect(
 def poised(a: Actor) -> tuple[str | None, int | None]:
     """The choice kind ``a`` enables (``"pop"``, ``"step"`` or None) and the
     location that step would read or write (None for rules that touch no
-    existing location).  Never raises: a stuck actor enables nothing.
+    existing location).  It matches the node ``step_expr`` would reduce
+    against the same redex shapes; a stuck actor enables nothing.
     """
     if is_value(a.current):
         return ("pop" if a.queue else None), None
-    d = decompose(a.current)
-    if d is None:
-        return None, None
-    match d[0]:
+    match _focus(a.current)[1]:
         case Mutate(Val(Loc(loc))) | Bestow(Val(Loc(loc))):
             return "step", loc
-    return "step", None
+        case (
+            App(Val(Lambda()), Val())
+            | Send(Val(ActorId() | BestowedLoc()), Lambda())
+            | NewPassive()
+            | NewActor()
+        ):
+            return "step", None
+    return None, None
 
 
 def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
@@ -360,10 +334,6 @@ def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
         if kind is not None:
             out.append(SchedulerChoice(ident, kind))
     return out
-
-
-def quiescent(heap: Heap) -> bool:
-    return not enabled_choices(heap)
 
 
 def step_system(

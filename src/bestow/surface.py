@@ -446,12 +446,12 @@ def _try_type(e: Expr, env: TypeEnv) -> Type:
         return UnitType()
 
 
-def desugar(node: SNode, env: TypeEnv | None = None) -> Expr:
-    return _elab(node, env if env is not None else TypeEnv(), in_atomic=False)
+def desugar(node: SNode) -> Expr:
+    return _elab(node, TypeEnv(), in_atomic=False)
 
 
-def compile_program(src: str, env: TypeEnv | None = None) -> Expr:
-    return desugar(parse_program(src), env)
+def compile_program(src: str) -> Expr:
+    return desugar(parse_program(src))
 
 
 def _elab(node: SNode, env: TypeEnv, in_atomic: bool) -> Expr:

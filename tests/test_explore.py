@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import re
+from collections import deque
 
 import pytest
 
@@ -17,7 +18,6 @@ from bestow.explore import (
     check_race_freedom,
     explore,
     find_race,
-    properly_terminal,
     state_key,
 )
 from bestow.semantics import SchedulerChoice, initial_heap, step_system
@@ -128,16 +128,37 @@ def test_explore_deterministic():
     assert s1.edges == s2.edges
 
 
+def distances(space: StateSpace) -> dict[str, int]:
+    """Each state's distance from the initial state, by a breadth-first
+    search over ``space.edges``."""
+    out = {space.initial: 0}
+    frontier = deque([space.initial])
+    while frontier:
+        key = frontier.popleft()
+        for edge in space.successors(key):
+            if edge.dst not in out:
+                out[edge.dst] = out[key] + 1
+                frontier.append(edge.dst)
+    return out
+
+
 def test_depth_and_parents_consistent():
-    space = space_of("val a = new c; a ! \\x:p. x.mutate()")
-    for key in space.states:
-        path = space.trace_to(key)
-        assert len(path) == space.depth[key]
-        at = space.initial
-        for edge in path:
-            assert edge.src == at
-            at = edge.dst
-        assert at == key
+    for src in [
+        "val a = new c; a ! \\x:p. x.mutate()",
+        "val a = new c; val b = new c; a ! \\x:p. new p; b ! \\x:p. new p",
+    ]:
+        space = space_of(src)
+        dist = distances(space)
+        assert dist.keys() == space.states.keys()
+        for key in space.states:
+            path = space.trace_to(key)
+            assert len(path) == dist[key]
+            assert all(e.event.step_index == dist[e.src] for e in path)
+            at = space.initial
+            for edge in path:
+                assert edge.src == at
+                at = edge.dst
+            assert at == key
 
 
 def test_truncation_by_states():
@@ -201,9 +222,14 @@ def test_checks_pass_on_good_programs():
 
 
 def test_properly_terminal():
-    assert properly_terminal(initial_heap(UNIT))
-    busy = initial_heap(Mutate(Val(Loc(0))))
-    assert not properly_terminal(busy)
+    # terminal: every actor idle with nothing queued, so no choice is enabled
+    space = explore(initial_heap(UNIT))
+    assert space.terminal_states() == [space.initial]
+    for heap in [
+        initial_heap(Mutate(Val(Loc(0)))),
+        Heap({0: Actor(0, frozenset({0}), (Lambda("x", P, UNIT),), UNIT)}, 1, 1),
+    ]:
+        assert explore(heap, max_depth=0).terminal_states() == []
 
 
 def test_progress_failure_on_stuck_state():
@@ -347,7 +373,7 @@ def assert_steps_match_step_system(space: StateSpace) -> None:
         nxt, event = step_system(
             space.states[edge.src],
             edge.choice,
-            step_index=space.depth[edge.src],
+            step_index=len(space.trace_to(edge.src)),
             lifo=space.lifo,
         )
         assert event == edge.event
@@ -445,6 +471,23 @@ def test_batch_adjacency_reads_only_the_owner():
     # actor 1's mutate can land between the root's two allocations
     src = "val a = new c; a ! \\x:p. x.mutate(); new p; new p"
     assert adjacency_of(src, "new-passive")[1].violated == 0
+
+
+def test_batch_adjacency_rejects_a_truncated_space():
+    # A state cut off at the frontier is no end of a maximal path; counting
+    # it as one reported "1 adjacent, 0 violated" before any mutate ran.
+    src = (
+        "val obj = new p; val b = bestow obj; val c1 = new c; val c2 = new c;"
+        "c1 ! \\x:p. atomic y <- b { y ! \\z:p. z.mutate(); y ! \\z:p. z.mutate() };"
+        "c2 ! \\x:p. b ! \\y:p. new p"
+    )
+    space = space_of(src, canonical=False, max_depth=8)
+    assert space.truncated
+    with pytest.raises(ValueError, match="truncated"):
+        batch_adjacency(space, 0, lambda ev: ev.rule == "mutate")
+    whole = space_of(src, canonical=False)
+    assert not whole.truncated
+    assert batch_adjacency(whole, 0, lambda ev: ev.rule == "mutate").violated == 0
 
 
 def test_batch_adjacency_rejects_a_cycle():

@@ -5,6 +5,8 @@ must equal what a fresh walk of each heap gives.  The references below
 walk every term: a canonical renaming, whose result keys are compared
 with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
+Each actor record's choice and footprint must agree with the step that
+``step_expr`` takes, or fails to take.
 """
 
 from __future__ import annotations
@@ -18,21 +20,26 @@ import pytest
 
 from bestow.explore import StateSpace, check_preservation, explore, state_key
 from bestow.gen import generate_well_typed
-from bestow.semantics import initial_heap, step_system
+from bestow.semantics import StuckError, initial_heap, step_expr, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
     ActorId,
+    App,
+    Bestow,
     BestowedLoc,
     Expr,
     Heap,
     Lambda,
     Loc,
     Mutate,
+    NewPassive,
     Passive,
+    Send,
     UnitVal,
     Val,
     Value,
+    Var,
     map_values,
     render_expr,
     render_heap,
@@ -193,7 +200,7 @@ def assert_matches_reference(space: StateSpace) -> None:
         nxt, event = step_system(
             space.states[edge.src],
             edge.choice,
-            step_index=space.depth[edge.src],
+            step_index=len(space.trace_to(edge.src)),
             lifo=space.lifo,
         )
         assert event == edge.event
@@ -234,6 +241,75 @@ def test_generated_programs_match_reference(programs):
     assert branching > 0
 
 
+UNIT = Val(UnitVal())
+MSG = Lambda("x", Passive(), Mutate(Var("x")))
+# Stuck terms, each also placed inside evaluation contexts.
+STUCK = [
+    Var("x"),
+    App(UNIT, UNIT),
+    App(Val(Loc(0)), UNIT),
+    Send(UNIT, MSG),
+    Send(Val(Loc(0)), MSG),
+    Send(Val(ActorId(1)), Loc(0)),
+    Send(Val(BestowedLoc(0, 1)), UnitVal()),
+    Mutate(UNIT),
+    Mutate(Val(ActorId(1))),
+    Bestow(UNIT),
+    Bestow(Val(BestowedLoc(0, 1))),
+]
+CONTEXTS = [
+    lambda e: e,
+    lambda e: App(Val(MSG), e),
+    lambda e: Send(Mutate(e), MSG),
+    lambda e: App(Bestow(e), NewPassive()),
+]
+
+
+def record_agrees(
+    facts: FactTable, ident: int, a: Actor, counters: tuple[int, int]
+) -> str | None:
+    """Check ``a``'s record against stepping ``a``; the rule that fired, if any.
+
+    The record (``semantics.poised``) enables a step exactly when
+    ``step_expr`` returns, and its footprint is the location a ``mutate``
+    or ``bestow`` step reports."""
+    r = facts.actor(a)
+    try:
+        eff = step_expr(ident, a, *counters)
+    except StuckError:
+        assert r.kind != "step" and r.touches is None, a
+        return None
+    assert r.kind == "step", a
+    assert r.touches == (eff.loc if eff.rule in ("mutate", "bestow") else None), a
+    return eff.rule
+
+
+def test_poised_agrees_with_step_expr(programs):
+    fired = set()
+    for heap in [contended(2, 2), contended(3, 2)] + programs:
+        space = explore(heap, max_depth=96)
+        for rep in space.states.values():
+            for ident, a in rep.actors.items():
+                counters = rep.next_loc, rep.next_id
+                fired.add(record_agrees(space.facts, ident, a, counters))
+    # Every redex shape was reached, so a shape missing from either match shows.
+    assert fired == {
+        None,
+        "apply",
+        "send-actor",
+        "send-bestowed",
+        "mutate",
+        "bestow",
+        "new-passive",
+        "new-actor",
+    }
+    facts = FactTable()
+    for e in STUCK:
+        for ctx in CONTEXTS:
+            stuck = Actor(0, frozenset({0}), (), ctx(e))
+            assert record_agrees(facts, 0, stuck, (1, 1)) is None
+
+
 def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     """Every state's shortest trace, replayed from ``initial``, makes the
     events its edges record and ends on the heap stored for the state.
@@ -245,11 +321,11 @@ def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     for key, stored in space.states.items():
         if key != space.initial:
             edge = space.parents[key]
-            assert edge.choice in space.choices[edge.src]
+            assert edge.choice in space.facts.choices(space.states[edge.src])
             replayed[key], event = step_system(
                 replayed[edge.src],
                 edge.choice,
-                step_index=space.depth[edge.src],
+                step_index=len(space.trace_to(edge.src)),
                 lifo=space.lifo,
             )
             assert event == edge.event

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from bestow.gen import DEFAULT_SIZE_BUDGET, GenConfig, generate_well_typed, min_size
+from bestow.gen import DEFAULT_SIZE_BUDGET, generate_well_typed, min_size
 from bestow.syntax import (
     ActorType,
     Arrow,
@@ -114,24 +114,6 @@ def test_all_forms_eventually_appear():
                 if body is not None:
                     stack.append(body)
     assert {Send, Mutate, Bestow, NewPassive, NewActor}.issubset(seen)
-
-
-def test_config_weights_steer_output():
-    no_sends = GenConfig(send_weight=0)
-    for seed in range(100):
-        program, _ = generate_well_typed(seed, config=no_sends)
-        stack = [program]
-        while stack:
-            e = stack.pop()
-            assert not isinstance(e, Send)
-            for name in ("fun", "arg", "target", "inner"):
-                child = getattr(e, name, None)
-                if isinstance(child, Expr):
-                    stack.append(child)
-            if isinstance(e, Val):
-                body = getattr(e.value, "body", None)
-                if body is not None:
-                    stack.append(body)
 
 
 def test_default_budget_importable():

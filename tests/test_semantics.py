@@ -13,13 +13,13 @@ from bestow.semantics import (
     SchedulerChoice,
     SendToNonActiveError,
     StuckError,
+    _focus,
+    _plug,
     apply_effect,
-    decompose,
     enabled_choices,
     events_to_jsonl,
     initial_heap,
-    is_redex,
-    quiescent,
+    poised,
     run_to_quiescence,
     step_expr,
     step_system,
@@ -65,51 +65,75 @@ def step_one(heap, ident=0):
 # --- decomposition --------------------------------------------------------
 
 
+def actor_at(e, queue=()):
+    return Actor(0, frozenset({0}), tuple(queue), e)
+
+
 def test_redex_forms():
-    assert is_redex(NewPassive())
-    assert is_redex(NewActor())
-    assert is_redex(App(Val(MSG), UNIT))
-    assert is_redex(Send(Val(ActorId(0)), MSG))
-    assert is_redex(Send(Val(BestowedLoc(0, 0)), MSG))
-    assert is_redex(Mutate(Val(Loc(0))))
-    assert is_redex(Bestow(Val(Loc(0))))
-    assert not is_redex(UNIT)
-    assert not is_redex(Var("x"))
-    assert not is_redex(Mutate(Val(UnitVal())))
-    assert not is_redex(Send(Val(Loc(0)), MSG))
+    for e in [
+        NewPassive(),
+        NewActor(),
+        App(Val(MSG), UNIT),
+        Send(Val(ActorId(0)), MSG),
+        Send(Val(BestowedLoc(0, 0)), MSG),
+    ]:
+        assert poised(actor_at(e)) == ("step", None)
+    assert poised(actor_at(Mutate(Val(Loc(0))))) == ("step", 0)
+    assert poised(actor_at(Bestow(Val(Loc(3))))) == ("step", 3)
+    for e in [
+        UNIT,
+        Var("x"),
+        Mutate(Val(UnitVal())),
+        Send(Val(Loc(0)), MSG),
+        Send(Val(ActorId(0)), Loc(0)),
+    ]:
+        assert poised(actor_at(e)) == (None, None)
+    assert poised(actor_at(UNIT, queue=(MSG,))) == ("pop", None)
 
 
 def test_decompose_finds_innermost_redex():
     e = App(Mutate(NewPassive()), UNIT)
-    redex, plug = decompose(e)
+    path, redex = _focus(e)
     assert redex == NewPassive()
-    assert plug(redex) == e
-    assert plug(Val(Loc(7))) == App(Mutate(Val(Loc(7))), UNIT)
+    assert _plug(path, redex) == e
+    assert _plug(path, Val(Loc(7))) == App(Mutate(Val(Loc(7))), UNIT)
 
 
 def test_decompose_function_position_first():
     e = App(Mutate(Val(Loc(0))), NewPassive())
-    redex, _ = decompose(e)
+    path, redex = _focus(e)
     assert redex == Mutate(Val(Loc(0)))
+    assert _plug(path, UNIT) == App(UNIT, NewPassive())
 
 
 def test_decompose_argument_after_function_value():
     e = App(Val(MSG), NewPassive())
-    redex, _ = decompose(e)
+    path, redex = _focus(e)
     assert redex == NewPassive()
+    assert _plug(path, Val(Loc(4))) == App(Val(MSG), Val(Loc(4)))
 
 
 def test_decompose_send_target():
     e = Send(NewActor(), MSG)
-    redex, plug = decompose(e)
+    path, redex = _focus(e)
     assert redex == NewActor()
-    assert plug(Val(ActorId(3))) == Send(Val(ActorId(3)), MSG)
+    assert _plug(path, Val(ActorId(3))) == Send(Val(ActorId(3)), MSG)
 
 
 def test_decompose_none_for_values_and_stuck():
-    assert decompose(UNIT) is None
-    assert decompose(Var("x")) is None
-    assert decompose(Send(Val(Loc(0)), MSG)) is None
+    # The focus stops where no rule applies, inside its context too: the
+    # actor enables no step and stepping it reports that node.
+    for e, node in [
+        (UNIT, UNIT),
+        (Var("x"), Var("x")),
+        (Send(Val(Loc(0)), MSG), Send(Val(Loc(0)), MSG)),
+        (App(Mutate(Val(UnitVal())), NewPassive()), Mutate(Val(UnitVal()))),
+    ]:
+        assert _focus(e)[1] == node
+        assert poised(actor_at(e)) == (None, None)
+        with pytest.raises(StuckError) as exc:
+            step_expr(0, actor_at(e), 1, 1)
+        assert exc.value.expr == node
 
 
 # --- single rules ---------------------------------------------------------
@@ -200,10 +224,13 @@ def test_step_new_actor_spawns_idle_actor():
 
 def test_step_stuck_diagnoses():
     heap = one_actor(Send(Val(Loc(0)), MSG))
-    with pytest.raises(SendToNonActiveError):
+    with pytest.raises(SendToNonActiveError, match="send target is not an actor"):
         step_one(heap)
     heap = one_actor(App(UNIT, UNIT))
-    with pytest.raises(StuckError):
+    with pytest.raises(StuckError, match="application of a non-function value"):
+        step_one(heap)
+    heap = one_actor(App(Val(MSG), Send(Val(ActorId(0)), Loc(0))))
+    with pytest.raises(StuckError, match="message is not a function value"):
         step_one(heap)
 
 
@@ -247,7 +274,7 @@ def test_enabled_choices_sorted_and_total():
         SchedulerChoice(1, "step"),
         SchedulerChoice(3, "step"),
     ]
-    assert not quiescent(heap)
+    assert enabled_choices(heap)
 
 
 def test_pop_requires_idle_actor():
@@ -287,7 +314,7 @@ def test_run_trace_rules_and_indices():
         "mutate",
     ]
     assert [ev.step_index for ev in trace] == list(range(6))
-    assert quiescent(heap)
+    assert not enabled_choices(heap)
     assert trace[-1].touched_loc == heap.actors[1].this_loc
 
 
@@ -318,13 +345,13 @@ def test_fuel_exhaustion_keeps_partial_trace():
     with pytest.raises(FuelExhaustedError) as exc:
         run_to_quiescence(initial_heap(e), fuel=2)
     assert len(exc.value.trace) == 2
-    assert not quiescent(exc.value.heap)
+    assert enabled_choices(exc.value.heap)
 
 
 def test_exact_fuel_is_enough():
     e = compile_program("val a = new c; a ! \\x:p. x.mutate()")
     heap, trace = run_to_quiescence(initial_heap(e), fuel=6)
-    assert len(trace) == 6 and quiescent(heap)
+    assert len(trace) == 6 and not enabled_choices(heap)
 
 
 def test_events_jsonl_shape():

@@ -33,6 +33,7 @@ from bestow.syntax import (
     Arrow,
     Bestow,
     Bestowed,
+    Expr,
     Lambda,
     Loc,
     Mutate,
@@ -45,7 +46,7 @@ from bestow.syntax import (
     Val,
     Var,
 )
-from bestow.typecheck import TypeEnv, type_of
+from bestow.typecheck import type_of
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +176,18 @@ def test_parse_error_reports_position():
 # --------------------------------------------------------------------------
 
 
+def elab(src: str, **types: str) -> Expr:
+    """``src`` desugared with each keyword's name bound at the type it
+    spells: each is the parameter of an enclosing lambda, stripped off
+    again once the whole program is desugared."""
+    for name, t in reversed(types.items()):
+        src = f"\\{name}:{t}. {{ {src} }}"
+    core = compile_program(src)
+    for _ in types:
+        core = core.value.body
+    return core
+
+
 def test_empty_program_is_unit():
     assert compile_program("") == Val(UnitVal())
 
@@ -206,35 +219,28 @@ def test_trailing_val_still_evaluates():
 
 
 def test_literal_lambda_message_is_sent_as_is():
-    env = TypeEnv.of(a=ActorType())
-    core = desugar(parse_program(r"a ! \x:p. x.mutate()"), env)
+    core = elab(r"a ! \x:p. x.mutate()", a="c")
     assert core == Send(
         Var("a"), Lambda("x", Passive(), Mutate(Var("x")))
     )
 
 
 def test_non_lambda_message_is_eta_expanded():
-    env = TypeEnv.of(a=ActorType(), f=Arrow(Passive(), UnitType()))
-    core = desugar(parse_program("a ! f"), env)
+    core = elab("a ! f", a="c", f="p -> Unit")
     assert core == Send(
         Var("a"), Lambda("z", Passive(), App(Var("f"), Var("z")))
     )
 
 
 def test_eta_expansion_avoids_capture():
-    env = TypeEnv.of(a=ActorType(), z=Arrow(Passive(), UnitType()))
-    core = desugar(parse_program("a ! z"), env)
+    core = elab("a ! z", a="c", z="p -> Unit")
     msg = core.msg
     assert msg.param != "z"
     assert msg.body == App(Var("z"), Var(msg.param))
 
 
 def test_atomic_desugars_to_single_send():
-    env = TypeEnv.of(b=Bestowed())
-    core = desugar(
-        parse_program(r"atomic y <- b { y ! \x:p. x.mutate(); y ! \x:p. () }"),
-        env,
-    )
+    core = elab(r"atomic y <- b { y ! \x:p. x.mutate(); y ! \x:p. () }", b="B(p)")
     assert core == Send(
         Var("b"),
         Lambda(
@@ -258,8 +264,7 @@ def test_atomic_desugars_to_single_send():
 
 
 def test_atomic_single_statement():
-    env = TypeEnv.of(a=ActorType())
-    core = desugar(parse_program(r"atomic y <- a { y ! \x:p. () }"), env)
+    core = elab(r"atomic y <- a { y ! \x:p. () }", a="c")
     assert core == Send(
         Var("a"),
         Lambda(
@@ -285,7 +290,6 @@ def test_atomic_whole_program_typechecks_and_runs():
 
 
 def test_nested_atomic_rejected():
-    env = TypeEnv.of(a=ActorType(), b=Bestowed())
     for src in [
         "atomic y <- a { y ! atomic z <- b { z ! m } }",
         # a statement that is an atomic block, using the alias or not
@@ -293,7 +297,7 @@ def test_nested_atomic_rejected():
         "atomic y <- a { atomic z <- b { z ! m } }",
     ]:
         with pytest.raises(DesugarError) as exc:
-            desugar(parse_program(src), env)
+            elab(src, a="c", b="B(p)")
         assert exc.value.code == "nested-atomic"
 
 
@@ -304,9 +308,8 @@ def test_atomic_target_must_be_a_name():
 
 
 def test_atomic_target_must_be_active():
-    env = TypeEnv.of(x=Passive())
     with pytest.raises(DesugarError) as exc:
-        desugar(parse_program("atomic y <- x { y ! m }"), env)
+        elab("atomic y <- x { y ! m }", x="p")
     assert exc.value.code == "non-active-target"
     assert "found p" in str(exc.value)
 
@@ -329,33 +332,26 @@ def test_atomic_batch_size_cap():
 
 def test_atomic_statements_must_send_to_alias():
     with pytest.raises(DesugarError) as exc:
-        desugar(
-            parse_program("atomic y <- a { new p }"), TypeEnv.of(a=ActorType())
-        )
+        elab("atomic y <- a { new p }", a="c")
     assert exc.value.code == "batch-shape"
 
     with pytest.raises(DesugarError) as exc:
-        desugar(
-            parse_program(r"atomic y <- a { a ! \x:p. () }"),
-            TypeEnv.of(a=ActorType()),
-        )
+        elab(r"atomic y <- a { a ! \x:p. () }", a="c")
     assert exc.value.code == "batch-shape"
 
 
 def test_atomic_alias_only_as_send_target():
-    env = TypeEnv.of(a=ActorType())
     with pytest.raises(DesugarError) as exc:
-        desugar(parse_program("atomic y <- a { y.mutate() }"), env)
+        elab("atomic y <- a { y.mutate() }", a="c")
     assert exc.value.code == "alias-misuse"
 
     with pytest.raises(DesugarError) as exc:
-        desugar(parse_program(r"atomic y <- a { y ! \x:p. f y }"), env)
+        elab(r"atomic y <- a { y ! \x:p. f y }", a="c")
     assert exc.value.code == "alias-misuse"
 
 
 def test_atomic_alias_may_be_shadowed_inside_message():
-    env = TypeEnv.of(a=ActorType())
-    core = desugar(parse_program(r"atomic y <- a { y ! \y:p. y }"), env)
+    core = elab(r"atomic y <- a { y ! \y:p. y }", a="c")
     assert core.msg.body == App(Val(Lambda("y", Passive(), Var("y"))), Var("y"))
 
 
@@ -372,9 +368,7 @@ def test_untypable_binder_falls_back_to_unit_annotation():
 
 
 def test_format_core_goldens():
-    env = TypeEnv.of(
-        f=Arrow(Passive(), Passive()), a=ActorType(), x=Passive()
-    )
+    env = {"f": "p -> p", "a": "c", "x": "p"}
     cases = [
         "f x x",
         "f (f x)",
@@ -389,18 +383,14 @@ def test_format_core_goldens():
         "()",
     ]
     for src in cases:
-        core = desugar(parse_program(src), env)
+        core = elab(src, **env)
         assert format_core(core) == src
 
 
 def test_format_core_round_trips_through_the_parser():
-    env = TypeEnv.of(
-        f=Arrow(Passive(), Passive()), a=ActorType(), x=Passive()
-    )
-    core = desugar(
-        parse_program(r"a ! \y:p. f (bestow y).mutate(); f x"), env
-    )
-    again = desugar(parse_program(format_core(core)), env)
+    env = {"f": "p -> p", "a": "c", "x": "p"}
+    core = elab(r"a ! \y:p. f (bestow y).mutate(); f x", **env)
+    again = elab(format_core(core), **env)
     assert again == core
 
 
