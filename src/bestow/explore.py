@@ -14,11 +14,12 @@ On the resulting state graph, three checks replay the soundness story:
   touch the same location with their next steps.
 
 Keys, choices and all three checks read the actors' records in the
-space's fact table (see ``wellformed.FactTable``), so each distinct actor
-state is rendered and judged once; the space stores no copy of a state's
-choices or depth.  Each check returns ``None`` on
-success or a counterexample carrying the offending state and a shortest
-trace to it, printed as its schedule.
+space's fact table (see ``wellformed.FactTable``), which interns every actor
+the explorer makes: each actor state has one object, rendered and judged
+once, and a successor is looked up by its actor objects before it is keyed.
+The space stores no copy of a state's choices or depth.  Each check returns
+``None`` on success or a counterexample carrying the offending state and a
+shortest trace to it, printed as its schedule.
 ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
 it counts the maximal paths that split a batch and gives one as a schedule.
 """
@@ -200,19 +201,26 @@ def explore(
     # a pure function of the actor and its id (``bestow`` names the
     # stepper), the choice kind and the fresh-name counters, the queue
     # order being fixed per space; a post is one of the receiver and the
-    # message.  Interleavings that reach one actor state thus share its
-    # object, and its step, record and key fragment are worked out once.
+    # message.  Every actor a miss makes is interned (``FactTable.intern``),
+    # so each actor state has one object however it was reached, and its
+    # step, record and key fragment are worked out once.
     steps: dict[tuple[int, int, str, int, int], tuple[Actor, Effect]] = {}
     posts: dict[tuple[int, int], tuple[Actor, Lambda, Actor]] = {}
+    intern = facts.intern
 
     def post(recv: Actor, msg: Lambda) -> Actor:
         k = (id(recv), id(msg))
         hit = posts.get(k)
         if hit is None:
-            hit = posts[k] = (recv, msg, enqueue(recv, msg))
+            hit = posts[k] = (recv, msg, intern(enqueue(recv, msg)))
         return hit[2]
 
+    for a in heap.actors.values():
+        intern(a)
     init_key = state_key(heap, canonical, facts)
+    # Successors by counters, actor ids and actor objects, to their keys.
+    # The table holds every interned actor, so equal tuples name one heap.
+    seen: dict[tuple[int, ...], str] = {}
     states = {init_key: heap}
     edges: list[Edge] = []
     parents: dict[str, Edge] = {}
@@ -236,11 +244,16 @@ def explore(
             k = (ident, id(a), kind, *counters)
             hit = steps.get(k)
             if hit is None:
-                hit = steps[k] = (a, actor_step(ident, a, kind, *counters, lifo=lifo))
+                e = actor_step(ident, a, kind, *counters, lifo=lifo)
+                spawned = e.spawned and intern(e.spawned)
+                hit = steps[k] = (a, Effect(intern(e.actor), e.rule, e.loc, e.post, spawned))
             eff = hit[1]
             nxt = apply_effect(rep, ident, eff, post)
             event = TraceEvent(d, ident, eff.rule, eff.loc)
-            nxt_key = state_key(nxt, canonical, facts)
+            shape = (nxt.next_loc, nxt.next_id, *nxt.actors, *map(id, nxt.actors.values()))
+            nxt_key = seen.get(shape)
+            if nxt_key is None:
+                nxt_key = seen[shape] = state_key(nxt, canonical, facts)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
@@ -414,13 +427,6 @@ def batch_adjacency(
     kept = sum(paths[k].total() - paths[k][VIOLATED] for k in ends)
     witness = first[split[0], VIOLATED] if split else None
     return BatchAdjacency(kept, sum(paths[k][VIOLATED] for k in split), witness)
-
-
-def find_race(heap: Heap) -> RaceWitness | None:
-    """Race check on a single heap as-is (no exploration, wf not required)."""
-    return check_race_freedom(
-        explore(heap, max_depth=0, canonical=False, require_wf=False)
-    )
 
 
 def check_all(space: StateSpace) -> dict[str, object | None]:

@@ -483,14 +483,12 @@ def render_template(term: Expr | Value) -> tuple[str, list[Value]]:
     return fold(term, leaf, post), names
 
 
-def render_actor(ident: int, a: Actor) -> str:
-    lh = " ".join(str(loc) for loc in sorted(a.local_heap))
-    q = " ".join(render_expr(m) for m in a.queue)
-    return f"(actor {ident} {a.this_loc} (lh {lh}) (q {q}) {render_expr(a.current)})"
-
-
 def render_heap(h: Heap, include_counters: bool = False) -> str:
-    actors = " ".join(render_actor(i, h.actors[i]) for i in sorted(h.actors))
+    actors = " ".join(
+        f"(actor {i} {a.this_loc} (lh {' '.join(map(str, sorted(a.local_heap)))}) "
+        f"(q {' '.join(map(render_expr, a.queue))}) {render_expr(a.current)})"
+        for i, a in sorted(h.actors.items())
+    )
     if include_counters:
         return f"(heap [{h.next_loc} {h.next_id}] {actors})"
     return f"(heap {actors})"

@@ -180,12 +180,14 @@ class FactTable:
     Keyed by object identity; each entry holds its object, so no id is
     reused while the entry lives.  A successor shares most actors and terms
     with its parent, so keys, choices and checks pay only for what a step
-    changed.
+    changed.  ``intern`` gives each actor state one object (its first), so
+    equal actor states made apart share one record too.
     """
 
     def __init__(self) -> None:
         self.terms: dict[int, TermFacts] = {}
         self.actors: dict[int, ActorFacts] = {}
+        self.firsts: dict[str, Actor] = {}
 
     def __call__(self, term: Expr | Value) -> TermFacts:
         f = self.terms.get(id(term))
@@ -198,6 +200,15 @@ class FactTable:
         if f is None:
             f = self.actors[id(a)] = ActorFacts(a, self)
         return f
+
+    def intern(self, a: Actor) -> Actor:
+        """The first actor interned with ``a``'s state (its record's ``text``);
+        only that one keeps a record."""
+        f = self.actors.get(id(a)) or ActorFacts(a, self)
+        first = self.firsts.setdefault(f.text, a)
+        if first is a:
+            self.actors[id(a)] = f
+        return first
 
     def choices(self, heap: Heap) -> list[SchedulerChoice]:
         """``enabled_choices(heap)``, read from the actors' records."""

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from bestow.explore import check_all, explore, find_race, state_key
+from bestow.explore import (
+    RaceWitness,
+    check_all,
+    check_race_freedom,
+    explore,
+    state_key,
+)
 from bestow.gen import generate_well_typed
 from bestow.semantics import initial_heap, run_to_quiescence, step_system
 from bestow.surface import compile_program
@@ -57,6 +63,11 @@ from bestow.runtime import (
 
 # The batching script holds the two programs of section 4 and their check.
 BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
+
+
+def race_in(heap: Heap) -> RaceWitness | None:
+    """The race check on ``heap`` alone: no step taken, wf not required."""
+    return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
 
 
 @pytest.fixture
@@ -157,7 +168,7 @@ def test_acceptance_negative_controls(verdict):
             next_loc=6,
             next_id=2,
         )
-        witness = find_race(racy)
+        witness = race_in(racy)
         assert witness is not None
         assert witness.actors == (0, 1)
         assert witness.loc == 5
@@ -167,7 +178,7 @@ def test_acceptance_negative_controls(verdict):
             compile_program("val a = new c; a ! \\x:p. x.mutate()")
         )
         assert wf_heap(good).ok
-        assert find_race(good) is None
+        assert race_in(good) is None
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from bestow.explore import (
     BatchAdjacency,
+    RaceWitness,
     StateSpace,
     batch_adjacency,
     check_all,
@@ -17,7 +18,6 @@ from bestow.explore import (
     check_progress,
     check_race_freedom,
     explore,
-    find_race,
     state_key,
 )
 from bestow.semantics import SchedulerChoice, initial_heap, step_system
@@ -46,6 +46,11 @@ UNIT = Val(UnitVal())
 
 def space_of(src: str, **kw) -> StateSpace:
     return explore(initial_heap(compile_program(src)), **kw)
+
+
+def race_in(heap: Heap) -> RaceWitness | None:
+    """The race check on ``heap`` alone: no step taken, wf not required."""
+    return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
 
 
 # --- canonicalization -----------------------------------------------------
@@ -326,7 +331,7 @@ def test_race_witness_on_shared_location():
         10,
         10,
     )
-    w = find_race(h)
+    w = race_in(h)
     assert w is not None
     assert w.actors == (0, 1)
     assert w.loc == 5
@@ -341,7 +346,7 @@ def test_no_race_witness_for_disjoint_locations():
         10,
         10,
     )
-    assert find_race(h) is None
+    assert race_in(h) is None
 
 
 def test_race_check_covers_reachable_states():

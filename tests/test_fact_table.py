@@ -18,7 +18,7 @@ from itertools import combinations
 
 import pytest
 
-from bestow.explore import StateSpace, check_preservation, explore, state_key
+from bestow.explore import StateSpace, check_all, check_preservation, explore, state_key
 from bestow.gen import generate_well_typed
 from bestow.semantics import StuckError, initial_heap, step_expr, step_system
 from bestow.surface import compile_program
@@ -339,6 +339,23 @@ def test_every_trace_replays_from_the_initial_heap(programs, canonical, lifo):
     for heap in shapes + programs:
         space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
         assert_traces_replay(heap, space)
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("lifo", [False, True])
+def test_one_record_per_actor_state(programs, canonical, lifo):
+    """Equal actor states reached through different interleavings share one
+    object, the first interned, and so one record."""
+    shapes = [contended(c, s) for c, s in [(2, 2), (3, 2), (2, 4)]]
+    for heap in shapes + programs:
+        space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
+        check_all(space)
+        facts = space.facts
+        texts = [r.text for r in facts.actors.values()]
+        assert len(texts) == len(set(texts))
+        for rep in space.states.values():
+            for a in rep.actors.values():
+                assert facts.firsts[facts.actors[id(a)].text] is a
 
 
 def ill_formed_variants(heap: Heap) -> list[Heap]:
