@@ -4,7 +4,8 @@
 For each seed: generate a program, confirm it typechecks at its declared
 goal type, enumerate every scheduler interleaving, and verify progress,
 preservation and race freedom on all reachable states.  Any failure prints
-the program, the violated property and a shortest counterexample trace.
+the program, the violated property and a shortest counterexample trace; the
+program is printed in surface syntax, so ``bestow explore -`` reads it back.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bestow.explore import check_all, explore
 from bestow.gen import generate_well_typed
 from bestow.semantics import initial_heap
-from bestow.syntax import render_expr
+from bestow.surface import format_core
 from bestow.typecheck import TypeCheckError, type_of
 
 
@@ -46,7 +47,7 @@ def sweep(cfg: SweepConfig, verbose: bool = False) -> int:
             t = type_of(program)
         except TypeCheckError as err:
             print(f"seed {seed}: generated program does not typecheck: {err}")
-            print(f"  program: {render_expr(program)}")
+            print(f"  program: {format_core(program)}")
             failures += 1
             continue
         if t != goal:
@@ -61,13 +62,13 @@ def sweep(cfg: SweepConfig, verbose: bool = False) -> int:
         max_states_seen = max(max_states_seen, len(space.states))
         if space.truncated:
             print(f"seed {seed}: exploration truncated at {len(space.states)} states")
-            print(f"  program: {render_expr(program)}")
+            print(f"  program: {format_core(program)}")
             failures += 1
             continue
         for name, cx in check_all(space).items():
             if cx is not None:
                 print(f"seed {seed}: {name} violated: {cx}")
-                print(f"  program: {render_expr(program)}")
+                print(f"  program: {format_core(program)}")
                 failures += 1
         if verbose and i % 100 == 0:
             print(f"... {i}/{cfg.programs} ({len(space.states)} states for seed {seed})")

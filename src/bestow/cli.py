@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .explore import check_all, explore
+from .explore import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, check_all, explore
 from .semantics import (
     DEFAULT_FUEL,
     FuelExhaustedError,
@@ -30,7 +30,7 @@ from .semantics import (
     run_to_quiescence,
 )
 from .surface import DesugarError, ParseError, compile_program
-from .syntax import Expr, render_expr, render_heap, render_type
+from .syntax import Expr, Type, render_expr, render_heap, render_type
 from .typecheck import TypeCheckError, type_of
 
 
@@ -53,6 +53,17 @@ def _load(path: str) -> Expr:
         raise SystemExit(2) from err
 
 
+def _load_typed(path: str) -> tuple[Expr, Type] | None:
+    """``_load``, then typecheck: the program and its type, or None once
+    the type error is printed (the command then exits 1)."""
+    core = _load(path)
+    try:
+        return core, type_of(core)
+    except TypeCheckError as err:
+        print(f"type error: {err}", file=sys.stderr)
+        return None
+
+
 def count(text: str) -> int:
     """A count option's value: an integer, 0 or more."""
     if int(text) < 0:
@@ -69,13 +80,9 @@ def _write_trace(path: str, text: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    core = _load(args.file)
-    try:
-        t = type_of(core)
-    except TypeCheckError as err:
-        print(f"type error: {err}", file=sys.stderr)
+    if (typed := _load_typed(args.file)) is None:
         return 1
-    print(f"type: {render_type(t)}")
+    print(f"type: {render_type(typed[1])}")
     return 0
 
 
@@ -86,15 +93,11 @@ def _cmd_desugar(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    core = _load(args.file)
-    try:
-        type_of(core)
-    except TypeCheckError as err:
-        print(f"type error: {err}", file=sys.stderr)
+    if (typed := _load_typed(args.file)) is None:
         return 1
     try:
         heap, trace = run_to_quiescence(
-            initial_heap(core),
+            initial_heap(typed[0]),
             seed=args.seed,
             fuel=args.fuel,
             lifo=args.lifo_queue,
@@ -115,14 +118,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    core = _load(args.file)
-    try:
-        type_of(core)
-    except TypeCheckError as err:
-        print(f"type error: {err}", file=sys.stderr)
+    if (typed := _load_typed(args.file)) is None:
         return 1
     space = explore(
-        initial_heap(core),
+        initial_heap(typed[0]),
         max_states=args.bound,
         max_depth=args.depth,
         lifo=args.lifo_queue,
@@ -175,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="enumerate interleavings and verify soundness properties"
     )
     p_explore.add_argument("file", help="source file, or - for stdin")
-    p_explore.add_argument("--bound", type=count, default=50_000,
-                           help="max states to collect (default 50000)")
-    p_explore.add_argument("--depth", type=count, default=64,
-                           help="max steps from the initial state (default 64)")
+    p_explore.add_argument("--bound", type=count, default=DEFAULT_MAX_STATES,
+                           help=f"max states to collect (default {DEFAULT_MAX_STATES})")
+    p_explore.add_argument("--depth", type=count, default=DEFAULT_MAX_DEPTH,
+                           help=f"max steps from the initial state (default {DEFAULT_MAX_DEPTH})")
     p_explore.add_argument("--lifo-queue", action="store_true",
                            help="deliver newest queued message first")
     p_explore.set_defaults(fn=_cmd_explore)

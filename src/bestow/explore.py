@@ -13,11 +13,11 @@ On the resulting state graph, three checks replay the soundness story:
 * ``check_race_freedom`` — no reachable state lets two distinct actors
   touch the same location with their next steps.
 
-Keys, choices and all three checks read the actors' records in the
-space's fact table (see ``wellformed.FactTable``), which interns every actor
-the explorer makes: each actor state has one object, rendered and judged
-once, and a successor is looked up by its actor objects before it is keyed.
-The space stores no copy of a state's choices or depth.  Each check returns
+Keys, choices and all three checks read the records each actor and term
+keeps on itself (see ``wellformed.facts``).  The explorer interns every
+actor it makes: each actor state has one object, rendered and judged once,
+and a successor is looked up by its actor objects before it is keyed.  The
+space stores no copy of a state's choices or depth.  Each check returns
 ``None`` on success or a counterexample carrying the offending state and a
 shortest trace to it, printed as its schedule.
 ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
@@ -39,7 +39,7 @@ from .semantics import (
     apply_effect,
     enqueue,
 )
-from .wellformed import ActorFacts, FactTable, TermFacts, WfReport, wf_heap
+from .wellformed import ActorFacts, TermFacts, WfReport, choices, facts, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -92,7 +92,7 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
     return None if same else new
 
 
-def state_key(heap: Heap, canonical: bool = True, facts: FactTable | None = None) -> str:
+def state_key(heap: Heap, canonical: bool = True) -> str:
     """A hashable identity for a heap, joined from its actors' fragments.
 
     Canonical keys render ``heap`` renamed by ``_renaming``: they quotient
@@ -102,8 +102,7 @@ def state_key(heap: Heap, canonical: bool = True, facts: FactTable | None = None
     test needs to follow one actor across states).  When no number changes,
     the key joins the cached fragments as they are.
     """
-    facts = FactTable() if facts is None else facts
-    actors = {i: facts.actor(a) for i, a in heap.actors.items()}
+    actors = {i: facts(a) for i, a in heap.actors.items()}
     new = _renaming(actors) if canonical else None
     if new is None:
         parts = [f"(actor {i} {actors[i].text}" for i in sorted(actors)]
@@ -120,7 +119,7 @@ def state_key(heap: Heap, canonical: bool = True, facts: FactTable | None = None
             lh = " ".join(map(str, sorted(map(number, r.lh))))
             q = " ".join(map(text, queue))
             parts.append(
-                f"(actor {new[~ident]} {new[r.actor.this_loc]} (lh {lh}) (q {q}) "
+                f"(actor {new[~ident]} {new[heap.actors[ident].this_loc]} (lh {lh}) (q {q}) "
                 f"{text(current)})"
             )
     head = "(heap " if canonical else f"(heap [{heap.next_loc} {heap.next_id}] "
@@ -149,9 +148,6 @@ class StateSpace:
     truncated: bool
     canonical: bool
     lifo: bool
-    # The per-term and per-actor facts of every state, shared by keys,
-    # choices and checks.
-    facts: FactTable
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
 
     def successors(self, key: str) -> list[Edge]:
@@ -171,7 +167,7 @@ class StateSpace:
         return path
 
     def terminal_states(self) -> list[str]:
-        return [k for k, rep in self.states.items() if not self.facts.choices(rep)]
+        return [k for k, rep in self.states.items() if not choices(rep)]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -193,20 +189,23 @@ def explore(
     whether any frontier was cut off.  The initial heap must be well-formed
     (disable with ``require_wf`` for deliberately broken inputs).
     """
-    facts = FactTable()
-    if require_wf and not (report := wf_heap(heap, facts)).ok:
+    if require_wf and not (report := wf_heap(heap)).ok:
         raise ValueError(f"heap is not well-formed:\n{report}")
     # Memoized transitions, keyed by object identity; each entry holds the
     # objects its key names, so no id is reused while it lives.  A step is
     # a pure function of the actor and its id (``bestow`` names the
     # stepper), the choice kind and the fresh-name counters, the queue
     # order being fixed per space; a post is one of the receiver and the
-    # message.  Every actor a miss makes is interned (``FactTable.intern``),
-    # so each actor state has one object however it was reached, and its
-    # step, record and key fragment are worked out once.
+    # message.  Every actor a miss makes is interned: ``firsts`` maps each
+    # actor state's key fragment to the first object with it, so each actor
+    # state has one object however it was reached, and its step, record
+    # and key fragment are worked out once.
     steps: dict[tuple[int, int, str, int, int], tuple[Actor, Effect]] = {}
     posts: dict[tuple[int, int], tuple[Actor, Lambda, Actor]] = {}
-    intern = facts.intern
+    firsts: dict[str, Actor] = {}
+
+    def intern(a: Actor) -> Actor:
+        return firsts.setdefault(facts(a).text, a)
 
     def post(recv: Actor, msg: Lambda) -> Actor:
         k = (id(recv), id(msg))
@@ -217,9 +216,10 @@ def explore(
 
     for a in heap.actors.values():
         intern(a)
-    init_key = state_key(heap, canonical, facts)
+    init_key = state_key(heap, canonical)
     # Successors by counters, actor ids and actor objects, to their keys.
-    # The table holds every interned actor, so equal tuples name one heap.
+    # ``firsts`` holds every interned actor, so no id in a tuple is reused
+    # and equal tuples name one heap.
     seen: dict[tuple[int, ...], str] = {}
     states = {init_key: heap}
     edges: list[Edge] = []
@@ -231,14 +231,14 @@ def explore(
     while frontier:
         key, d = frontier.popleft()
         rep = states[key]
-        choices = facts.choices(rep)
-        if not choices:
+        enabled = choices(rep)
+        if not enabled:
             continue
         if d >= max_depth:
             truncated = True
             continue
         counters = rep.next_loc, rep.next_id
-        for choice in choices:
+        for choice in enabled:
             ident, kind = choice.actor, choice.kind
             a = rep.actors[ident]
             k = (ident, id(a), kind, *counters)
@@ -253,7 +253,7 @@ def explore(
             shape = (nxt.next_loc, nxt.next_id, *nxt.actors, *map(id, nxt.actors.values()))
             nxt_key = seen.get(shape)
             if nxt_key is None:
-                nxt_key = seen[shape] = state_key(nxt, canonical, facts)
+                nxt_key = seen[shape] = state_key(nxt, canonical)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
@@ -274,7 +274,6 @@ def explore(
         truncated=truncated,
         canonical=canonical,
         lifo=lifo,
-        facts=facts,
     )
 
 
@@ -341,10 +340,9 @@ def check_progress(space: StateSpace) -> ProgressFailure | None:
     produce a false positive: an unexpanded frontier state's actors have
     records too.
     """
-    actor = space.facts.actor
     for key, rep in space.states.items():
         if any(
-            not is_value(a.current) and actor(a).kind != "step"
+            not is_value(a.current) and facts(a).kind != "step"
             for a in rep.actors.values()
         ):
             return ProgressFailure(key, rep, tuple(space.trace_to(key)))
@@ -354,7 +352,7 @@ def check_progress(space: StateSpace) -> ProgressFailure | None:
 def check_preservation(space: StateSpace) -> PreservationFailure | None:
     """First reachable ill-formed state, or None."""
     for key, rep in space.states.items():
-        report = wf_heap(rep, space.facts)
+        report = wf_heap(rep)
         if not report.ok:
             return PreservationFailure(key, rep, report, tuple(space.trace_to(key)))
     return None
@@ -362,12 +360,11 @@ def check_preservation(space: StateSpace) -> PreservationFailure | None:
 
 def check_race_freedom(space: StateSpace) -> RaceWitness | None:
     """First state where two actors' next steps touch the same location."""
-    actor = space.facts.actor
     for key, rep in space.states.items():
         touching = [
             (i, loc)
             for i in sorted(rep.actors)
-            if (loc := actor(rep.actors[i]).touches) is not None
+            if (loc := facts(rep.actors[i]).touches) is not None
         ]
         for i, (a, loc) in enumerate(touching):
             for b, other in touching[i + 1 :]:

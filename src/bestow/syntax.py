@@ -334,25 +334,6 @@ def subst(term: Term, name: str, v: Value | Var) -> Term:
 # --------------------------------------------------------------------------
 
 
-def iter_values(term: Expr | Value) -> Iterator[Value]:
-    """All value nodes in ``term``, descending into lambda bodies and messages."""
-    return (n for n in walk(term) if isinstance(n, Value))
-
-
-def map_values(term: Term, f: Callable[[Value], Value]) -> Term:
-    """Rewrite every leaf value in ``term`` with ``f``, descending into lambdas.
-
-    ``f`` is applied to non-lambda values only (locations, actor ids,
-    bestowed locations, unit); lambdas are rebuilt around their rewritten
-    bodies.  Used for renaming runtime names, which never touches binders.
-    """
-
-    def leaf(n: Expr | Value) -> Expr | Value:
-        return f(n) if isinstance(n, Value) else n
-
-    return fold(term, leaf, rebuild)
-
-
 def contains_loc(e: Expr) -> bool:
     """True iff a bare location occurs anywhere in ``e``.
 
@@ -393,9 +374,6 @@ class Heap:
     actors: dict[int, Actor]
     next_loc: int = 0
     next_id: int = 0
-
-    def with_actor(self, ident: int, actor: Actor) -> Heap:
-        return Heap({**self.actors, ident: actor}, self.next_loc, self.next_id)
 
 
 # --------------------------------------------------------------------------

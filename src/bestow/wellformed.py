@@ -8,9 +8,10 @@ allocated, every bestowed reference points into its owner's local heap, its
 current expression is typable, and every queued message is a deliverable
 function over the passive type.
 
-A ``FactTable`` keeps one record per distinct term and per distinct actor
-state.  An actor's record judges the clauses that read only that actor once
-(``ActorFacts.wf``); the two that read other actors (allocated ids, bestowed
+Each term and each actor keeps its facts on itself (``facts``): a record
+is worked out once per object and lives as long as the object does.  An
+actor's own clauses, those that read only that actor, are judged once per
+actor object too; the two that read other actors (allocated ids, bestowed
 owners) and disjointness are judged by ``wf_heap`` against each heap.
 
 Queued messages are checked as plain functions (not with the stricter rule
@@ -21,8 +22,8 @@ the owner's bare location, which is fine once it sits in the owner's queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, combinations
+from typing import Any, Callable, TypeVar
 
 from .syntax import (
     Actor,
@@ -66,11 +67,37 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-class _cached(cached_property):
-    """``cached_property`` minus the lock Python 3.11 takes on first reads."""
+T = TypeVar("T")
 
-    def __get__(self, obj: object, cls: type | None = None) -> object:
-        return obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+def _memo(obj: Any, name: str, make: Callable[[Any], T]) -> T:
+    """``make(obj)``, worked out once and kept on ``obj`` as attribute ``name``.
+
+    ``obj`` is a frozen dataclass instance, whose equality, hash and repr
+    read only its fields, so the value changes none of them and goes when
+    ``obj`` goes.  ``make`` is handed ``obj`` and must not keep it: a value
+    that pointed back at ``obj`` would form a reference cycle, which only
+    the cyclic garbage collector frees.
+    """
+    d = obj.__dict__
+    if name not in d:
+        d[name] = make(obj)
+    return d[name]
+
+
+def facts(x: Actor | Expr | Value) -> ActorFacts | TermFacts:
+    """The record of an actor state (``ActorFacts``) or of a term
+    (``TermFacts``), worked out once per object."""
+    return _memo(x, "_facts", ActorFacts if type(x) is Actor else TermFacts)
+
+
+def _type_error(term: Expr | Value) -> str | None:
+    """Why ``term`` does not typecheck in the empty environment, or None."""
+    try:
+        (check_value if isinstance(term, Value) else check)(TypeEnv(), term)
+    except TypeCheckError as err:
+        return err.message
+    return None
 
 
 class TermFacts:
@@ -80,12 +107,10 @@ class TermFacts:
     ``l`` as ``l`` and actor id ``i`` as ``~i``, so one map renames both;
     ``template`` renders it renamed (see ``render_template``), ``text`` as
     it is.  ``locs``, ``ids`` and ``bestowed`` list, sorted, its bare
-    locations, actor ids and bestowed ``(loc, owner)`` pairs; ``error``
-    says why it does not typecheck in the empty environment, or is None.
+    locations, actor ids and bestowed ``(loc, owner)`` pairs.
     """
 
     def __init__(self, term: Expr | Value) -> None:
-        self.term = term
         self.template, names = render_template(term)
         self.slots = tuple(k for n in names for k in _codes(n))
         self.text = self.template % tuple(k if k >= 0 else ~k for k in self.slots)
@@ -94,14 +119,6 @@ class TermFacts:
         self.bestowed = tuple(
             sorted({(n.loc, n.owner) for n in names if type(n) is BestowedLoc})
         )
-
-    @_cached
-    def error(self) -> str | None:
-        try:
-            (check_value if isinstance(self.term, Value) else check)(TypeEnv(), self.term)
-        except TypeCheckError as err:
-            return err.message
-        return None
 
 
 def _codes(n: Value) -> tuple[int, ...]:
@@ -122,8 +139,7 @@ class ActorFacts:
     and ``touches`` the location that step would touch (see ``poised``).
     """
 
-    def __init__(self, a: Actor, facts: FactTable) -> None:
-        self.actor = a
+    def __init__(self, a: Actor) -> None:
         self.terms = (facts(a.current), *map(facts, a.queue))
         self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
         self.lh = tuple(sorted(a.local_heap))
@@ -133,91 +149,54 @@ class ActorFacts:
         self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
         self.kind, self.touches = poised(a)
 
-    @_cached
-    def wf(self) -> tuple[tuple[str, str, str | tuple], ...]:
-        """Its wf clauses in report order, as ``(rule, suffix, detail)``;
-        the subject is ``actor i`` and then ``suffix``.
 
-        A clause that reads only this actor is judged here: ``detail`` is
-        the violation's text.  One that reads other actors stays pending as
-        ``(where, owner, loc)``, judged by ``wf_heap`` against each heap:
-        ``owner`` must be allocated and, unless ``loc`` is None, own it.
-        """
-        a = self.actor
-        out: list[tuple[str, str, str | tuple]] = []
-
-        def bad(detail: str | tuple) -> None:
-            out.append(("wf-actor", "", detail))
-
-        if a.this_loc not in a.local_heap:
-            bad(f"its own location {a.this_loc} is not in its local heap")
-        wheres = ["current expression", *(f"queue[{i}]" for i in range(len(a.queue)))]
-        for where, f in zip(wheres, self.terms):
-            for loc in f.locs:
-                if loc not in a.local_heap:
-                    bad(f"{where} mentions location {loc} outside its local heap")
-            for other in f.ids:
-                bad((where, other, None))
-            for loc, owner in f.bestowed:
-                bad((where, owner, loc))
-        if self.terms[0].error is not None:
-            bad(f"current expression does not typecheck: {self.terms[0].error}")
-        for pos, (msg, f) in enumerate(zip(a.queue, self.terms[1:])):
-            if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
-                detail = f"message {f.text} is not a function over p"
-            elif f.error is not None:
-                detail = f"message does not typecheck: {f.error}"
-            else:
-                continue
-            out.append(("wf-queue-message", f", queue[{pos}]", detail))
-        return tuple(out)
+def choices(heap: Heap) -> list[SchedulerChoice]:
+    """``enabled_choices(heap)``, read from the actors' records."""
+    kinds = ((i, facts(heap.actors[i]).kind) for i in sorted(heap.actors))
+    return [SchedulerChoice(i, kind) for i, kind in kinds if kind is not None]
 
 
-class FactTable:
-    """Each distinct term's and actor state's facts, worked out once; call
-    it on a term, or ``actor`` on an actor.
+def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:
+    """``a``'s wf clauses in report order, as ``(rule, suffix, detail)``;
+    the subject is ``actor i`` and then ``suffix``.
 
-    Keyed by object identity; each entry holds its object, so no id is
-    reused while the entry lives.  A successor shares most actors and terms
-    with its parent, so keys, choices and checks pay only for what a step
-    changed.  ``intern`` gives each actor state one object (its first), so
-    equal actor states made apart share one record too.
+    A clause that reads only ``a`` is judged here: ``detail`` is the
+    violation's text.  One that reads other actors stays pending as
+    ``(where, owner, loc)``, judged by ``wf_heap`` against each heap:
+    ``owner`` must be allocated and, unless ``loc`` is None, own it.
     """
+    terms = facts(a).terms
+    out: list[tuple[str, str, str | tuple]] = []
 
-    def __init__(self) -> None:
-        self.terms: dict[int, TermFacts] = {}
-        self.actors: dict[int, ActorFacts] = {}
-        self.firsts: dict[str, Actor] = {}
+    def bad(detail: str | tuple) -> None:
+        out.append(("wf-actor", "", detail))
 
-    def __call__(self, term: Expr | Value) -> TermFacts:
-        f = self.terms.get(id(term))
-        if f is None:
-            f = self.terms[id(term)] = TermFacts(term)
-        return f
-
-    def actor(self, a: Actor) -> ActorFacts:
-        f = self.actors.get(id(a))
-        if f is None:
-            f = self.actors[id(a)] = ActorFacts(a, self)
-        return f
-
-    def intern(self, a: Actor) -> Actor:
-        """The first actor interned with ``a``'s state (its record's ``text``);
-        only that one keeps a record."""
-        f = self.actors.get(id(a)) or ActorFacts(a, self)
-        first = self.firsts.setdefault(f.text, a)
-        if first is a:
-            self.actors[id(a)] = f
-        return first
-
-    def choices(self, heap: Heap) -> list[SchedulerChoice]:
-        """``enabled_choices(heap)``, read from the actors' records."""
-        kinds = ((i, self.actor(heap.actors[i]).kind) for i in sorted(heap.actors))
-        return [SchedulerChoice(i, kind) for i, kind in kinds if kind is not None]
+    if a.this_loc not in a.local_heap:
+        bad(f"its own location {a.this_loc} is not in its local heap")
+    wheres = ["current expression", *(f"queue[{i}]" for i in range(len(a.queue)))]
+    for where, f in zip(wheres, terms):
+        for loc in f.locs:
+            if loc not in a.local_heap:
+                bad(f"{where} mentions location {loc} outside its local heap")
+        for other in f.ids:
+            bad((where, other, None))
+        for loc, owner in f.bestowed:
+            bad((where, owner, loc))
+    if (error := _memo(a.current, "_error", _type_error)) is not None:
+        bad(f"current expression does not typecheck: {error}")
+    for pos, (msg, f) in enumerate(zip(a.queue, terms[1:])):
+        if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
+            detail = f"message {f.text} is not a function over p"
+        elif (error := _memo(msg, "_error", _type_error)) is not None:
+            detail = f"message does not typecheck: {error}"
+        else:
+            continue
+        out.append(("wf-queue-message", f", queue[{pos}]", detail))
+    return tuple(out)
 
 
 def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
-    """A pending clause's violation in ``heap`` (see ``ActorFacts.wf``), or None."""
+    """A pending clause's violation in ``heap`` (see ``_own_clauses``), or None."""
     if loc is None:
         if owner not in heap.actors:
             return f"{where} mentions unallocated actor id {owner}"
@@ -231,14 +210,12 @@ def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
     return None
 
 
-def wf_heap(heap: Heap, facts: FactTable | None = None) -> WfReport:
+def wf_heap(heap: Heap) -> WfReport:
     """Check the whole system; returns a report listing all violations.
 
-    Local heaps must be disjoint, and each actor's record (see
-    ``ActorFacts.wf``) must hold in ``heap``.  Heaps checked with one fact
-    table judge each actor state's own clauses once.
+    Local heaps must be disjoint, and each actor's clauses (see
+    ``_own_clauses``, judged once per actor object) must hold in ``heap``.
     """
-    facts = FactTable() if facts is None else facts
     out: list[WfViolation] = []
     for a, b in combinations(sorted(heap.actors), 2):
         shared = heap.actors[a].local_heap & heap.actors[b].local_heap
@@ -246,16 +223,10 @@ def wf_heap(heap: Heap, facts: FactTable | None = None) -> WfReport:
             detail = f"local heaps overlap on location(s) {sorted(shared)}"
             out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
     for ident in sorted(heap.actors):
-        for rule, suffix, detail in facts.actor(heap.actors[ident]).wf:
+        for rule, suffix, detail in _memo(heap.actors[ident], "_wf", _own_clauses):
             if type(detail) is tuple:
                 detail = _judge(heap, *detail)
                 if detail is None:
                     continue
             out.append(WfViolation(rule, f"actor {ident}{suffix}", detail))
     return WfReport(tuple(out))
-
-
-def assert_wf(heap: Heap) -> None:
-    report = wf_heap(heap)
-    if not report.ok:
-        raise ValueError(f"heap is not well-formed:\n{report}")

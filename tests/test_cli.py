@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -234,3 +235,32 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_sweep_prints_failing_programs_the_cli_reads(monkeypatch, capsys):
+    """The soundness sweep prints a failing program in surface syntax:
+    ``bestow explore -`` reads it back (exit 0 or 1, never 2)."""
+    script = runpy.run_path(str(Path(__file__).parent.parent / "scripts/soundness_sweep.py"))
+    check_all = script["check_all"]
+    failed = []
+
+    def one_failure(space):
+        results = check_all(space)
+        if not failed:
+            results["race-freedom"] = "injected"
+            failed.append(space)
+        return results
+
+    sweep = script["sweep"]
+    monkeypatch.setitem(sweep.__globals__, "check_all", one_failure)
+    assert sweep(script["SweepConfig"](programs=4, first_seed=8)) == 1
+    out = capsys.readouterr().out
+    assert "seed 8: race-freedom violated: injected" in out
+    printed = [line for line in out.splitlines() if line.startswith("  program: ")]
+    assert len(printed) == 1
+    monkeypatch.setattr("sys.stdin", _stdin(printed[0].removeprefix("  program: ").encode()))
+    try:
+        code = main(["explore", "-"])
+    except SystemExit as exit:
+        code = exit.code
+    assert code in (0, 1), capsys.readouterr().err

@@ -1,17 +1,19 @@
-"""The fact table against the walks it replaced.
+"""Per-object facts against the walks they replaced.
 
-Keys and well-formedness reports built from cached term and actor records
-must equal what a fresh walk of each heap gives.  The references below
+Keys and well-formedness reports built from the records each term and
+actor keeps on itself must equal what a fresh walk of each heap gives.  The references below
 walk every term: a canonical renaming, whose result keys are compared
 with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
 Each actor record's choice and footprint must agree with the step that
-``step_expr`` takes, or fails to take.
+``step_expr`` takes, or fails to take.  A record changes nothing its
+object shows and keeps no reference to it.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 from collections import deque
 from dataclasses import replace
 from itertools import combinations
@@ -40,13 +42,14 @@ from bestow.syntax import (
     Val,
     Value,
     Var,
-    map_values,
+    fold,
+    rebuild,
     render_expr,
     render_heap,
     walk,
 )
 from bestow.typecheck import TypeCheckError, TypeEnv, check, check_value
-from bestow.wellformed import FactTable, WfReport, WfViolation, wf_heap
+from bestow.wellformed import WfReport, WfViolation, choices, facts, wf_heap
 
 
 def reference_canonicalize(heap: Heap) -> Heap:
@@ -102,8 +105,8 @@ def reference_canonicalize(heap: Heap) -> Heap:
         id_map[ident]: Actor(
             this_loc=loc_map[a.this_loc],
             local_heap=frozenset(loc_map[loc] for loc in a.local_heap),
-            queue=tuple(map_values(m, rewrite) for m in a.queue),
-            current=map_values(a.current, rewrite),
+            queue=tuple(fold(m, rewrite, rebuild) for m in a.queue),
+            current=fold(a.current, rewrite, rebuild),
         )
         for ident, a in heap.actors.items()
     }
@@ -265,15 +268,13 @@ CONTEXTS = [
 ]
 
 
-def record_agrees(
-    facts: FactTable, ident: int, a: Actor, counters: tuple[int, int]
-) -> str | None:
+def record_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None:
     """Check ``a``'s record against stepping ``a``; the rule that fired, if any.
 
     The record (``semantics.poised``) enables a step exactly when
     ``step_expr`` returns, and its footprint is the location a ``mutate``
     or ``bestow`` step reports."""
-    r = facts.actor(a)
+    r = facts(a)
     try:
         eff = step_expr(ident, a, *counters)
     except StuckError:
@@ -291,7 +292,7 @@ def test_poised_agrees_with_step_expr(programs):
         for rep in space.states.values():
             for ident, a in rep.actors.items():
                 counters = rep.next_loc, rep.next_id
-                fired.add(record_agrees(space.facts, ident, a, counters))
+                fired.add(record_agrees(ident, a, counters))
     # Every redex shape was reached, so a shape missing from either match shows.
     assert fired == {
         None,
@@ -303,11 +304,10 @@ def test_poised_agrees_with_step_expr(programs):
         "new-passive",
         "new-actor",
     }
-    facts = FactTable()
     for e in STUCK:
         for ctx in CONTEXTS:
             stuck = Actor(0, frozenset({0}), (), ctx(e))
-            assert record_agrees(facts, 0, stuck, (1, 1)) is None
+            assert record_agrees(0, stuck, (1, 1)) is None
 
 
 def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
@@ -321,7 +321,7 @@ def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     for key, stored in space.states.items():
         if key != space.initial:
             edge = space.parents[key]
-            assert edge.choice in space.facts.choices(space.states[edge.src])
+            assert edge.choice in choices(space.states[edge.src])
             replayed[key], event = step_system(
                 replayed[edge.src],
                 edge.choice,
@@ -345,17 +345,16 @@ def test_every_trace_replays_from_the_initial_heap(programs, canonical, lifo):
 @pytest.mark.parametrize("lifo", [False, True])
 def test_one_record_per_actor_state(programs, canonical, lifo):
     """Equal actor states reached through different interleavings share one
-    object, the first interned, and so one record."""
+    object, and so one record: across a space's stored states, each actor
+    text has one object."""
     shapes = [contended(c, s) for c, s in [(2, 2), (3, 2), (2, 4)]]
     for heap in shapes + programs:
         space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
         check_all(space)
-        facts = space.facts
-        texts = [r.text for r in facts.actors.values()]
-        assert len(texts) == len(set(texts))
+        firsts: dict[str, Actor] = {}
         for rep in space.states.values():
             for a in rep.actors.values():
-                assert facts.firsts[facts.actors[id(a)].text] is a
+                assert firsts.setdefault(facts(a).text, a) is a
 
 
 def ill_formed_variants(heap: Heap) -> list[Heap]:
@@ -376,11 +375,12 @@ def ill_formed_variants(heap: Heap) -> list[Heap]:
             if i != j:
                 foreign = Lambda("z", Passive(), Mutate(Val(Loc(b.this_loc))))
                 queued = replace(a, queue=a.queue + (foreign,))
-                out.append(heap.with_actor(i, queued))
+                out.append(Heap({**heap.actors, i: queued}, heap.next_loc, heap.next_id))
     return out
 
 
 def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(programs):
+    """Variants reuse term objects, and their records, from explored states."""
     spaces = [explore(contended(2, 2))] + [explore(h) for h in programs[:60]]
     ill = 0
     for space in spaces:
@@ -390,8 +390,8 @@ def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(progra
             for n, v in enumerate(ill_formed_variants(rep))
         }
         for v in variants.values():
-            report = wf_heap(v, space.facts)
-            assert report == wf_heap(v) == reference_wf_heap(v)
+            report = wf_heap(v)
+            assert report == reference_wf_heap(v)
             ill += not report.ok
         broken = replace(space, states=variants, parents={}, initial=next(iter(variants)))
         failure = check_preservation(broken)
@@ -402,7 +402,6 @@ def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(progra
 
 def test_two_explorations_in_a_row_do_not_share_facts():
     first, second = explore(contended(2, 2)), explore(contended(3, 1))
-    assert first.facts is not second.facts
     del first, second
     gc.collect()  # the ids of their terms are now free for reuse
     for clients, sends in [(3, 1), (2, 2)]:
@@ -410,10 +409,9 @@ def test_two_explorations_in_a_row_do_not_share_facts():
 
 
 def test_a_shared_record_caches_no_cross_actor_verdict():
-    """Heaps that share one holder object, checked with one table, are
-    judged each against its own other actors."""
+    """Heaps that share one holder object, and so its record, are judged
+    each against its own other actors."""
     owner = Actor(1, frozenset({1, 5}), (), Val(UnitVal()))
-    facts = FactTable()
     cases = [
         (
             Val(BestowedLoc(5, 1)),
@@ -433,8 +431,39 @@ def test_a_shared_record_caches_no_cross_actor_verdict():
         good = Heap({0: holder, 1: owner}, 6, 2)
         bad = Heap({0: holder} if other is None else {0: holder, 1: other}, 6, 2)
         for heap in (good, bad, good):
-            assert wf_heap(heap, facts) == wf_heap(heap) == reference_wf_heap(heap)
-        assert wf_heap(good, facts).ok
-        assert wf_heap(bad, facts).violations == (
+            assert wf_heap(heap) == reference_wf_heap(heap)
+        assert wf_heap(good).ok
+        assert wf_heap(bad).violations == (
             WfViolation("wf-actor", "actor 0", detail),
         )
+
+
+def objects_of(heap: Heap) -> list[Actor | Expr | Value]:
+    """``heap``'s actors, then every node of their terms."""
+    terms = [t for a in heap.actors.values() for t in (a.current, *a.queue)]
+    return [*heap.actors.values(), *(n for t in terms for n in walk(t))]
+
+
+def test_a_record_changes_no_equality_hash_or_repr():
+    heap, twin = contended(2, 2), contended(2, 2)
+    objs = objects_of(heap)
+    before = [(hash(o), repr(o)) for o in objs]
+    assert wf_heap(heap).ok
+    for o, (h, r), t in zip(objs, before, objects_of(twin)):
+        assert o == t and hash(o) == h == hash(t) and repr(o) == r == repr(t)
+        assert facts(o) is facts(o) is not facts(t)
+
+
+def test_explored_objects_die_with_the_last_reference():
+    """No record points back at its object, so once an explored space is
+    dropped its actors and terms are freed without the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        space = explore(contended(2, 2))
+        check_all(space)
+        refs = [weakref.ref(o) for rep in space.states.values() for o in objects_of(rep)]
+        del space
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()

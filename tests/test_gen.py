@@ -19,7 +19,7 @@ from bestow.syntax import (
     UnitType,
     Val,
     free_vars,
-    iter_values,
+    walk,
 )
 from bestow.typecheck import type_of
 
@@ -82,7 +82,7 @@ def test_generated_has_no_runtime_values(seed):
     from bestow.syntax import ActorId, BestowedLoc, Loc
 
     program, _ = generate_well_typed(seed)
-    for v in iter_values(program):
+    for v in walk(program):
         assert not isinstance(v, (Loc, ActorId, BestowedLoc))
 
 

@@ -28,12 +28,13 @@ from bestow.syntax import (
     UnitVal,
     Val,
     Var,
+    fold,
     free_vars,
-    iter_values,
-    map_values,
+    rebuild,
     render_expr,
     render_heap,
     subst,
+    walk,
 )
 from bestow.typecheck import TypeCheckError, type_of
 from bestow.wellformed import wf_heap
@@ -69,15 +70,15 @@ def test_subst_on_long_chain(chain):
     assert subst(chain, "nonexistent", UnitVal()) is chain
 
 
-def test_map_values_on_long_chain(chain):
-    assert map_values(chain, lambda v: v) is chain
+def test_fold_rebuild_on_long_chain(chain):
+    assert fold(chain, lambda v: v, rebuild) is chain
     closed = subst(val_chain(LINKS, tail="y"), "y", Loc(7))
-    out = map_values(closed, lambda v: Loc(8) if v == Loc(7) else v)
+    out = fold(closed, lambda v: Loc(8) if v == Loc(7) else v, rebuild)
     assert render_expr(out).endswith("(loc 8)" + ") (new p))" * LINKS)
 
 
-def test_iter_values_on_long_chain(chain):
-    assert sum(1 for v in iter_values(chain) if isinstance(v, Lambda)) == LINKS
+def test_walk_on_long_chain(chain):
+    assert sum(1 for v in walk(chain) if isinstance(v, Lambda)) == LINKS
 
 
 def test_render_expr_on_long_chain(chain):

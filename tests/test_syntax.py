@@ -29,7 +29,6 @@ from bestow.syntax import (
     contains_loc,
     free_vars,
     is_active,
-    map_values,
     render_expr,
     render_heap,
     render_type,
@@ -152,25 +151,6 @@ def test_value_scanners():
     assert facts.locs == (2,)
     assert facts.ids == (4,)
     assert facts.bestowed == ((9, 4),)
-
-
-def test_map_values_renames_runtime_names():
-    e = Send(Val(ActorId(1)), Lambda("x", Passive(), Val(BestowedLoc(5, 1))))
-
-    def bump(v):
-        match v:
-            case ActorId(i):
-                return ActorId(i + 10)
-            case Loc(l):
-                return Loc(l + 100)
-            case BestowedLoc(l, o):
-                return BestowedLoc(l + 100, o + 10)
-        return v
-
-    out = map_values(e, bump)
-    assert out == Send(
-        Val(ActorId(11)), Lambda("x", Passive(), Val(BestowedLoc(105, 11)))
-    )
 
 
 @given(st.integers(min_value=0, max_value=2000))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from bestow.semantics import enabled_choices, initial_heap, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
@@ -22,7 +20,7 @@ from bestow.syntax import (
     Val,
     Var,
 )
-from bestow.wellformed import assert_wf, wf_heap
+from bestow.wellformed import wf_heap
 
 P = Passive()
 UNIT = Val(UnitVal())
@@ -46,7 +44,6 @@ def rules_of(report):
 def test_initial_heap_is_wf():
     e = compile_program("val a = new c; a ! \\x:p. x.mutate()")
     assert wf_heap(initial_heap(e)).ok
-    assert_wf(initial_heap(e))
 
 
 def test_wf_preserved_along_a_run():
@@ -144,13 +141,6 @@ def test_queue_message_untypable():
     report = wf_heap(h)
     assert "wf-queue-message" in rules_of(report)
     assert "ghost" in str(report)
-
-
-def test_assert_wf_raises_with_report():
-    h = heap_of({0: idle(0, {0, 5}), 1: idle(1, {1, 5})})
-    with pytest.raises(ValueError) as exc:
-        assert_wf(h)
-    assert "wf-heap" in str(exc.value)
 
 
 def test_wf_actor_checks_one_actor():
