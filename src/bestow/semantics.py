@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .syntax import (
     Actor,
@@ -45,6 +46,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     is_value,
+    memo,
     rebuild,
     render_expr,
     subst,
@@ -305,8 +307,13 @@ def poised(a: Actor) -> tuple[str | None, int | None]:
     """The choice kind ``a`` enables (``"pop"``, ``"step"`` or None) and the
     location that step would read or write (None for rules that touch no
     existing location).  It matches the node ``step_expr`` would reduce
-    against the same redex shapes; a stuck actor enables nothing.
+    against the same redex shapes; a stuck actor enables nothing.  Worked
+    out once per actor object.
     """
+    return memo(a, "_poised", _poised)
+
+
+def _poised(a: Actor) -> tuple[str | None, int | None]:
     if is_value(a.current):
         return ("pop" if a.queue else None), None
     match _focus(a.current)[1]:
@@ -322,18 +329,20 @@ def poised(a: Actor) -> tuple[str | None, int | None]:
     return None, None
 
 
+def _enabled(heap: Heap) -> Iterator[SchedulerChoice]:
+    for ident in sorted(heap.actors):
+        kind = poised(heap.actors[ident])[0]
+        if kind is not None:
+            yield SchedulerChoice(ident, kind)
+
+
 def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
     """All choices that can fire in ``heap``, in deterministic order.
 
     Never raises: actors whose expression is stuck simply contribute no
     ``step`` choice.
     """
-    out: list[SchedulerChoice] = []
-    for ident in sorted(heap.actors):
-        kind, _ = poised(heap.actors[ident])
-        if kind is not None:
-            out.append(SchedulerChoice(ident, kind))
-    return out
+    return list(_enabled(heap))
 
 
 def step_system(
@@ -380,7 +389,11 @@ def run_to_quiescence(
     trace: list[TraceEvent] = []
 
     for i in range(fuel):
-        enabled = enabled_choices(heap)
+        # The default policy takes the first choice, so it asks for no more.
+        if scripted or rng is not None:
+            enabled = enabled_choices(heap)
+        else:
+            enabled = list(islice(_enabled(heap), 1))
         if not enabled:
             return heap, trace
         if scripted:
@@ -396,7 +409,7 @@ def run_to_quiescence(
         heap, event = step_system(heap, choice, step_index=i, lifo=lifo)
         trace.append(event)
 
-    if enabled_choices(heap):
+    if next(_enabled(heap), None) is not None:
         raise FuelExhaustedError(heap, trace)
     return heap, trace
 

@@ -1,8 +1,9 @@
 """Abstract syntax of the actor calculus.
 
 Expressions, values, types, actors and heaps, together with the structural
-helpers (free variables, substitution, location scanning) shared by the
-typechecker, the evaluator and the well-formedness checker.
+helpers (free variables, substitution, location scanning, the per-object
+memo) shared by the typechecker, the evaluator and the well-formedness
+checker.
 
 Every node renders to a one-line s-expression via ``str()``; the exact
 grammar is documented in the README and is stable, so renderings can be
@@ -12,6 +13,7 @@ used as golden values and as heap canonicalization keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import attrgetter
 from typing import Any, Callable, Iterator, TypeVar
 
@@ -269,26 +271,87 @@ def rebuild(n: Term, a: Any, b: Any = None) -> Term:
 
 
 # --------------------------------------------------------------------------
+# Facts kept on nodes
+# --------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def memo(obj: Any, name: str, make: Callable[[Any], T]) -> T:
+    """``make(obj)``, worked out once and kept on ``obj`` as attribute ``name``.
+
+    ``obj`` is a frozen dataclass instance, whose equality, hash and repr
+    read only its fields, so the value changes none of them and goes when
+    ``obj`` goes.  ``make`` is handed ``obj`` and must not keep it: a value
+    that pointed back at ``obj`` would form a reference cycle, which only
+    the cyclic garbage collector frees.
+    """
+    d = obj.__dict__
+    if name not in d:
+        d[name] = make(obj)
+    return d[name]
+
+
+# --------------------------------------------------------------------------
 # Free variables and substitution
 # --------------------------------------------------------------------------
 
-_NO_VARS: frozenset[str] = frozenset()
+# A set of variable names is an int: each name owns one bit, taken from one
+# process-wide index the first time a mask mentions the name.  ``next`` on
+# a count is atomic, so no two names ever share a bit; when two threads
+# allocate for one name at once, ``setdefault`` keeps one of the two bits.
+_BIT: dict[str, int] = {}
+_NAME: dict[int, str] = {}  # bit position -> name
+_positions = count()
 
 
-def _free_leaf(n: Expr | Value) -> frozenset[str]:
-    return frozenset((n.name,)) if type(n) is Var else _NO_VARS
+def _bit(name: str) -> int:
+    b = _BIT.get(name)
+    if b is None:
+        i = next(_positions)
+        _NAME[i] = name
+        b = _BIT.setdefault(name, 1 << i)
+    return b
 
 
-def _free_post(
-    n: Expr | Value, a: frozenset[str], b: frozenset[str] = _NO_VARS
-) -> frozenset[str]:
-    if type(n) is Lambda:
-        return a - {n.param}
-    return a | b if b else a
+def _names(mask: int) -> frozenset[str]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(_NAME[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+# Each compound node keeps the mask of its free names in its ``__dict__``
+# under this key, as ``memo`` keeps its values.  A node gets its mask only
+# after its compound children have theirs, so every node below a node with
+# a mask has one too.
+_FREE = "_free"
+
+
+def _mask_leaf(n: Expr | Value) -> int:
+    return _bit(n.name) if type(n) is Var else 0
+
+
+def _mask_post(n: Expr | Value, a: int, b: int = 0) -> int:
+    m = a & ~_bit(n.param) if type(n) is Lambda else a | b
+    n.__dict__[_FREE] = m
+    return m
+
+
+def _kept_mask(n: Expr | Value) -> int | None:
+    return n.__dict__.get(_FREE)
+
+
+def _free_mask(term: Expr | Value) -> int:
+    """The mask of ``term``'s free names; each compound node is folded once,
+    however many terms share it."""
+    return fold(term, _mask_leaf, _mask_post, _kept_mask)
 
 
 def free_vars(term: Expr | Value) -> frozenset[str]:
-    return fold(term, _free_leaf, _free_post)
+    return _names(_free_mask(term))
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -307,26 +370,39 @@ def subst(term: Term, name: str, v: Value | Var) -> Term:
     ``v`` is a value, or a variable when a binder is renamed.  Values flowing
     through the evaluator are closed, so the capture case is unreachable in
     practice; it is handled anyway by renaming the binder.
+
+    A subtree whose mask lacks ``name`` comes back as it is, so the work is
+    the path down to each free occurrence.  Each node rebuilt on that path
+    gets its mask at once: the old one without ``name``, plus ``v``'s.
     """
     new = v if isinstance(v, Var) else Val(v)
-    new_free = free_vars(new)
+    bit, new_mask = _bit(name), _free_mask(new)
+    if not _free_mask(term) & bit:
+        return term
+    keep = ~bit
 
     def leaf(n: Expr | Value) -> Expr | Value:
         return new if type(n) is Var and n.name == name else n
 
     def skip(n: Expr | Value) -> Expr | Value | None:
-        if type(n) is not Lambda:
-            return None
-        if n.param == name:
+        m = n.__dict__[_FREE]
+        if not m & bit:
             return n
-        if n.param in new_free and name in free_vars(n.body):
-            avoid = free_vars(n.body) | new_free | {name}
+        if type(n) is Lambda and _bit(n.param) & new_mask:
+            avoid = free_vars(n.body) | _names(new_mask) | {name}
             q = fresh_name(n.param, avoid)
             body = subst(n.body, n.param, Var(q))
-            return Lambda(q, n.param_type, subst(body, name, v))
+            out = Lambda(q, n.param_type, subst(body, name, v))
+            out.__dict__[_FREE] = m & keep | new_mask
+            return out
         return None
 
-    return fold(term, leaf, rebuild, skip)
+    def post(n: Expr | Value, a: Any, b: Any = None) -> Expr | Value:
+        out = rebuild(n, a, b)
+        out.__dict__[_FREE] = n.__dict__[_FREE] & keep | new_mask
+        return out
+
+    return fold(term, leaf, post, skip)
 
 
 # --------------------------------------------------------------------------

@@ -50,14 +50,18 @@ class TypeCheckError(Exception):
 
 class TypeEnv:
     """An immutable typing environment (variable name -> type).  Each binding
-    links to the ones outside it, so ``extend`` is O(1)."""
+    links to the ones outside it, so ``extend`` is O(1).  A second chain
+    links the active bindings alone, so ``restrict_active`` is O(1) too."""
 
-    __slots__ = ("_link",)
+    __slots__ = ("_link", "_active")
 
     def __init__(self, bindings: tuple[tuple[str, Type], ...] = ()) -> None:
         self._link: tuple | None = None  # (name, type, outer link)
+        self._active: tuple | None = None  # the same, active bindings only
         for name, t in bindings:
             self._link = (name, t, self._link)
+            if is_active(t):
+                self._active = (name, t, self._active)
 
     @staticmethod
     def of(**kwargs: Type) -> TypeEnv:
@@ -66,6 +70,7 @@ class TypeEnv:
     def extend(self, name: str, t: Type) -> TypeEnv:
         env = TypeEnv()
         env._link = (name, t, self._link)
+        env._active = (name, t, self._active) if is_active(t) else self._active
         return env
 
     def lookup(self, name: str) -> Type | None:
@@ -89,9 +94,12 @@ class TypeEnv:
 
         This is the environment a message body is checked under: a message
         runs on the receiving actor, so the sender's passive bindings must
-        not leak into it.
+        not leak into it.  An active binding shadowed by a passive one of
+        the same name is visible again.
         """
-        return TypeEnv(tuple((n, t) for n, t in self.bindings if is_active(t)))
+        env = TypeEnv()
+        env._link = env._active = self._active
+        return env
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}:{render_type(t)}" for n, t in self.bindings)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Any, Callable, TypeVar
 
 from .syntax import (
     Actor,
@@ -35,6 +34,7 @@ from .syntax import (
     Loc,
     Passive,
     Value,
+    memo,
     render_template,
 )
 from .semantics import SchedulerChoice, poised
@@ -67,28 +67,10 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-T = TypeVar("T")
-
-
-def _memo(obj: Any, name: str, make: Callable[[Any], T]) -> T:
-    """``make(obj)``, worked out once and kept on ``obj`` as attribute ``name``.
-
-    ``obj`` is a frozen dataclass instance, whose equality, hash and repr
-    read only its fields, so the value changes none of them and goes when
-    ``obj`` goes.  ``make`` is handed ``obj`` and must not keep it: a value
-    that pointed back at ``obj`` would form a reference cycle, which only
-    the cyclic garbage collector frees.
-    """
-    d = obj.__dict__
-    if name not in d:
-        d[name] = make(obj)
-    return d[name]
-
-
 def facts(x: Actor | Expr | Value) -> ActorFacts | TermFacts:
     """The record of an actor state (``ActorFacts``) or of a term
     (``TermFacts``), worked out once per object."""
-    return _memo(x, "_facts", ActorFacts if type(x) is Actor else TermFacts)
+    return memo(x, "_facts", ActorFacts if type(x) is Actor else TermFacts)
 
 
 def _type_error(term: Expr | Value) -> str | None:
@@ -182,12 +164,12 @@ def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:
             bad((where, other, None))
         for loc, owner in f.bestowed:
             bad((where, owner, loc))
-    if (error := _memo(a.current, "_error", _type_error)) is not None:
+    if (error := memo(a.current, "_error", _type_error)) is not None:
         bad(f"current expression does not typecheck: {error}")
     for pos, (msg, f) in enumerate(zip(a.queue, terms[1:])):
         if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
             detail = f"message {f.text} is not a function over p"
-        elif (error := _memo(msg, "_error", _type_error)) is not None:
+        elif (error := memo(msg, "_error", _type_error)) is not None:
             detail = f"message does not typecheck: {error}"
         else:
             continue
@@ -223,7 +205,7 @@ def wf_heap(heap: Heap) -> WfReport:
             detail = f"local heaps overlap on location(s) {sorted(shared)}"
             out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
     for ident in sorted(heap.actors):
-        for rule, suffix, detail in _memo(heap.actors[ident], "_wf", _own_clauses):
+        for rule, suffix, detail in memo(heap.actors[ident], "_wf", _own_clauses):
             if type(detail) is tuple:
                 detail = _judge(heap, *detail)
                 if detail is None:

@@ -103,6 +103,13 @@ def test_run_program_on_long_chain(chain):
     assert [ev.rule for ev in exc.value.trace] == ["new-passive", "apply"] * 5
 
 
+def test_run_program_runs_long_chain_to_quiescence(chain):
+    heap, trace = run_program(chain)
+    assert len(trace) == 2 * LINKS
+    assert trace[-1].rule == "apply"
+    assert render_expr(heap.actors[0].current) == f"(loc {LINKS})"
+
+
 def test_ill_typed_bound_and_later_statement_reports_the_later_one():
     # The bound expression `o.mutate().mutate()` and the final send to a
     # passive are both ill-typed; the chain's bodies are checked first.

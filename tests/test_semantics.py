@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bestow.semantics import (
     FuelExhaustedError,
@@ -24,6 +26,7 @@ from bestow.semantics import (
     step_expr,
     step_system,
 )
+from bestow.gen import generate_well_typed
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -329,6 +332,65 @@ def test_run_deterministic_for_fixed_seed():
         run_to_quiescence(initial_heap(e), seed=s)[1] != t1 for s in range(20)
     )
     assert saw_different  # the seed genuinely picks among interleavings
+
+
+def replay(heap, pick, lifo=False, fuel=2_000):
+    """Run ``heap`` to quiescence, taking ``pick(enabled_choices(h))`` at
+    each step: the reference for ``run_to_quiescence``'s policies."""
+    trace = []
+    for i in range(fuel):
+        enabled = enabled_choices(heap)
+        if not enabled:
+            break
+        heap, ev = step_system(heap, pick(enabled), step_index=i, lifo=lifo)
+        trace.append(ev)
+    return heap, trace
+
+
+def straight_line(n, rng):
+    """``n`` statements allocating, bestowing and sending, as surface text."""
+    stmts, passives, refs, actors = [], [], [], []
+    for i in range(n):
+        kinds = ["new p", "new c"] + ["bestow"] * bool(passives)
+        kinds += ["send"] * 2 * bool(actors + refs)
+        kind = rng.choice(kinds)
+        if kind == "new p":
+            passives.append(f"o{i}")
+            stmts.append(f"val o{i} = new p")
+        elif kind == "new c":
+            actors.append(f"a{i}")
+            stmts.append(f"val a{i} = new c")
+        elif kind == "bestow":
+            refs.append(f"r{i}")
+            stmts.append(f"val r{i} = bestow {rng.choice(passives)}")
+        else:
+            stmts.append(f"{rng.choice(actors + refs)} ! \\x:p. x.mutate()")
+    return ";\n".join(stmts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_default_policy_takes_the_first_enabled_choice(seed, lifo):
+    program, _ = generate_well_typed(seed, size_budget=4 + seed % 9)
+    heap = initial_heap(program)
+    want = replay(heap, lambda enabled: enabled[0], lifo)
+    assert run_to_quiescence(heap, lifo=lifo) == want
+    rng = random.Random(seed)
+    assert run_to_quiescence(heap, seed=seed, lifo=lifo) == replay(heap, rng.choice, lifo)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (20, 1), (60, 2), (120, 3)])
+def test_default_policy_on_straight_line_programs(n, seed):
+    heap = initial_heap(compile_program(straight_line(n, random.Random(seed))))
+    got = run_to_quiescence(heap)
+    assert got == replay(heap, lambda enabled: enabled[0])
+    assert not enabled_choices(got[0])
+
+
+def test_poised_is_worked_out_once_per_actor():
+    a = Actor(0, frozenset({0}), (), Mutate(Val(Loc(0))))
+    assert poised(a) == ("step", 0)
+    assert poised(a) is poised(a)
 
 
 def test_scripted_schedule_and_error():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from bestow import syntax
 from bestow.gen import generate_well_typed
 from bestow.syntax import (
     Actor,
@@ -27,13 +29,17 @@ from bestow.syntax import (
     Val,
     Var,
     contains_loc,
+    fold,
     free_vars,
+    fresh_name,
     is_active,
     render_expr,
     render_heap,
     render_type,
     render_expr as render_value,
+    rebuild,
     subst,
+    walk,
 )
 from bestow.wellformed import TermFacts
 
@@ -133,6 +139,137 @@ def test_subst_avoids_capture():
     assert isinstance(out, Val) and isinstance(out.value, Lambda)
     assert out.value.param != "y"
     assert free_vars(out) == {"y"}
+
+
+# --- free-name masks and substitution, against references -----------------
+
+
+def ref_free(term):
+    """Free variables by a plain frozenset fold, with nothing cached."""
+
+    def leaf(n):
+        return frozenset((n.name,)) if type(n) is Var else frozenset()
+
+    def post(n, a, b=frozenset()):
+        return a - {n.param} if type(n) is Lambda else a | b
+
+    return fold(term, leaf, post)
+
+
+def ref_subst(term, name, v):
+    """Capture-avoiding substitution by a plain ``fold(..., rebuild)`` that
+    enters every subtree; a binder is handled once its body is done."""
+    new = v if isinstance(v, Var) else Val(v)
+
+    def leaf(n):
+        return new if type(n) is Var and n.name == name else n
+
+    def post(n, a, b=None):
+        if type(n) is Lambda:
+            if n.param == name:
+                return n
+            if n.param in ref_free(new) and name in ref_free(n.body):
+                q = fresh_name(n.param, ref_free(n.body) | ref_free(new) | {name})
+                body = ref_subst(n.body, n.param, Var(q))
+                return Lambda(q, n.param_type, ref_subst(body, name, v))
+        return rebuild(n, a, b)
+
+    return fold(term, leaf, post)
+
+
+def assert_masks_exact(term):
+    """Every compound node of ``term`` carries a mask, and it decodes to
+    exactly the node's free variables."""
+    for n in walk(term):
+        if type(n) in syntax._CHILDREN:
+            assert syntax._FREE in n.__dict__, n
+            assert syntax._names(n.__dict__[syntax._FREE]) == ref_free(n), n
+
+
+NAMES = ["x", "y", "z"]
+names = st.sampled_from(NAMES)
+types = st.sampled_from([Passive(), ActorType(), UnitType()])
+leaf_values = st.sampled_from([UnitVal(), Loc(1), ActorId(2), BestowedLoc(3, 2)])
+
+
+def _lambdas(body):
+    return st.builds(Lambda, names, types, body)
+
+
+terms = st.recursive(
+    st.one_of(
+        st.builds(Var, names),
+        st.builds(Val, leaf_values),
+        st.just(NewPassive()),
+        st.just(NewActor()),
+    ),
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub),
+        st.builds(Send, sub, _lambdas(sub)),
+        st.builds(Mutate, sub),
+        st.builds(Bestow, sub),
+        st.builds(Val, _lambdas(sub)),
+    ),
+    max_leaves=12,
+)
+# Substituted values may be open, so that binders must be renamed.
+values = st.one_of(
+    leaf_values, _lambdas(st.one_of(st.builds(Var, names), st.just(NewPassive())))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, names, st.one_of(values, st.builds(Var, names)))
+def test_masks_and_subst_match_the_references(term, name, v):
+    assert free_vars(term) == ref_free(term)
+    assert_masks_exact(term)
+    out = subst(term, name, v)
+    assert_masks_exact(out)
+    assert out == ref_subst(term, name, v)
+    assert free_vars(out) == ref_free(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms, st.lists(st.tuples(names, values), max_size=4))
+def test_masks_stay_exact_over_repeated_substitution(term, steps):
+    want = term
+    for name, v in steps:
+        term, want = subst(term, name, v), ref_subst(want, name, v)
+        assert term == want
+        assert_masks_exact(term)
+
+
+@pytest.mark.parametrize(
+    "term, name, v",
+    [
+        # a binder of the name shadows it
+        (App(Val(Lambda("x", Passive(), Var("x"))), Var("x")), "x", Loc(5)),
+        (Send(Var("x"), Lambda("x", Passive(), Mutate(Var("x")))), "x", ActorId(1)),
+        # the value's free y would be captured by the binder y
+        (Val(Lambda("y", Passive(), App(Var("x"), Var("y")))), "x",
+         Lambda("z", Passive(), Var("y"))),
+        # the renamed name is taken too, one binder further in
+        (Val(Lambda("y", Passive(), Val(Lambda("y_1", Passive(), Var("x"))))), "x",
+         Lambda("z", Passive(), App(Var("y"), Var("y_1")))),
+        # a variable for a variable, as binder renaming substitutes
+        (Val(Lambda("q", Passive(), App(Var("x"), Var("q")))), "x", Var("q")),
+        (App(Var("x"), Mutate(Var("x"))), "x", Var("w")),
+    ],
+)
+def test_subst_hand_cases_match_the_reference(term, name, v):
+    out = subst(term, name, v)
+    assert_masks_exact(out)
+    assert out == ref_subst(term, name, v)
+    assert free_vars(out) == ref_free(out)
+
+
+def test_subst_returns_untouched_subtrees_as_they_stand():
+    kept = Mutate(Var("y"))
+    term = App(kept, Bestow(Var("x")))
+    out = subst(term, "x", Loc(2))
+    assert out.fun is kept
+    assert subst(term, "z", Loc(2)) is term
+    assert_masks_exact(out)
 
 
 def test_contains_loc_distinguishes_bare_and_bestowed():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bestow.gen import generate_well_typed
+from bestow.surface import DesugarError, ParseError, desugar, parse_program
 from bestow.syntax import (
     ActorId,
     ActorType,
@@ -25,6 +30,11 @@ from bestow.syntax import (
     UnitVal,
     Val,
     Var,
+    fold,
+    is_active,
+    rebuild,
+    render_expr,
+    walk,
 )
 from bestow.typecheck import TypeCheckError, TypeEnv, type_of
 
@@ -204,6 +214,102 @@ def test_restrict_active():
     env = TypeEnv.of(a=C, y=P, b=B, f=Arrow(P, U), u=U)
     kept = dict(env.restrict_active().bindings)
     assert kept == {"a": C, "b": B}
+
+
+def ref_restrict_active(env):
+    """The filtered-bindings reference for ``restrict_active``."""
+    return TypeEnv(tuple((n, t) for n, t in env.bindings if is_active(t)))
+
+
+def test_restrict_active_unshadows_an_active_binding():
+    env = TypeEnv.of(x=C).extend("x", P)
+    assert env.lookup("x") == P
+    restricted = env.restrict_active()
+    assert restricted.lookup("x") == C
+    assert restricted.bindings == (("x", C),)
+    assert type_of(Send(Val(ActorId(0)), Lambda("y", P, Var("x"))), env) == U
+    assert env.bindings == (("x", C), ("x", P))
+    assert str(env) == "{x:c, x:p}"
+
+
+@given(st.lists(st.tuples(st.sampled_from("abxy"), st.sampled_from([P, C, U, B]))))
+def test_restrict_active_matches_the_filtered_bindings(pairs):
+    env = TypeEnv()
+    for name, t in pairs:
+        env = env.extend(name, t)
+    assert env.bindings == tuple(pairs) == TypeEnv(tuple(pairs)).bindings
+    assert str(env) == "{" + ", ".join(f"{n}:{t}" for n, t in pairs) + "}"
+    for built in (env, TypeEnv(tuple(pairs))):
+        got, want = built.restrict_active(), ref_restrict_active(built)
+        assert got.bindings == want.bindings
+        assert str(got) == str(want)
+        assert got.restrict_active().bindings == want.bindings
+        for name in "abxy":
+            assert got.lookup(name) == want.lookup(name)
+        more = got.extend("z", P)
+        assert more.restrict_active().bindings == want.bindings
+
+
+def _flip_one_binder(e, rng):
+    """``e`` with one lambda's parameter type swapped between p and c."""
+    lams = [n for n in walk(e) if type(n) is Lambda]
+    if not lams:
+        return e
+    target = rng.choice(lams)
+
+    def post(n, a, b=None):
+        if n is target:
+            return Lambda(n.param, C if n.param_type == P else P, a)
+        return rebuild(n, a, b)
+
+    return fold(e, lambda n: n, post)
+
+
+def _typing(e):
+    """``e``'s type, or the error ``type_of`` raises, as text."""
+    try:
+        return str(type_of(e))
+    except TypeCheckError as err:
+        return f"error {err} at {render_expr(err.expr)}"
+
+
+def _surface_programs():
+    """Every string literal in the test suite that parses as a program."""
+    out = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    out.append(parse_program(node.value))
+                except ParseError:
+                    pass
+    return out
+
+
+def _outcomes():
+    rng = random.Random(0)
+    out = []
+    for seed in range(2000):
+        program, goal = generate_well_typed(seed, size_budget=4 + seed % 9)
+        out.append(render_expr(program) + str(goal))
+        out.append(_typing(program))
+        out.append(_typing(_flip_one_binder(program, rng)))
+    for node in _surface_programs():
+        try:
+            core = desugar(node)
+        except DesugarError as err:
+            out.append(f"error {err}")
+            continue
+        out.append(render_expr(core))
+        out.append(_typing(core))
+    return out
+
+
+def test_typing_outcomes_match_the_reference_restriction(monkeypatch):
+    got = _outcomes()
+    monkeypatch.setattr(TypeEnv, "restrict_active", ref_restrict_active)
+    assert got == _outcomes()
+    assert sum(o.startswith("error") for o in got) > 1000
 
 
 @given(st.integers(min_value=0, max_value=3000))
