@@ -13,8 +13,9 @@ On the resulting state graph, three checks replay the soundness story:
 * ``check_race_freedom`` — no reachable state lets two distinct actors
   touch the same location with their next steps.
 
-Keys, choices and all three checks read the records each actor and term
-keeps on itself (see ``wellformed.facts``).  The explorer interns every
+Keys and all three checks read the records each actor and term keeps on
+itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
+value each actor keeps.  The explorer interns every
 actor it makes: each actor state has one object, rendered and judged once,
 and a successor is looked up by its actor objects before it is keyed.  The
 space stores no copy of a state's choices or depth.  Each check returns
@@ -37,9 +38,11 @@ from .semantics import (
     TraceEvent,
     actor_step,
     apply_effect,
+    enabled_choices,
     enqueue,
+    poised,
 )
-from .wellformed import ActorFacts, TermFacts, WfReport, choices, facts, wf_heap
+from .wellformed import ActorFacts, TermFacts, WfReport, facts, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -167,7 +170,7 @@ class StateSpace:
         return path
 
     def terminal_states(self) -> list[str]:
-        return [k for k, rep in self.states.items() if not choices(rep)]
+        return [k for k, rep in self.states.items() if not enabled_choices(rep)]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -231,7 +234,7 @@ def explore(
     while frontier:
         key, d = frontier.popleft()
         rep = states[key]
-        enabled = choices(rep)
+        enabled = enabled_choices(rep)
         if not enabled:
             continue
         if d >= max_depth:
@@ -336,13 +339,13 @@ def check_progress(space: StateSpace) -> ProgressFailure | None:
 
     A stuck actor fails the state even while others can move; a state that
     is not properly terminal has a busy actor, or an idle one that can pop.
-    Each actor's record holds the choice it enables, so truncation cannot
-    produce a false positive: an unexpanded frontier state's actors have
-    records too.
+    ``poised`` gives each actor's choice from the actor alone, so truncation
+    cannot produce a false positive: an unexpanded frontier state's actors
+    are judged too.
     """
     for key, rep in space.states.items():
         if any(
-            not is_value(a.current) and facts(a).kind != "step"
+            not is_value(a.current) and poised(a)[0] != "step"
             for a in rep.actors.values()
         ):
             return ProgressFailure(key, rep, tuple(space.trace_to(key)))
@@ -364,7 +367,7 @@ def check_race_freedom(space: StateSpace) -> RaceWitness | None:
         touching = [
             (i, loc)
             for i in sorted(rep.actors)
-            if (loc := facts(rep.actors[i]).touches) is not None
+            if (loc := poised(rep.actors[i])[1]) is not None
         ]
         for i, (a, loc) in enumerate(touching):
             for b, other in touching[i + 1 :]:

@@ -330,6 +330,7 @@ def _poised(a: Actor) -> tuple[str | None, int | None]:
 
 
 def _enabled(heap: Heap) -> Iterator[SchedulerChoice]:
+    """The choices that can fire in ``heap``, in deterministic order."""
     for ident in sorted(heap.actors):
         kind = poised(heap.actors[ident])[0]
         if kind is not None:
@@ -389,7 +390,9 @@ def run_to_quiescence(
     trace: list[TraceEvent] = []
 
     for i in range(fuel):
-        # The default policy takes the first choice, so it asks for no more.
+        # The default policy takes the first choice, so it asks for no more:
+        # in a long program most actors spawned so far sit idle, and listing
+        # every choice would visit each of them on every step.
         if scripted or rng is not None:
             enabled = enabled_choices(heap)
         else:
@@ -409,7 +412,7 @@ def run_to_quiescence(
         heap, event = step_system(heap, choice, step_index=i, lifo=lifo)
         trace.append(event)
 
-    if next(_enabled(heap), None) is not None:
+    if enabled_choices(heap):
         raise FuelExhaustedError(heap, trace)
     return heap, trace
 

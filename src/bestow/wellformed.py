@@ -1,5 +1,5 @@
 """Well-formedness of running heaps, and the per-term and per-actor facts
-that keys, choices and checks share.
+that keys and checks share.
 
 A heap is well formed when the actors' local heaps partition the allocated
 locations and every actor is internally consistent: it owns its own ``this``
@@ -37,7 +37,6 @@ from .syntax import (
     memo,
     render_template,
 )
-from .semantics import SchedulerChoice, poised
 from .typecheck import TypeCheckError, TypeEnv, check, check_value
 
 
@@ -111,14 +110,14 @@ def _codes(n: Value) -> tuple[int, ...]:
 
 
 class ActorFacts:
-    """What one actor state contributes to keys, choices and the checks.
+    """What one actor state contributes to keys and the checks.
 
     ``terms`` are the facts of its current expression and then of its
     queued messages; ``slots`` lists its own location and then those terms'
     slot codes, in the order the explorer's renaming scans them; ``lh`` is
     its local heap, sorted.  ``text`` is its key fragment after the actor
-    id, as it is (not renamed).  ``kind`` is the choice it enables, if any,
-    and ``touches`` the location that step would touch (see ``poised``).
+    id, as it is (not renamed).  The choice it enables is
+    ``semantics.poised``'s, memoized on the actor itself.
     """
 
     def __init__(self, a: Actor) -> None:
@@ -129,13 +128,6 @@ class ActorFacts:
         lh = " ".join(map(str, self.lh))
         q = " ".join(f.text for f in queue)
         self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
-        self.kind, self.touches = poised(a)
-
-
-def choices(heap: Heap) -> list[SchedulerChoice]:
-    """``enabled_choices(heap)``, read from the actors' records."""
-    kinds = ((i, facts(heap.actors[i]).kind) for i in sorted(heap.actors))
-    return [SchedulerChoice(i, kind) for i, kind in kinds if kind is not None]
 
 
 def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:

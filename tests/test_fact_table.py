@@ -5,8 +5,8 @@ actor keeps on itself must equal what a fresh walk of each heap gives.  The refe
 walk every term: a canonical renaming, whose result keys are compared
 with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
-Each actor record's choice and footprint must agree with the step that
-``step_expr`` takes, or fails to take.  A record changes nothing its
+Each actor's choice and footprint (``semantics.poised``) must agree with
+the step that ``step_expr`` takes, or fails to take.  A record changes nothing its
 object shows and keeps no reference to it.
 """
 
@@ -22,7 +22,14 @@ import pytest
 
 from bestow.explore import StateSpace, check_all, check_preservation, explore, state_key
 from bestow.gen import generate_well_typed
-from bestow.semantics import StuckError, initial_heap, step_expr, step_system
+from bestow.semantics import (
+    StuckError,
+    enabled_choices,
+    initial_heap,
+    poised,
+    step_expr,
+    step_system,
+)
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -49,7 +56,7 @@ from bestow.syntax import (
     walk,
 )
 from bestow.typecheck import TypeCheckError, TypeEnv, check, check_value
-from bestow.wellformed import WfReport, WfViolation, choices, facts, wf_heap
+from bestow.wellformed import WfReport, WfViolation, facts, wf_heap
 
 
 def reference_canonicalize(heap: Heap) -> Heap:
@@ -268,20 +275,19 @@ CONTEXTS = [
 ]
 
 
-def record_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None:
-    """Check ``a``'s record against stepping ``a``; the rule that fired, if any.
+def poised_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None:
+    """Check ``poised(a)`` against stepping ``a``; the rule that fired, if any.
 
-    The record (``semantics.poised``) enables a step exactly when
-    ``step_expr`` returns, and its footprint is the location a ``mutate``
-    or ``bestow`` step reports."""
-    r = facts(a)
+    ``poised`` enables a step exactly when ``step_expr`` returns, and its
+    footprint is the location a ``mutate`` or ``bestow`` step reports."""
+    kind, touches = poised(a)
     try:
         eff = step_expr(ident, a, *counters)
     except StuckError:
-        assert r.kind != "step" and r.touches is None, a
+        assert kind != "step" and touches is None, a
         return None
-    assert r.kind == "step", a
-    assert r.touches == (eff.loc if eff.rule in ("mutate", "bestow") else None), a
+    assert kind == "step", a
+    assert touches == (eff.loc if eff.rule in ("mutate", "bestow") else None), a
     return eff.rule
 
 
@@ -292,7 +298,7 @@ def test_poised_agrees_with_step_expr(programs):
         for rep in space.states.values():
             for ident, a in rep.actors.items():
                 counters = rep.next_loc, rep.next_id
-                fired.add(record_agrees(ident, a, counters))
+                fired.add(poised_agrees(ident, a, counters))
     # Every redex shape was reached, so a shape missing from either match shows.
     assert fired == {
         None,
@@ -307,7 +313,7 @@ def test_poised_agrees_with_step_expr(programs):
     for e in STUCK:
         for ctx in CONTEXTS:
             stuck = Actor(0, frozenset({0}), (), ctx(e))
-            assert record_agrees(0, stuck, (1, 1)) is None
+            assert poised_agrees(0, stuck, (1, 1)) is None
 
 
 def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
@@ -321,7 +327,7 @@ def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     for key, stored in space.states.items():
         if key != space.initial:
             edge = space.parents[key]
-            assert edge.choice in choices(space.states[edge.src])
+            assert edge.choice in enabled_choices(space.states[edge.src])
             replayed[key], event = step_system(
                 replayed[edge.src],
                 edge.choice,
