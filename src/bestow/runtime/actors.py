@@ -9,10 +9,13 @@ The mailbox speaks four envelope kinds: calls, a stop request, and the
 override/resume pair used for queue batching (see
 :mod:`bestow.runtime.override`).  While an override is active, calls
 carrying the overriding token run immediately and everything else is
-deferred, in arrival order, until the matching resume.  A client quiet for
-the watchdog's timeout is force-resumed rather than let it wedge the actor;
-its batch is broken, and each later call carrying its token fails with
-:class:`BatchBrokenError` instead of running between other clients' calls.
+deferred, in arrival order, until the matching resume.  The watchdog
+times the overriding client alone: once the actor has finished one of its
+envelopes, the client has the watchdog's timeout to send the next, however
+many other clients post meanwhile.  A client quiet that long is
+force-resumed rather than let it wedge the actor; its batch is broken, and
+each later call carrying its token fails with :class:`BatchBrokenError`
+instead of running between other clients' calls.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
+from time import monotonic
 from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
@@ -154,7 +158,7 @@ class _Resume:
 
 
 class _Stop:
-    pass
+    token = None  # a stop belongs to no override
 
 
 class ActorRef:
@@ -196,8 +200,9 @@ def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> Over
     """Jump the queue of ``ref``: until the returned token is resumed,
     this thread's performs run immediately and everyone else's wait.
 
-    Deferred work is executed in arrival order on resume.  If the actor
-    hears nothing for ``watchdog`` seconds while overridden it resumes by
+    Deferred work is executed in arrival order on resume.  If this thread
+    sends nothing for ``watchdog`` seconds after the actor finished its last
+    envelope (other clients' envelopes do not count), the actor resumes by
     itself rather than stay hostage to a lost client; this thread's calls
     then fail with :class:`BatchBrokenError` until the token is resumed.
     """
@@ -224,82 +229,61 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
         instance = make_instance()
     except BaseException:
         ref._stopped.set()
+        _fail_calls(ref, [])  # calls posted before the constructor failed
         raise
 
     pending: deque = deque()  # deferred envelopes, arrival order
-    ready: deque = deque()  # the active override's adopted envelopes
-    mode: OverrideToken | None = None
-    watchdog = DEFAULT_WATCHDOG
+    mode: OverrideToken | None = None  # the active override
+    watchdog = deadline = 0.0
     broken: set[OverrideToken] = set()  # overrides the watchdog ended
-    running = True
 
-    def activate(token: OverrideToken, wd: float) -> None:
-        """Start an override.  The client's earlier envelopes may sit in
-        ``pending`` from when its override request was itself deferred;
-        adopt them now so they run ahead of everyone else's."""
-        nonlocal mode, watchdog, pending
-        mode, watchdog = token, wd
-        keep: deque = deque()
-        for env in pending:
-            if isinstance(env, (_Call, _Resume)) and env.token is token:
-                ready.append(env)
-            else:
-                keep.append(env)
-        pending = keep
-
-    def deactivate() -> None:
-        nonlocal mode
-        mode = None
-        if ready:  # adopted work outliving its batch goes back in line
-            pending.extendleft(reversed(ready))
-            ready.clear()
-
-    while running:
+    while True:
         if mode is None:
             env = pending.popleft() if pending else ref._mailbox.get()
-        elif ready:
-            env = ready.popleft()
+        elif pending and pending[0].token is mode:
+            env = pending.popleft()
+        elif (left := deadline - monotonic()) <= 0:
+            broken.add(mode)  # force-resume: the client went quiet
+            mode = None
+            continue
         else:
             try:
-                env = ref._mailbox.get(timeout=watchdog)
+                env = ref._mailbox.get(timeout=left)
             except Empty:
-                broken.add(mode)  # force-resume: the client went quiet
-                deactivate()
-                continue
+                continue  # the deadline has passed
 
         match env:
-            case _Call() as call:
-                if call.token in broken:
-                    call.future.set_exception(
-                        BatchBrokenError(f"{ref}'s watchdog broke this batch")
-                    )
-                elif mode is not None and call.token is not mode:
-                    pending.append(call)
-                else:
-                    _execute(instance, call)
-            case _Override(token, wd):
-                if mode is None:
-                    activate(token, wd)
-                else:
-                    pending.append(env)
-            case _Resume(token):
-                if mode is token:
-                    deactivate()
-                elif mode is not None:
-                    pending.append(env)
-                else:
-                    # a stale resume (the watchdog already fired): drop it and
-                    # forget the break, as the client has left the batch
-                    broken.discard(token)
+            case _Call() if env.token in broken:
+                env.future.set_exception(
+                    BatchBrokenError(f"{ref}'s watchdog broke this batch")
+                )
+            case _ if mode is not None and env.token is not mode:
+                pending.append(env)  # another client's, until the resume
+            case _Call():
+                _execute(instance, env)
+                if mode is not None:  # the client's silence starts now
+                    deadline = monotonic() + watchdog
+            case _Override():
+                mode, watchdog = env.token, env.watchdog
+                deadline = monotonic() + watchdog
+                # The client's envelopes deferred while its override request
+                # waited in line run first, in arrival order.
+                mine = []
+                for _ in range(len(pending)):
+                    e = pending.popleft()
+                    (mine if e.token is mode else pending).append(e)
+                pending.extendleft(reversed(mine))
+            case _Resume():
+                # ends the active override, or is stale (the watchdog already
+                # fired): then forget the break, as the client left the batch
+                mode = None
+                broken.discard(env.token)
             case _Stop():
-                if mode is not None:
-                    pending.append(env)
-                else:
-                    running = False
+                break
 
     ref._stopped.set()
     # Fail whatever slipped in after the stop was processed.
-    _fail_calls(ref, list(ready) + list(pending))
+    _fail_calls(ref, list(pending))
 
 
 def _fail_calls(ref: ActorRef, leftovers: list) -> None:

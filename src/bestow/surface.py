@@ -129,24 +129,22 @@ def tokenize(src: str) -> list[Token]:
 
 @dataclass(frozen=True)
 class SNode:
-    pass
+    pos: Pos | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class SVar(SNode):
     name: str
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SUnit(SNode):
-    pos: Pos | None = field(default=None, compare=False)
+    pass
 
 
 @dataclass(frozen=True)
 class SNew(SNode):
     active: bool
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,33 +152,28 @@ class SLambda(SNode):
     param: str
     param_type: Type
     body: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SApp(SNode):
     fun: SNode
     arg: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SSend(SNode):
     target: SNode
     msg: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SMutate(SNode):
     target: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SBestow(SNode):
     inner: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -189,13 +182,11 @@ class SBind(SNode):
 
     name: str
     expr: SNode
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class SBlock(SNode):
     stmts: tuple[SNode, ...]
-    pos: Pos | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,6 @@ class SAtomic(SNode):
     alias: str
     target: SNode
     stmts: tuple[SNode, ...]
-    pos: Pos | None = field(default=None, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +335,7 @@ class _Parser:
         while self.peek().kind in _ATOM_START:
             self.deeper()
             arg = self.parse_postfix()
-            e = SApp(e, arg, pos=t_pos(arg) or t_pos(e))
+            e = SApp(e, arg, pos=arg.pos or e.pos)
         self.depth = depth
         return e
 
@@ -415,10 +405,6 @@ class _Parser:
             else:
                 break
         return stmts
-
-
-def t_pos(n: SNode) -> Pos | None:
-    return getattr(n, "pos", None)
 
 
 def parse_program(src: str) -> SBlock:
@@ -567,13 +553,13 @@ def _elab_atomic(node: SAtomic, env: TypeEnv, in_atomic: bool) -> Expr:
                 "alias-misuse",
                 f"inside an atomic block, {alias!r} may only be used as "
                 "the target of a send",
-                t_pos(checked) or node.pos,
+                checked.pos or node.pos,
             )
         if not is_send:
             raise DesugarError(
                 "batch-shape",
                 f"every statement in an atomic block must send to {alias!r}",
-                t_pos(s) or node.pos,
+                s.pos or node.pos,
             )
         # Each `alias ! m` runs m directly on the underlying object.
         parts.append(App(core, Var(alias)))

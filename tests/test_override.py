@@ -167,6 +167,41 @@ def test_watchdog_rescues_an_abandoned_override(journal):
     _tls.overrides.clear()
 
 
+def test_watchdog_times_the_client_not_the_mailbox(journal):
+    override_queue(journal, watchdog=0.1)  # never resumed
+    futs = []
+
+    def rival():
+        # post every 20 ms for up to 0.6 s, until the first call resolves
+        for i in range(30):
+            futs.append(journal.perform(lambda j, i=i: j.note(f"r{i}")))
+            if futs[0].done():
+                return
+            time.sleep(0.02)
+
+    try:
+        t = threading.Thread(target=rival)
+        t.start()
+        t.join(timeout=5)
+        assert futs[0].done() and len(futs) < 30  # while the rival still posts
+        assert [f.result(timeout=1) for f in futs] == list(range(1, len(futs) + 1))
+        journal.stop()
+        journal.join(timeout=1)
+        assert journal._stopped.is_set()
+    finally:
+        _tls.overrides.clear()
+
+
+def test_watchdog_does_not_count_the_clients_own_calls(journal):
+    token = override_queue(journal, watchdog=0.1)
+    try:
+        slow = journal.perform(lambda j: (time.sleep(0.2), j.note("slow"))[1])
+        assert slow.result(timeout=5) == 1
+        assert journal.perform(lambda j: j.note("next")).result(timeout=5) == 2
+    finally:
+        token.resume()
+
+
 def in_other_thread(fn) -> list:
     """Run ``fn`` on a fresh daemon thread; its result, or [] if it hangs."""
     out: list = []
@@ -192,6 +227,40 @@ def test_watchdog_break_fails_the_clients_later_calls(journal):
         token.resume()
     assert journal.perform(lambda j: j.note("mine2")).result(timeout=5) == 3
     assert entries(journal) == ["mine0", "rival", "mine2"]
+
+
+def test_a_deferred_override_runs_its_deferred_calls_first(journal):
+    # B holds the override; A's override request, a rival's call and A's
+    # call all wait behind it.  When B resumes, A's call runs before the
+    # rival's, which arrived first.
+    token_b = override_queue(journal)
+    journal.perform(lambda j: j.note("b")).result(timeout=5)
+    a_requested, rival_posted, a_posted = (threading.Event() for _ in range(3))
+    outcome: list = []
+
+    def client_a():
+        token_a = override_queue(journal, watchdog=0.2)
+        a_requested.set()
+        rival_posted.wait(timeout=5)
+        fut = journal.perform(lambda j: j.note("a1"))
+        a_posted.set()
+        try:
+            outcome.append(fut.result(timeout=5))
+        except BatchBrokenError as exc:
+            outcome.append(exc)
+        token_a.resume()
+
+    t = threading.Thread(target=client_a)
+    t.start()
+    assert a_requested.wait(timeout=5)
+    in_other_thread(lambda: journal.perform(lambda j: j.note("r")))
+    rival_posted.set()
+    assert a_posted.wait(timeout=5)
+    token_b.resume()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert outcome == [2]
+    assert entries(journal) == ["b", "a1", "r"]
 
 
 def test_stop_waits_for_an_active_override(journal):

@@ -243,6 +243,22 @@ def test_perform_racing_stop_fails_its_future():
         fut.result(timeout=1)
 
 
+class _FailsToStart:
+    def __init__(self) -> None:
+        time.sleep(0.2)
+        raise ValueError("no instance")
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_failing_constructor_fails_the_calls_already_posted():
+    ref = spawn(_FailsToStart)
+    fut = ref.perform(lambda x: x)  # posted while the constructor runs
+    with pytest.raises(ActorStoppedError):
+        fut.result(timeout=2)
+    ref._thread.join(timeout=1)  # the loop re-raises the constructor's error
+    assert not ref._thread.is_alive() and ref._stopped.is_set()
+
+
 def test_concurrent_external_producers_keep_counts_exact(counter):
     per_thread = 200
 
