@@ -11,12 +11,13 @@ Subcommands:
 Exit codes: 0 success; 1 the program failed a check (type error, stuck
 run, violated property); 2 the input could not be processed at all (parse
 or desugar error, unreadable or non-UTF-8 input, negative count, unwritable
-trace).
+trace).  Output cut off by a closed stdout keeps the command's exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -71,6 +72,14 @@ def count(text: str) -> int:
     return int(text)
 
 
+def _emit(line: str) -> None:
+    """Print ``line``; once the reader has closed stdout, drop all output."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write_trace(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -82,13 +91,13 @@ def _write_trace(path: str, text: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     if (typed := _load_typed(args.file)) is None:
         return 1
-    print(f"type: {render_type(typed[1])}")
+    _emit(f"type: {render_type(typed[1])}")
     return 0
 
 
 def _cmd_desugar(args: argparse.Namespace) -> int:
     core = _load(args.file)
-    print(render_expr(core))
+    _emit(render_expr(core))
     return 0
 
 
@@ -112,8 +121,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.trace:
         _write_trace(args.trace, events_to_jsonl(trace))
-    print(f"steps: {len(trace)}")
-    print(f"final: {render_heap(heap)}")
+    _emit(f"steps: {len(trace)}")
+    _emit(f"final: {render_heap(heap)}")
     return 0
 
 
@@ -126,18 +135,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         max_depth=args.depth,
         lifo=args.lifo_queue,
     )
-    print(f"states: {len(space.states)}")
-    print(f"edges: {len(space.edges)}")
-    print(f"truncated: {'yes' if space.truncated else 'no'}")
+    _emit(f"states: {len(space.states)}")
+    _emit(f"edges: {len(space.edges)}")
+    _emit(f"truncated: {'yes' if space.truncated else 'no'}")
     results = check_all(space)
-    failed = False
     for name, counterexample in results.items():
-        if counterexample is None:
-            print(f"{name}: ok")
-        else:
-            failed = True
-            print(f"{name}: FAIL — {counterexample}")
-    return 1 if failed else 0
+        _emit(f"{name}: ok" if counterexample is None else f"{name}: FAIL — {counterexample}")
+    return 0 if all(c is None for c in results.values()) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

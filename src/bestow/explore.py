@@ -42,7 +42,7 @@ from .semantics import (
     enqueue,
     poised,
 )
-from .wellformed import ActorFacts, TermFacts, WfReport, facts, wf_heap
+from .wellformed import ActorFacts, WfReport, facts, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -55,8 +55,8 @@ DEFAULT_MAX_DEPTH = 64
 
 def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
     """The canonical renaming of a heap given its actors' records (None if
-    it changes no number), from slot codes (see ``TermFacts``) to new
-    numbers.
+    it changes no number), from slot codes (see ``wellformed.TermFacts``)
+    to new numbers.
 
     The walk starts at the root (the lowest surviving actor id) and visits
     actors breadth-first, scanning each one's slots (see ``ActorFacts``).
@@ -110,21 +110,10 @@ def state_key(heap: Heap, canonical: bool = True) -> str:
     if new is None:
         parts = [f"(actor {i} {actors[i].text}" for i in sorted(actors)]
     else:
-        number = new.__getitem__
-
-        def text(f: TermFacts) -> str:
-            return f.template % tuple(map(number, f.slots))
-
-        parts = []
-        for ident in sorted(actors, key=lambda i: new[~i]):
-            r = actors[ident]
-            current, *queue = r.terms
-            lh = " ".join(map(str, sorted(map(number, r.lh))))
-            q = " ".join(map(text, queue))
-            parts.append(
-                f"(actor {new[~ident]} {new[heap.actors[ident].this_loc]} (lh {lh}) (q {q}) "
-                f"{text(current)})"
-            )
+        parts = [
+            f"(actor {new[~i]} {actors[i].render(new)}"
+            for i in sorted(actors, key=lambda i: new[~i])
+        ]
     head = "(heap " if canonical else f"(heap [{heap.next_loc} {heap.next_id}] "
     return head + " ".join(parts) + ")"
 
@@ -194,17 +183,18 @@ def explore(
     """
     if require_wf and not (report := wf_heap(heap)).ok:
         raise ValueError(f"heap is not well-formed:\n{report}")
-    # Memoized transitions, keyed by object identity; each entry holds the
-    # objects its key names, so no id is reused while it lives.  A step is
-    # a pure function of the actor and its id (``bestow`` names the
-    # stepper), the choice kind and the fresh-name counters, the queue
-    # order being fixed per space; a post is one of the receiver and the
-    # message.  Every actor a miss makes is interned: ``firsts`` maps each
-    # actor state's key fragment to the first object with it, so each actor
-    # state has one object however it was reached, and its step, record
-    # and key fragment are worked out once.
-    steps: dict[tuple[int, int, str, int, int], tuple[Actor, Effect]] = {}
-    posts: dict[tuple[int, int], tuple[Actor, Lambda, Actor]] = {}
+    # Memoized transitions, keyed by object identity.  A step is a pure
+    # function of the actor and its id (``bestow`` names the stepper), the
+    # choice kind and the fresh-name counters, the queue order being fixed
+    # per space; a post is one of the receiver and the message.  Every
+    # actor a miss makes is interned: ``firsts`` maps each actor state's
+    # key fragment to the first object with it, so each actor state has one
+    # object however it was reached, and its step, record and key fragment
+    # are worked out once.  No id in a memo key or ``seen`` tuple is reused
+    # while the space is built: each actor it names is interned in
+    # ``firsts``, and each message sits in an ``Effect`` that ``steps`` holds.
+    steps: dict[tuple[int, int, str, int, int], Effect] = {}
+    posts: dict[tuple[int, int], Actor] = {}
     firsts: dict[str, Actor] = {}
 
     def intern(a: Actor) -> Actor:
@@ -212,17 +202,15 @@ def explore(
 
     def post(recv: Actor, msg: Lambda) -> Actor:
         k = (id(recv), id(msg))
-        hit = posts.get(k)
-        if hit is None:
-            hit = posts[k] = (recv, msg, intern(enqueue(recv, msg)))
-        return hit[2]
+        if (out := posts.get(k)) is None:
+            out = posts[k] = intern(enqueue(recv, msg))
+        return out
 
     for a in heap.actors.values():
         intern(a)
     init_key = state_key(heap, canonical)
-    # Successors by counters, actor ids and actor objects, to their keys.
-    # ``firsts`` holds every interned actor, so no id in a tuple is reused
-    # and equal tuples name one heap.
+    # Successors by counters, actor ids and actor objects, to their keys;
+    # equal tuples name one heap.
     seen: dict[tuple[int, ...], str] = {}
     states = {init_key: heap}
     edges: list[Edge] = []
@@ -245,29 +233,25 @@ def explore(
             ident, kind = choice.actor, choice.kind
             a = rep.actors[ident]
             k = (ident, id(a), kind, *counters)
-            hit = steps.get(k)
-            if hit is None:
+            if (eff := steps.get(k)) is None:
                 e = actor_step(ident, a, kind, *counters, lifo=lifo)
                 spawned = e.spawned and intern(e.spawned)
-                hit = steps[k] = (a, Effect(intern(e.actor), e.rule, e.loc, e.post, spawned))
-            eff = hit[1]
+                eff = steps[k] = Effect(intern(e.actor), e.rule, e.loc, e.post, spawned)
             nxt = apply_effect(rep, ident, eff, post)
             event = TraceEvent(d, ident, eff.rule, eff.loc)
             shape = (nxt.next_loc, nxt.next_id, *nxt.actors, *map(id, nxt.actors.values()))
             nxt_key = seen.get(shape)
             if nxt_key is None:
                 nxt_key = seen[shape] = state_key(nxt, canonical)
+            edge = Edge(key, choice, event, nxt_key)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
                     continue
                 states[nxt_key] = nxt
-                edge = Edge(key, choice, event, nxt_key)
                 parents[nxt_key] = edge
-                edges.append(edge)
                 frontier.append((nxt_key, d + 1))
-            else:
-                edges.append(Edge(key, choice, event, nxt_key))
+            edges.append(edge)
 
     return StateSpace(
         initial=init_key,

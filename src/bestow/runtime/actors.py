@@ -12,10 +12,12 @@ carrying the overriding token run immediately and everything else is
 deferred, in arrival order, until the matching resume.  The watchdog
 times the overriding client alone: once the actor has finished one of its
 envelopes, the client has the watchdog's timeout to send the next, however
-many other clients post meanwhile.  A client quiet that long is
-force-resumed rather than let it wedge the actor; its batch is broken, and
-each later call carrying its token fails with :class:`BatchBrokenError`
-instead of running between other clients' calls.
+many other clients post meanwhile.  The override breaks once that deadline
+has passed and the mailbox is empty (envelopes already posted are read
+first): a client quiet that long is force-resumed rather than let it wedge
+the actor; its batch is broken, and each later call carrying its token
+fails with :class:`BatchBrokenError` instead of running between other
+clients' calls.
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> Over
     Deferred work is executed in arrival order on resume.  If this thread
     sends nothing for ``watchdog`` seconds after the actor finished its last
     envelope (other clients' envelopes do not count), the actor resumes by
-    itself rather than stay hostage to a lost client; this thread's calls
-    then fail with :class:`BatchBrokenError` until the token is resumed.
+    itself, once its mailbox is empty, rather than stay hostage to a lost
+    client; this thread's calls then fail with :class:`BatchBrokenError`
+    until the token is resumed.
     """
     reg = _tls.overrides
     if ref in reg:
@@ -242,15 +245,13 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
             env = pending.popleft() if pending else ref._mailbox.get()
         elif pending and pending[0].token is mode:
             env = pending.popleft()
-        elif (left := deadline - monotonic()) <= 0:
-            broken.add(mode)  # force-resume: the client went quiet
-            mode = None
-            continue
         else:
             try:
-                env = ref._mailbox.get(timeout=left)
+                env = ref._mailbox.get(timeout=max(deadline - monotonic(), 0))
             except Empty:
-                continue  # the deadline has passed
+                broken.add(mode)  # force-resume: the client went quiet
+                mode = None
+                continue
 
         match env:
             case _Call() if env.token in broken:

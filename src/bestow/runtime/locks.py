@@ -25,19 +25,19 @@ class CountingRLock:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._depth = threading.local()
+        self._depth = 0  # only the holder reads or writes it
         self.acquisitions = 0
 
     def acquire(self) -> None:
         self._lock.acquire()
-        depth = getattr(self._depth, "value", 0)
-        if depth == 0:
-            # Only the holder runs this line, so plain += is race-free.
+        if self._depth == 0:
             self.acquisitions += 1
-        self._depth.value = depth + 1
+        self._depth += 1
 
     def release(self) -> None:
-        self._depth.value = getattr(self._depth, "value", 1) - 1
+        if not self._lock._is_owned():  # as threading.Condition tests it
+            raise RuntimeError("cannot release un-acquired lock")
+        self._depth -= 1
         self._lock.release()
 
     def __enter__(self) -> "CountingRLock":

@@ -115,19 +115,28 @@ class ActorFacts:
     ``terms`` are the facts of its current expression and then of its
     queued messages; ``slots`` lists its own location and then those terms'
     slot codes, in the order the explorer's renaming scans them; ``lh`` is
-    its local heap, sorted.  ``text`` is its key fragment after the actor
-    id, as it is (not renamed).  The choice it enables is
-    ``semantics.poised``'s, memoized on the actor itself.
+    its local heap, sorted.  ``text`` is ``render()``, its key fragment as
+    it is.  The choice it enables is ``semantics.poised``'s, memoized on
+    the actor itself.
     """
 
     def __init__(self, a: Actor) -> None:
         self.terms = (facts(a.current), *map(facts, a.queue))
         self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
         self.lh = tuple(sorted(a.local_heap))
-        current, *queue = self.terms
-        lh = " ".join(map(str, self.lh))
-        q = " ".join(f.text for f in queue)
-        self.text = f"{a.this_loc} (lh {lh}) (q {q}) {current.text})"
+        self.text = self.render()
+
+    def render(self, number: dict[int, int] | None = None) -> str:
+        """The key fragment after the actor id, each slot code replaced by
+        its value in ``number``; as it is (the cached term texts) if None."""
+        if number is None:
+            this, lh, texts = self.slots[0], self.lh, [f.text for f in self.terms]
+        else:
+            get = number.__getitem__
+            this, lh = get(self.slots[0]), sorted(map(get, self.lh))
+            texts = [f.template % tuple(map(get, f.slots)) for f in self.terms]
+        current, *queue = texts
+        return f"{this} (lh {' '.join(map(str, lh))}) (q {' '.join(queue)}) {current})"
 
 
 def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:

@@ -101,6 +101,23 @@ def test_non_utf8_stdin_under_c_locale_exits_2():
     assert proc.stderr.decode().startswith("error: cannot read -:")
 
 
+def test_closed_output_pipe_drops_the_rest_quietly(tmp_path):
+    # `run` prints a short line, then a final heap of about 110 KB, more
+    # than a pipe holds: closing the pipe after the first line cuts it off.
+    prog = tmp_path / "actors.bestow"
+    prog.write_text(";\n".join(f"val k{i} = new c" for i in range(3000)))
+    env = {**os.environ, "PYTHONPATH": str(Path(bestow.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bestow.cli", "run", str(prog)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert proc.stdout.readline() == b"steps: 5999\n"  # unbuffered: one line
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 0
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", _stdin(b"new p"))
     assert main(["check", "-"]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -229,6 +230,25 @@ def test_watchdog_break_fails_the_clients_later_calls(journal):
     assert entries(journal) == ["mine0", "rival", "mine2"]
 
 
+def test_watchdog_reads_posted_envelopes_before_breaking(journal):
+    # The client's second call sits behind 30 000 rival calls, which take
+    # the actor longer than the watchdog to defer; it was posted in time.
+    gate = threading.Event()
+    token = override_queue(journal, watchdog=0.02)
+    try:
+        first = journal.perform(lambda j: (gate.wait(5), j.note("mine0"))[1])
+        [rivals] = in_other_thread(
+            lambda: [journal.perform(lambda j: j.note("r")) for _ in range(30_000)]
+        )
+        second = journal.perform(lambda j: j.note("mine1"))
+        gate.set()
+        assert first.result(timeout=5) == 1
+        assert second.result(timeout=5) == 2
+    finally:
+        token.resume()
+    assert rivals[-1].result(timeout=10) == 30_002
+
+
 def test_a_deferred_override_runs_its_deferred_calls_first(journal):
     # B holds the override; A's override request, a rival's call and A's
     # call all wait behind it.  When B resumes, A's call runs before the
@@ -320,6 +340,33 @@ def test_atomic_batch_ends_when_the_block_raises(journal, kind):
         assert lock.acquisitions == 2
 
 
+def test_locked_batches_from_many_threads_count_each_once():
+    # The lock's depth is one int that only its holder touches; a lost
+    # update to it would miscount the outermost acquisitions.
+    lock = CountingRLock()
+    ref = lock_bestow({"n": 0}, lock)
+
+    def work():
+        for _ in range(3000):
+            with atomic_batch(ref):
+                ref.perform(lambda b: b.__setitem__("n", b["n"] + 1))
+                ref.perform(lambda b: b.__setitem__("n", b["n"] + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert lock.acquisitions == 8 * 3000
+    assert ref.object["n"] == 8 * 3000 * 2
+
+
 def test_atomic_batch_rejects_other_objects():
     with pytest.raises(TypeError, match="does not support batching"):
         with atomic_batch(object()):
@@ -392,22 +439,23 @@ def test_batch_stays_contiguous_under_interference(journal):
     stop_interfering = threading.Event()
 
     def interferer():
+        # Waiting on every 16th call bounds the backlog, so the test turns
+        # on torn batches, not on which thread runs faster.
         while not stop_interfering.is_set():
-            journal.perform(lambda j: j.note("x"))
+            calls = [journal.perform(lambda j: j.note("x")) for _ in range(16)]
+            calls[-1].result(timeout=10)
 
     t = threading.Thread(target=interferer)
     t.start()
     try:
         for round_no in range(20):
             with atomic_batch(journal):
-                fs = [
+                # Each call waits for the one before, leaving the interferer
+                # room to post between them.
+                for i in range(4):
                     journal.perform(
                         lambda j, i=i, r=round_no: j.note(f"b{r}.{i}")
-                    )
-                    for i in range(4)
-                ]
-                for f in fs:
-                    f.result(timeout=10)
+                    ).result(timeout=10)
     finally:
         stop_interfering.set()
         t.join(timeout=5)
