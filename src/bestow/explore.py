@@ -18,9 +18,10 @@ itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
 value each actor keeps.  The explorer interns every
 actor it makes: each actor state has one object, rendered and judged once,
 and a successor is looked up by its actor objects before it is keyed.  The
-space stores no copy of a state's choices or depth.  Each check returns
+space stores no copy of a state's choices or depth.  Each edge holds the
+event its step made, one object per memoized step.  Each check returns
 ``None`` on success or a counterexample carrying the offending state and a
-shortest trace to it, printed as its schedule.
+shortest trace to it, printed as its schedule: each event's ``choice``.
 ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
 it counts the maximal paths that split a batch and gives one as a schedule.
 """
@@ -34,7 +35,6 @@ from typing import Callable
 from .syntax import Actor, Heap, Lambda, is_value
 from .semantics import (
     Effect,
-    SchedulerChoice,
     TraceEvent,
     actor_step,
     apply_effect,
@@ -126,7 +126,6 @@ def state_key(heap: Heap, canonical: bool = True) -> str:
 @dataclass(frozen=True)
 class Edge:
     src: str
-    choice: SchedulerChoice
     event: TraceEvent
     dst: str
 
@@ -236,14 +235,13 @@ def explore(
             if (eff := steps.get(k)) is None:
                 e = actor_step(ident, a, kind, *counters, lifo=lifo)
                 spawned = e.spawned and intern(e.spawned)
-                eff = steps[k] = Effect(intern(e.actor), e.rule, e.loc, e.post, spawned)
+                eff = steps[k] = Effect(intern(e.actor), e.event, e.post, spawned)
             nxt = apply_effect(rep, ident, eff, post)
-            event = TraceEvent(d, ident, eff.rule, eff.loc)
             shape = (nxt.next_loc, nxt.next_id, *nxt.actors, *map(id, nxt.actors.values()))
             nxt_key = seen.get(shape)
             if nxt_key is None:
                 nxt_key = seen[shape] = state_key(nxt, canonical)
-            edge = Edge(key, choice, event, nxt_key)
+            edge = Edge(key, eff.event, nxt_key)
             if nxt_key not in states:
                 if len(states) >= max_states:
                     truncated = True
@@ -271,7 +269,7 @@ def explore(
 
 def _after(trace: tuple[Edge, ...]) -> str:
     """The trace's length and its schedule, one ``actor:kind`` per step."""
-    steps = "".join(f" {e.choice.actor}:{e.choice.kind}" for e in trace)
+    steps = "".join(f" {c.actor}:{c.kind}" for c in (e.event.choice for e in trace))
     return f"after {len(trace)} steps (schedule:{steps})"
 
 

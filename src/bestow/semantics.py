@@ -9,13 +9,13 @@ context (``_focus``) finds the node where an actor moves; ``step_expr``
 reduces it and ``poised`` reports what it enables, each with one match of
 that node against the redex shapes.
 
-Every step yields a :class:`TraceEvent` naming the rule that fired and, for
-heap-touching rules, the location involved.
+The rule that fires makes the step's one :class:`TraceEvent`, naming that
+rule and, for heap-touching rules, the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
-fresh-name counters).  ``actor_step`` computes it as an :class:`Effect` and
-``apply_effect`` applies that to a heap; ``step_system`` composes the two,
-and the explorer memoizes the first.
+fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
+which carries the event, and ``apply_effect`` applies that to a heap;
+``step_system`` composes the two, and the explorer memoizes the first.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ from .syntax import (
 DEFAULT_FUEL = 100_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SchedulerChoice:
     """One schedulable unit of work: ``kind`` is ``"pop"`` or ``"step"``.
 
-    Ordering is (actor, kind); ``"pop"`` sorts before ``"step"``, which fixes
-    the deterministic scheduling policy and the explorer's edge order.
+    Each actor enables at most one choice; listing them by actor id fixes the
+    deterministic scheduling policy and the explorer's edge order.
     """
 
     actor: int
@@ -69,7 +69,7 @@ class SchedulerChoice:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One step of the system.
+    """One step of the system; its index is its position in the trace.
 
     ``rule`` is one of: actor-msg, send-actor, send-bestowed, apply, mutate,
     bestow, new-passive, new-actor.  ``touched_loc`` is set for the three
@@ -77,10 +77,14 @@ class TraceEvent:
     new-passive) and is ``None`` otherwise.
     """
 
-    step_index: int
     actor: int
     rule: str
     touched_loc: int | None = None
+
+    @property
+    def choice(self) -> SchedulerChoice:
+        """The scheduler choice that took this step: only ``actor-msg`` pops."""
+        return SchedulerChoice(self.actor, "pop" if self.rule == "actor-msg" else "step")
 
 
 class StuckError(Exception):
@@ -183,16 +187,15 @@ def _stuck_reason(actor: int, e: Expr) -> StuckError:
 class Effect:
     """What one actor's step does to the system.
 
-    ``actor`` is the stepping actor's new state; ``rule`` and ``loc`` make
-    its trace event.  ``post`` is a message, as ``(target, msg)``, appended
+    ``actor`` is the stepping actor's new state; ``event`` is the step's
+    trace event.  ``post`` is a message, as ``(target, msg)``, appended
     to the target's queue; ``spawned`` is a new actor, which takes the next
     actor id and the next location (``new-passive`` takes the next location
     too).  Nothing else changes: a step reads only its own actor.
     """
 
     actor: Actor
-    rule: str
-    loc: int | None = None
+    event: TraceEvent
     post: tuple[int, Lambda] | None = None
     spawned: Actor | None = None
 
@@ -212,34 +215,35 @@ def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
     unit = Val(UnitVal())
     match node:
         case App(Val(Lambda(param, _, body)), Val(arg)):
-            return Effect(to(subst(body, param, arg)), "apply")
+            return Effect(to(subst(body, param, arg)), TraceEvent(ident, "apply"))
 
         case Send(Val(ActorId(target)), Lambda() as msg):
-            return Effect(to(unit), "send-actor", post=(target, msg))
+            return Effect(to(unit), TraceEvent(ident, "send-actor"), (target, msg))
 
         case Send(Val(BestowedLoc(loc, owner)), Lambda() as msg):
             # Forward to the owner: wrap the message so that, once delivered,
             # it applies the original function to the underlying object.
             y = fresh_name("y", free_vars(msg))
             wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(loc))))
-            return Effect(to(unit), "send-bestowed", post=(owner, wrapper))
+            return Effect(to(unit), TraceEvent(ident, "send-bestowed"), (owner, wrapper))
 
         case Mutate(Val(Loc(loc))):
             # Mutation of the object at `loc` is abstract: the heap is not
             # changed, but the event records which location was written.
-            return Effect(to(unit), "mutate", loc)
+            return Effect(to(unit), TraceEvent(ident, "mutate", loc))
 
         case Bestow(Val(Loc(loc))):
-            return Effect(to(Val(BestowedLoc(loc, ident))), "bestow", loc)
+            return Effect(to(Val(BestowedLoc(loc, ident))), TraceEvent(ident, "bestow", loc))
 
         case NewPassive():
             current = _plug(path, Val(Loc(next_loc)))
             me = Actor(a.this_loc, a.local_heap | {next_loc}, a.queue, current)
-            return Effect(me, "new-passive", next_loc)
+            return Effect(me, TraceEvent(ident, "new-passive", next_loc))
 
         case NewActor():
             spawned = Actor(next_loc, frozenset({next_loc}), (), unit)
-            return Effect(to(Val(ActorId(next_id))), "new-actor", spawned=spawned)
+            event = TraceEvent(ident, "new-actor")
+            return Effect(to(Val(ActorId(next_id))), event, spawned=spawned)
 
     raise _stuck_reason(ident, node)
 
@@ -262,7 +266,8 @@ def actor_step(
         else:
             msg, rest = a.queue[0], a.queue[1:]
         current = App(Val(msg), Val(Loc(a.this_loc)))
-        return Effect(Actor(a.this_loc, a.local_heap, rest, current), "actor-msg")
+        me = Actor(a.this_loc, a.local_heap, rest, current)
+        return Effect(me, TraceEvent(ident, "actor-msg"))
 
     if kind == "step":
         if is_value(a.current):
@@ -290,7 +295,7 @@ def apply_effect(
         target, msg = eff.post
         actors[target] = enqueue(actors[target], msg)
     next_loc, next_id = heap.next_loc, heap.next_id
-    if eff.rule == "new-passive":
+    if eff.event.rule == "new-passive":
         next_loc += 1
     elif eff.spawned is not None:
         actors[next_id] = eff.spawned
@@ -347,11 +352,7 @@ def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
 
 
 def step_system(
-    heap: Heap,
-    choice: SchedulerChoice,
-    *,
-    step_index: int = 0,
-    lifo: bool = False,
+    heap: Heap, choice: SchedulerChoice, *, lifo: bool = False
 ) -> tuple[Heap, TraceEvent]:
     """Perform one scheduler choice.  Raises if the choice is not enabled."""
     ident = choice.actor
@@ -360,7 +361,7 @@ def step_system(
     eff = actor_step(
         ident, heap.actors[ident], choice.kind, heap.next_loc, heap.next_id, lifo=lifo
     )
-    return apply_effect(heap, ident, eff), TraceEvent(step_index, ident, eff.rule, eff.loc)
+    return apply_effect(heap, ident, eff), eff.event
 
 
 def initial_heap(e: Expr) -> Heap:
@@ -389,7 +390,7 @@ def run_to_quiescence(
     scripted = list(schedule) if schedule is not None else []
     trace: list[TraceEvent] = []
 
-    for i in range(fuel):
+    for _ in range(fuel):
         # The default policy takes the first choice, so it asks for no more:
         # in a long program most actors spawned so far sit idle, and listing
         # every choice would visit each of them on every step.
@@ -409,7 +410,7 @@ def run_to_quiescence(
             choice = rng.choice(enabled)
         else:
             choice = enabled[0]
-        heap, event = step_system(heap, choice, step_index=i, lifo=lifo)
+        heap, event = step_system(heap, choice, lifo=lifo)
         trace.append(event)
 
     if enabled_choices(heap):
@@ -433,11 +434,11 @@ def events_to_jsonl(trace: Iterable[TraceEvent]) -> str:
     import json
 
     lines = []
-    for ev in trace:
+    for i, ev in enumerate(trace):
         lines.append(
             json.dumps(
                 {
-                    "step": ev.step_index,
+                    "step": i,
                     "actor": ev.actor,
                     "rule": ev.rule,
                     "loc": ev.touched_loc,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import re
+import runpy
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from bestow.explore import (
     explore,
     state_key,
 )
-from bestow.semantics import SchedulerChoice, initial_heap, step_system
+from bestow.semantics import SchedulerChoice, TraceEvent, initial_heap, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -158,7 +160,6 @@ def test_depth_and_parents_consistent():
         for key in space.states:
             path = space.trace_to(key)
             assert len(path) == dist[key]
-            assert all(e.event.step_index == dist[e.src] for e in path)
             at = space.initial
             for edge in path:
                 assert edge.src == at
@@ -297,6 +298,19 @@ def _race_after_one_step() -> Heap:
     )
 
 
+def replay_printed(heap: Heap, printed: str) -> tuple[Heap, list[TraceEvent]]:
+    """Replay from ``heap`` the ``(schedule: ...)`` a result prints: the
+    heap it ends on and the events of its steps."""
+    schedule = re.search(r"\(schedule:((?: \d+:(?:pop|step))*)\)", printed)
+    assert schedule is not None
+    events = []
+    for tok in schedule.group(1).split():
+        actor, kind = tok.split(":")
+        heap, event = step_system(heap, SchedulerChoice(int(actor), kind))
+        events.append(event)
+    return heap, events
+
+
 @pytest.mark.parametrize(
     "heap,check",
     [(_stuck_after_one_step(), check_progress), (_race_after_one_step(), check_race_freedom)],
@@ -305,12 +319,8 @@ def _race_after_one_step() -> Heap:
 def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
     failure = check(explore(heap, require_wf=False, canonical=canonical))
     assert failure is not None
-    printed = re.search(r"\(schedule:((?: \d+:(?:pop|step))*)\)", str(failure))
-    assert printed is not None
-    schedule = [tok.split(":") for tok in printed.group(1).split()]
-    assert len(schedule) == len(failure.trace) == 1
-    for i, (actor, kind) in enumerate(schedule):
-        heap, _ = step_system(heap, SchedulerChoice(int(actor), kind), step_index=i)
+    heap, events = replay_printed(heap, str(failure))
+    assert len(events) == len(failure.trace) == 1
     assert heap == failure.heap
 
 
@@ -375,12 +385,7 @@ def assert_steps_match_step_system(space: StateSpace) -> None:
     """Every edge's event and destination, and every state's stored heap,
     are what ``step_system`` gives from the edge's source."""
     for edge in space.edges:
-        nxt, event = step_system(
-            space.states[edge.src],
-            edge.choice,
-            step_index=len(space.trace_to(edge.src)),
-            lifo=space.lifo,
-        )
+        nxt, event = step_system(space.states[edge.src], edge.event.choice, lifo=space.lifo)
         assert event == edge.event
         assert state_key(nxt, space.canonical) == edge.dst
         if edge is space.parents[edge.dst]:
@@ -470,6 +475,18 @@ def test_batch_adjacency_counts_one_path():
 def test_batch_adjacency_counts_interleavings():
     src = "val a = new c; val b = new c; a ! \\x:p. new p; b ! \\x:p. new p"
     assert adjacency_of(src) == (30, BatchAdjacency(56, 0, None))
+
+
+def test_printed_split_schedule_replays_with_its_pops():
+    """The schedule printed for a split batch pops messages as well as
+    stepping, and replays to the witness's own events and end state."""
+    script = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
+    _, split = adjacency_of(script["UNBATCHED"])
+    assert split.witness is not None
+    assert ":pop" in str(split)
+    heap, events = replay_printed(initial_heap(compile_program(script["UNBATCHED"])), str(split))
+    assert events == [e.event for e in split.witness]
+    assert state_key(heap, canonical=False) == split.witness[-1].dst
 
 
 def test_batch_adjacency_reads_only_the_owner():

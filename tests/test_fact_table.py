@@ -207,12 +207,7 @@ def assert_matches_reference(space: StateSpace) -> None:
         if space.canonical:
             assert key == render_heap(reference_canonicalize(rep))
     for edge in space.edges:
-        nxt, event = step_system(
-            space.states[edge.src],
-            edge.choice,
-            step_index=len(space.trace_to(edge.src)),
-            lifo=space.lifo,
-        )
+        nxt, event = step_system(space.states[edge.src], edge.event.choice, lifo=space.lifo)
         assert event == edge.event
         if space.canonical:
             want = reference_canonicalize(nxt)
@@ -287,8 +282,9 @@ def poised_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None
         assert kind != "step" and touches is None, a
         return None
     assert kind == "step", a
-    assert touches == (eff.loc if eff.rule in ("mutate", "bestow") else None), a
-    return eff.rule
+    ev = eff.event
+    assert touches == (ev.touched_loc if ev.rule in ("mutate", "bestow") else None), a
+    return ev.rule
 
 
 def test_poised_agrees_with_step_expr(programs):
@@ -327,12 +323,9 @@ def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     for key, stored in space.states.items():
         if key != space.initial:
             edge = space.parents[key]
-            assert edge.choice in enabled_choices(space.states[edge.src])
+            assert edge.event.choice in enabled_choices(space.states[edge.src])
             replayed[key], event = step_system(
-                replayed[edge.src],
-                edge.choice,
-                step_index=len(space.trace_to(edge.src)),
-                lifo=space.lifo,
+                replayed[edge.src], edge.event.choice, lifo=space.lifo
             )
             assert event == edge.event
         assert replayed[key] == stored
@@ -361,6 +354,14 @@ def test_one_record_per_actor_state(programs, canonical, lifo):
         for rep in space.states.values():
             for a in rep.actors.values():
                 assert firsts.setdefault(facts(a).text, a) is a
+
+
+def test_edges_share_the_events_of_memoized_steps():
+    """An edge holds the event its memoized step made, so the edges that
+    take one step share one event object."""
+    space = explore(contended(3, 2), max_depth=96)
+    assert len(space.edges) == 6237
+    assert len({id(e.event) for e in space.edges}) < 100
 
 
 def ill_formed_variants(heap: Heap) -> list[Heap]:
