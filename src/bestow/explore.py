@@ -1,9 +1,10 @@
 """Bounded exploration of the interleaving space, plus machine checks.
 
-``explore`` runs a breadth-first search over every scheduler choice from an
-initial heap, deduplicating states by a key that is canonical up to the
-renaming of actor ids and heap locations.  Each state is stored as the heap
-its shortest trace reaches, so every trace replays from the initial heap.
+``explore`` runs a breadth-first search over every scheduler choice (the
+id of an actor that can move) from an initial heap, deduplicating states by
+a key that is canonical up to the renaming of actor ids and heap locations.
+Each state is stored as the heap its shortest trace reaches, so every trace
+replays from the initial heap.
 On the resulting state graph, three checks replay the soundness story:
 
 * ``check_progress`` — in every reachable state each busy actor can step
@@ -21,8 +22,8 @@ and a successor is looked up by its actor objects before it is keyed.  The
 space stores no copy of a state's choices or depth.  Each edge holds the
 event its step made, one object per memoized step.  Each check returns
 ``None`` on success or a counterexample carrying the offending state and a
-shortest trace to it, printed as its schedule: each event's ``choice``.
-``batch_adjacency`` checks contiguous batches on the same graph in one pass:
+shortest trace to it, printed as its schedule: each event's actor and
+``kind``.  ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
 it counts the maximal paths that split a batch and gives one as a schedule.
 """
 
@@ -183,16 +184,17 @@ def explore(
     if require_wf and not (report := wf_heap(heap)).ok:
         raise ValueError(f"heap is not well-formed:\n{report}")
     # Memoized transitions, keyed by object identity.  A step is a pure
-    # function of the actor and its id (``bestow`` names the stepper), the
-    # choice kind and the fresh-name counters, the queue order being fixed
-    # per space; a post is one of the receiver and the message.  Every
-    # actor a miss makes is interned: ``firsts`` maps each actor state's
-    # key fragment to the first object with it, so each actor state has one
-    # object however it was reached, and its step, record and key fragment
-    # are worked out once.  No id in a memo key or ``seen`` tuple is reused
-    # while the space is built: each actor it names is interned in
-    # ``firsts``, and each message sits in an ``Effect`` that ``steps`` holds.
-    steps: dict[tuple[int, int, str, int, int], Effect] = {}
+    # function of the actor and its id (``bestow`` names the stepper) and
+    # the fresh-name counters, the queue order being fixed per space; the
+    # actor alone decides whether it pops or steps.  A post is one of the
+    # receiver and the message.  Every actor a miss makes is interned:
+    # ``firsts`` maps each actor state's key fragment to the first object
+    # with it, so each actor state has one object however it was reached,
+    # and its step, record and key fragment are worked out once.  No id in
+    # a memo key or ``seen`` tuple is reused while the space is built: each
+    # actor it names is interned in ``firsts``, and each message sits in an
+    # ``Effect`` that ``steps`` holds.
+    steps: dict[tuple[int, int, int, int], Effect] = {}
     posts: dict[tuple[int, int], Actor] = {}
     firsts: dict[str, Actor] = {}
 
@@ -228,12 +230,11 @@ def explore(
             truncated = True
             continue
         counters = rep.next_loc, rep.next_id
-        for choice in enabled:
-            ident, kind = choice.actor, choice.kind
+        for ident in enabled:
             a = rep.actors[ident]
-            k = (ident, id(a), kind, *counters)
+            k = (ident, id(a), *counters)
             if (eff := steps.get(k)) is None:
-                e = actor_step(ident, a, kind, *counters, lifo=lifo)
+                e = actor_step(ident, a, *counters, lifo=lifo)
                 spawned = e.spawned and intern(e.spawned)
                 eff = steps[k] = Effect(intern(e.actor), e.event, e.post, spawned)
             nxt = apply_effect(rep, ident, eff, post)
@@ -269,7 +270,7 @@ def explore(
 
 def _after(trace: tuple[Edge, ...]) -> str:
     """The trace's length and its schedule, one ``actor:kind`` per step."""
-    steps = "".join(f" {c.actor}:{c.kind}" for c in (e.event.choice for e in trace))
+    steps = "".join(f" {e.event.actor}:{e.event.kind}" for e in trace)
     return f"after {len(trace)} steps (schedule:{steps})"
 
 

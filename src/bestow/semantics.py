@@ -1,13 +1,13 @@
 """Small-step operational semantics.
 
-An actor system steps by picking a scheduler choice: either an idle actor
-pops the next message off its queue, or a busy actor reduces its current
+An actor system steps by picking an actor, the scheduler choice: an idle
+actor pops the next message off its queue, a busy actor reduces its current
 expression by one step.  Expression reduction uses a unique evaluation
 context (leftmost-innermost), so each actor's next step is deterministic;
-all nondeterminism lives in the choice of actor.  One walk down that
-context (``_focus``) finds the node where an actor moves; ``step_expr``
-reduces it and ``poised`` reports what it enables, each with one match of
-that node against the redex shapes.
+all nondeterminism lives in the choice of actor, and a schedule is a
+sequence of actor ids.  One walk down that context (``_focus``) finds the
+node where an actor moves; ``step_expr`` reduces it and ``poised`` reports
+what it enables, each with one match of that node against the redex shapes.
 
 The rule that fires makes the step's one :class:`TraceEvent`, naming that
 rule and, for heap-touching rules, the location involved.
@@ -56,18 +56,6 @@ DEFAULT_FUEL = 100_000
 
 
 @dataclass(frozen=True)
-class SchedulerChoice:
-    """One schedulable unit of work: ``kind`` is ``"pop"`` or ``"step"``.
-
-    Each actor enables at most one choice; listing them by actor id fixes the
-    deterministic scheduling policy and the explorer's edge order.
-    """
-
-    actor: int
-    kind: str
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     """One step of the system; its index is its position in the trace.
 
@@ -82,9 +70,9 @@ class TraceEvent:
     touched_loc: int | None = None
 
     @property
-    def choice(self) -> SchedulerChoice:
-        """The scheduler choice that took this step: only ``actor-msg`` pops."""
-        return SchedulerChoice(self.actor, "pop" if self.rule == "actor-msg" else "step")
+    def kind(self) -> str:
+        """How the actor moved: only ``actor-msg`` pops, every other rule steps."""
+        return "pop" if self.rule == "actor-msg" else "step"
 
 
 class StuckError(Exception):
@@ -101,7 +89,7 @@ class SendToNonActiveError(StuckError):
 
 
 class ScheduleError(Exception):
-    """A scripted schedule asked for a choice that is not enabled."""
+    """A scripted schedule asked for an actor that cannot move."""
 
 
 class FuelExhaustedError(Exception):
@@ -249,32 +237,21 @@ def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
 
 
 def actor_step(
-    ident: int, a: Actor, kind: str, next_loc: int, next_id: int, *, lifo: bool = False
+    ident: int, a: Actor, next_loc: int, next_id: int, *, lifo: bool = False
 ) -> Effect:
-    """The effect of choice ``kind`` on actor ``a``, running as ``ident``.
+    """The effect of moving actor ``a``, running as ``ident``: a busy actor
+    steps, an idle one pops.
 
     A pure function of its arguments, so callers may memoize it.  Raises
-    :class:`ScheduleError` if the choice is not enabled.
+    :class:`ScheduleError` for an idle actor with an empty queue.
     """
-    if kind == "pop":
-        if not is_value(a.current):
-            raise ScheduleError(f"actor {ident} is still busy; cannot pop")
-        if not a.queue:
-            raise ScheduleError(f"actor {ident} has an empty queue")
-        if lifo:
-            msg, rest = a.queue[-1], a.queue[:-1]
-        else:
-            msg, rest = a.queue[0], a.queue[1:]
-        current = App(Val(msg), Val(Loc(a.this_loc)))
-        me = Actor(a.this_loc, a.local_heap, rest, current)
-        return Effect(me, TraceEvent(ident, "actor-msg"))
-
-    if kind == "step":
-        if is_value(a.current):
-            raise ScheduleError(f"actor {ident} has nothing to step")
+    if not is_value(a.current):
         return step_expr(ident, a, next_loc, next_id)
-
-    raise ScheduleError(f"unknown choice kind: {kind!r}")
+    if not a.queue:
+        raise ScheduleError(f"actor {ident} has an empty queue")
+    msg, rest = (a.queue[-1], a.queue[:-1]) if lifo else (a.queue[0], a.queue[1:])
+    me = Actor(a.this_loc, a.local_heap, rest, App(Val(msg), Val(Loc(a.this_loc))))
+    return Effect(me, TraceEvent(ident, "actor-msg"))
 
 
 def enqueue(recv: Actor, msg: Lambda) -> Actor:
@@ -309,7 +286,7 @@ def apply_effect(
 
 
 def poised(a: Actor) -> tuple[str | None, int | None]:
-    """The choice kind ``a`` enables (``"pop"``, ``"step"`` or None) and the
+    """How ``a`` can move (``"pop"``, ``"step"`` or None) and the
     location that step would read or write (None for rules that touch no
     existing location).  It matches the node ``step_expr`` would reduce
     against the same redex shapes; a stuck actor enables nothing.  Worked
@@ -334,33 +311,24 @@ def _poised(a: Actor) -> tuple[str | None, int | None]:
     return None, None
 
 
-def _enabled(heap: Heap) -> Iterator[SchedulerChoice]:
-    """The choices that can fire in ``heap``, in deterministic order."""
-    for ident in sorted(heap.actors):
-        kind = poised(heap.actors[ident])[0]
-        if kind is not None:
-            yield SchedulerChoice(ident, kind)
+def _enabled(heap: Heap) -> Iterator[int]:
+    """``enabled_choices``, lazily."""
+    actors = heap.actors
+    return (i for i in sorted(actors) if poised(actors[i])[0] is not None)
 
 
-def enabled_choices(heap: Heap) -> list[SchedulerChoice]:
-    """All choices that can fire in ``heap``, in deterministic order.
-
-    Never raises: actors whose expression is stuck simply contribute no
-    ``step`` choice.
-    """
+def enabled_choices(heap: Heap) -> list[int]:
+    """The ids of the actors that can move in ``heap`` (a stuck one cannot), ascending."""
     return list(_enabled(heap))
 
 
-def step_system(
-    heap: Heap, choice: SchedulerChoice, *, lifo: bool = False
-) -> tuple[Heap, TraceEvent]:
-    """Perform one scheduler choice.  Raises if the choice is not enabled."""
-    ident = choice.actor
+def step_system(heap: Heap, ident: int, *, lifo: bool = False) -> tuple[Heap, TraceEvent]:
+    """Move actor ``ident`` one step.  Raises :class:`ScheduleError` for an
+    unknown id or an idle actor with an empty queue, and :class:`StuckError`
+    for a stuck one."""
     if ident not in heap.actors:
         raise ScheduleError(f"no such actor: {ident}")
-    eff = actor_step(
-        ident, heap.actors[ident], choice.kind, heap.next_loc, heap.next_id, lifo=lifo
-    )
+    eff = actor_step(ident, heap.actors[ident], heap.next_loc, heap.next_id, lifo=lifo)
     return apply_effect(heap, ident, eff), eff.event
 
 
@@ -372,7 +340,7 @@ def initial_heap(e: Expr) -> Heap:
 
 def run_to_quiescence(
     heap: Heap,
-    schedule: Sequence[SchedulerChoice] | None = None,
+    schedule: Sequence[int] | None = None,
     *,
     seed: int | None = None,
     fuel: int = DEFAULT_FUEL,
@@ -380,10 +348,10 @@ def run_to_quiescence(
 ) -> tuple[Heap, list[TraceEvent]]:
     """Run until no choice is enabled.
 
-    Scheduling policy: consume ``schedule`` first (raising
-    :class:`ScheduleError` if an entry is not enabled), then pick uniformly
-    at random when ``seed`` is given, else always take the first enabled
-    choice.  Raises :class:`FuelExhaustedError` (with partial results
+    Scheduling policy: consume ``schedule``, a sequence of actor ids, first
+    (raising :class:`ScheduleError` if an entry cannot move), then pick
+    uniformly at random when ``seed`` is given, else always take the first
+    enabled choice.  Raises :class:`FuelExhaustedError` (with partial results
     attached) after ``fuel`` steps.
     """
     rng = random.Random(seed) if seed is not None else None
@@ -401,16 +369,14 @@ def run_to_quiescence(
         if not enabled:
             return heap, trace
         if scripted:
-            choice = scripted.pop(0)
-            if choice not in enabled:
-                raise ScheduleError(
-                    f"scheduled choice {choice} not enabled (enabled: {enabled})"
-                )
+            ident = scripted.pop(0)
+            if ident not in enabled:
+                raise ScheduleError(f"actor {ident} cannot move (enabled: {enabled})")
         elif rng is not None:
-            choice = rng.choice(enabled)
+            ident = rng.choice(enabled)
         else:
-            choice = enabled[0]
-        heap, event = step_system(heap, choice, lifo=lifo)
+            ident = enabled[0]
+        heap, event = step_system(heap, ident, lifo=lifo)
         trace.append(event)
 
     if enabled_choices(heap):
@@ -433,17 +399,8 @@ def events_to_jsonl(trace: Iterable[TraceEvent]) -> str:
     """Render a trace as JSON lines (one event per line)."""
     import json
 
-    lines = []
-    for i, ev in enumerate(trace):
-        lines.append(
-            json.dumps(
-                {
-                    "step": i,
-                    "actor": ev.actor,
-                    "rule": ev.rule,
-                    "loc": ev.touched_loc,
-                },
-                separators=(", ", ": "),
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        json.dumps({"step": i, "actor": ev.actor, "rule": ev.rule, "loc": ev.touched_loc})
+        + "\n"
+        for i, ev in enumerate(trace)
+    )

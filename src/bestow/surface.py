@@ -583,15 +583,32 @@ _LEVEL_POSTFIX = 4
 
 
 def format_core(e: Expr) -> str:
-    """Valid surface syntax for a core expression.
+    """Valid surface syntax for a core expression; ``compile_program`` reads
+    it back as ``e``.
 
     Only source forms are printable; runtime values (locations, actor ids,
-    bestowed references) raise ``ValueError``.
+    bestowed references) raise ``ValueError``, and so does an expression
+    whose text would be nested more than ``MAX_NESTING`` levels deep.
     """
-    return _fmt(e, _LEVEL_EXPR)
+    return _fmt(e, _LEVEL_EXPR, _deeper(0))
 
 
-def _fmt(e: Expr, level: int) -> str:
+def _deeper(depth: int) -> int:
+    """One level below ``depth``, or ``ValueError`` past ``MAX_NESTING``."""
+    if depth >= MAX_NESTING:
+        raise ValueError(f"expression is nested more than {MAX_NESTING} levels deep")
+    return depth + 1
+
+
+def _fmt(e: Expr, level: int, depth: int) -> str:
+    """``e`` printed where the parser reads precedence ``level`` at nesting
+    ``depth``.
+
+    Each level the parser counts is counted here, at the same point, so the
+    text reads back exactly when no count passes ``MAX_NESTING``; that also
+    bounds the recursion.  Application and mutate chains are walked in
+    loops, as the parser reads them.
+    """
     match e:
         case Var(name):
             return name
@@ -601,29 +618,36 @@ def _fmt(e: Expr, level: int) -> str:
             return "new p"
         case NewActor():
             return "new c"
-        case Val(Lambda(param, param_type, body)):
-            s = f"\\{param}:{_fmt_type(param_type)}. {_fmt(body, _LEVEL_EXPR)}"
-            return _wrap(s, _LEVEL_EXPR, level)
-        case Send(target, msg):
-            s = f"{_fmt(target, _LEVEL_PREFIX)} ! {_fmt(Val(msg), _LEVEL_EXPR)}"
-            return _wrap(s, _LEVEL_SEND, level)
-        case Bestow(inner):
-            s = f"bestow {_fmt(inner, _LEVEL_PREFIX)}"
-            return _wrap(s, _LEVEL_PREFIX, level)
-        case App(fun, arg):
-            s = f"{_fmt(fun, _LEVEL_APP)} {_fmt(arg, _LEVEL_POSTFIX)}"
-            return _wrap(s, _LEVEL_APP, level)
+        case Val(Lambda(param, param_type, body)) if level <= _LEVEL_EXPR:
+            ty = _fmt_type(param_type, _deeper(depth))
+            return f"\\{param}:{ty}. {_fmt(body, _LEVEL_EXPR, _deeper(depth))}"
+        case Send(target, msg) if level <= _LEVEL_SEND:
+            rhs = _fmt(Val(msg), _LEVEL_EXPR, _deeper(depth))
+            return f"{_fmt(target, _LEVEL_PREFIX, depth)} ! {rhs}"
+        case Bestow(inner) if level <= _LEVEL_PREFIX:
+            return f"bestow {_fmt(inner, _LEVEL_PREFIX, _deeper(depth))}"
+        case App() if level <= _LEVEL_APP:
+            args = []
+            while type(e) is App:
+                args.append(e.arg)
+                e = e.fun
+            args.reverse()
+            _deeper(depth + len(args) - 1)  # the i-th argument reads i levels deeper
+            tail = (_fmt(arg, _LEVEL_POSTFIX, depth + i) for i, arg in enumerate(args, 1))
+            return " ".join([_fmt(e, _LEVEL_APP, depth), *tail])
         case Mutate(target):
-            s = f"{_fmt(target, _LEVEL_POSTFIX)}.mutate()"
-            return _wrap(s, _LEVEL_POSTFIX, level)
+            n = 1
+            while type(target) is Mutate:
+                target, n = target.target, n + 1
+            _deeper(depth + n - 1)  # the i-th `.mutate()` reads i levels deeper
+            return _fmt(target, _LEVEL_POSTFIX, depth) + ".mutate()" * n
+        case Val(Lambda()) | Send() | Bestow() | App():
+            return f"({_fmt(e, _LEVEL_EXPR, _deeper(depth))})"
     raise ValueError(f"expression has no surface form: {e}")
 
 
-def _wrap(s: str, have: int, want: int) -> str:
-    return f"({s})" if have < want else s
-
-
-def _fmt_type(t: Type) -> str:
+def _fmt_type(t: Type, depth: int) -> str:
+    """``t`` printed where the parser reads a type at nesting ``depth``."""
     match t:
         case Passive():
             return "p"
@@ -633,9 +657,9 @@ def _fmt_type(t: Type) -> str:
             return "B(p)"
         case UnitType():
             return "Unit"
+        case Arrow(Arrow() as dom, cod):
+            left = _fmt_type(dom, _deeper(depth))
+            return f"({left}) -> {_fmt_type(cod, _deeper(depth))}"
         case Arrow(dom, cod):
-            left = _fmt_type(dom)
-            if isinstance(dom, Arrow):
-                left = f"({left})"
-            return f"{left} -> {_fmt_type(cod)}"
+            return f"{_fmt_type(dom, depth)} -> {_fmt_type(cod, _deeper(depth))}"
     raise TypeError(f"not a type: {t!r}")

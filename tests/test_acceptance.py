@@ -227,7 +227,7 @@ def test_acceptance_batch_adjacency(verdict):
         # The witness replays, and puts another owner op between two mutates.
         heap, marks = initial_heap(compile_program(BATCHING["UNBATCHED"])), ""
         for e in unbatched.witness:
-            heap, event = step_system(heap, e.event.choice)
+            heap, event = step_system(heap, e.event.actor)
             assert (event, state_key(heap, canonical=False)) == (e.event, e.dst)
             if event.actor == 0 and event.touched_loc is not None:
                 marks += "M" if event.rule == "mutate" else "-"

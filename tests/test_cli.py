@@ -216,6 +216,17 @@ def test_explore_ok(src, capsys):
     assert "race-freedom: ok" in out
 
 
+def test_readme_explore_sample_prints_what_the_readme_shows(src, capsys):
+    """The README's `explore` example: the first fenced block after its
+    introduction is the program, the second what `bestow explore` prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("`explore` enumerates every reachable state", 1)[1].split("```")
+    program, shown = (block.partition("\n")[2] for block in (blocks[1], blocks[3]))
+    assert len(shown.splitlines()) == 6
+    assert main(["explore", src(program)]) == 0
+    assert capsys.readouterr().out == shown
+
+
 def test_explore_reports_truncation(src, capsys):
     assert main(["explore", src(GOOD), "--bound", "2"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from bestow.explore import (
     explore,
     state_key,
 )
-from bestow.semantics import SchedulerChoice, TraceEvent, initial_heap, step_system
+from bestow.semantics import TraceEvent, initial_heap, step_system
 from bestow.surface import compile_program
 from bestow.syntax import (
     Actor,
@@ -306,7 +306,8 @@ def replay_printed(heap: Heap, printed: str) -> tuple[Heap, list[TraceEvent]]:
     events = []
     for tok in schedule.group(1).split():
         actor, kind = tok.split(":")
-        heap, event = step_system(heap, SchedulerChoice(int(actor), kind))
+        heap, event = step_system(heap, int(actor))
+        assert event.kind == kind
         events.append(event)
     return heap, events
 
@@ -385,7 +386,7 @@ def assert_steps_match_step_system(space: StateSpace) -> None:
     """Every edge's event and destination, and every state's stored heap,
     are what ``step_system`` gives from the edge's source."""
     for edge in space.edges:
-        nxt, event = step_system(space.states[edge.src], edge.event.choice, lifo=space.lifo)
+        nxt, event = step_system(space.states[edge.src], edge.event.actor, lifo=space.lifo)
         assert event == edge.event
         assert state_key(nxt, space.canonical) == edge.dst
         if edge is space.parents[edge.dst]:

@@ -207,7 +207,7 @@ def assert_matches_reference(space: StateSpace) -> None:
         if space.canonical:
             assert key == render_heap(reference_canonicalize(rep))
     for edge in space.edges:
-        nxt, event = step_system(space.states[edge.src], edge.event.choice, lifo=space.lifo)
+        nxt, event = step_system(space.states[edge.src], edge.event.actor, lifo=space.lifo)
         assert event == edge.event
         if space.canonical:
             want = reference_canonicalize(nxt)
@@ -323,9 +323,9 @@ def assert_traces_replay(initial: Heap, space: StateSpace) -> None:
     for key, stored in space.states.items():
         if key != space.initial:
             edge = space.parents[key]
-            assert edge.event.choice in enabled_choices(space.states[edge.src])
+            assert edge.event.actor in enabled_choices(space.states[edge.src])
             replayed[key], event = step_system(
-                replayed[edge.src], edge.event.choice, lifo=space.lifo
+                replayed[edge.src], edge.event.actor, lifo=space.lifo
             )
             assert event == edge.event
         assert replayed[key] == stored

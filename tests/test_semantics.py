@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from bestow.semantics import (
     FuelExhaustedError,
     ScheduleError,
-    SchedulerChoice,
     SendToNonActiveError,
     StuckError,
+    TraceEvent,
     _focus,
     _plug,
     apply_effect,
@@ -243,7 +243,7 @@ def test_step_stuck_diagnoses():
 
 def test_pop_applies_message_to_own_location():
     heap = one_actor(UNIT, queue=(MSG,))
-    heap2, ev = step_system(heap, SchedulerChoice(0, "pop"))
+    heap2, ev = step_system(heap, 0)
     assert ev.rule == "actor-msg"
     assert heap2.actors[0].current == App(Val(MSG), Val(Loc(0)))
     assert heap2.actors[0].queue == ()
@@ -253,10 +253,10 @@ def test_pop_order_fifo_vs_lifo():
     m1 = Lambda("x", P, NewPassive())
     m2 = Lambda("x", P, Mutate(Var("x")))
     heap = one_actor(UNIT, queue=(m1, m2))
-    fifo, _ = step_system(heap, SchedulerChoice(0, "pop"))
+    fifo, _ = step_system(heap, 0)
     assert fifo.actors[0].current == App(Val(m1), Val(Loc(0)))
     assert fifo.actors[0].queue == (m2,)
-    lifo, _ = step_system(heap, SchedulerChoice(0, "pop"), lifo=True)
+    lifo, _ = step_system(heap, 0, lifo=True)
     assert lifo.actors[0].current == App(Val(m2), Val(Loc(0)))
     assert lifo.actors[0].queue == (m1,)
 
@@ -273,24 +273,21 @@ def test_enabled_choices_sorted_and_total():
         next_loc=5,
         next_id=5,
     )
-    assert enabled_choices(heap) == [
-        SchedulerChoice(0, "pop"),
-        SchedulerChoice(1, "step"),
-        SchedulerChoice(3, "step"),
-    ]
+    assert enabled_choices(heap) == [0, 1, 3]
     assert enabled_choices(heap)
 
 
-def test_pop_requires_idle_actor():
+def test_busy_actor_steps_before_it_pops():
     heap = one_actor(NewPassive(), queue=(MSG,))
-    with pytest.raises(ScheduleError):
-        step_system(heap, SchedulerChoice(0, "pop"))
+    heap2, ev = step_system(heap, 0)
+    assert ev == TraceEvent(0, "new-passive", 10)
+    assert heap2.actors[0].queue == (MSG,)
 
 
 def test_step_requires_busy_actor():
     heap = one_actor(UNIT)
-    with pytest.raises(ScheduleError):
-        step_system(heap, SchedulerChoice(0, "step"))
+    with pytest.raises(ScheduleError, match="empty queue"):
+        step_system(heap, 0)
 
 
 def test_initial_heap_shape():
@@ -396,10 +393,12 @@ def test_poised_is_worked_out_once_per_actor():
 def test_scripted_schedule_and_error():
     e = compile_program("val a = new c; a ! \\x:p. x.mutate()")
     heap = initial_heap(e)
-    _, trace = run_to_quiescence(heap, schedule=[SchedulerChoice(0, "step")])
-    assert trace[0] == trace[0]
+    _, trace = run_to_quiescence(heap, schedule=[0])
+    assert trace[0] == TraceEvent(0, "new-actor")
     with pytest.raises(ScheduleError):
-        run_to_quiescence(heap, schedule=[SchedulerChoice(5, "step")])
+        run_to_quiescence(heap, schedule=[5])
+    with pytest.raises(ScheduleError, match="no such actor"):
+        step_system(heap, 5)
 
 
 def test_fuel_exhaustion_keeps_partial_trace():

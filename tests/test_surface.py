@@ -399,6 +399,69 @@ def test_format_core_rejects_runtime_values():
         format_core(Val(Loc(0)))
 
 
+def test_format_core_of_a_val_chain_reads_back_or_raises():
+    """Each `val` statement nests its rest two levels deeper, so a chain of 25
+    statements prints as text that reads back and a longer one raises."""
+    for n in range(1, 61):
+        core = compile_program(";\n".join(f"val o{i} = new p" for i in range(n)))
+        if n <= 25:
+            assert compile_program(format_core(core)) == core, n
+        else:
+            with pytest.raises(ValueError, match="nested more than"):
+                format_core(core)
+    long_chain = ";\n".join(f"val o{i} = new p" for i in range(500))
+    with pytest.raises(ValueError, match="nested more than"):
+        format_core(compile_program(long_chain))
+
+
+def _nest(k, wrap, leaf):
+    for _ in range(k):
+        leaf = wrap(leaf)
+    return leaf
+
+
+NESTED_SHAPES = {
+    "mutate": (lambda k: "x" + ".mutate()" * k, lambda k: _nest(k, Mutate, Var("x"))),
+    "bestow": (lambda k: "bestow " * k + "x", lambda k: _nest(k, Bestow, Var("x"))),
+    "app chain": (
+        lambda k: "f" + " x" * k,
+        lambda k: _nest(k, lambda e: App(e, Var("x")), Var("f")),
+    ),
+    "app argument": (
+        lambda k: "f (" * (k - 1) + "f x" + ")" * (k - 1),
+        lambda k: _nest(k, lambda e: App(Var("f"), e), Var("x")),
+    ),
+    "lambda": (
+        lambda k: "\\x:p. " * k + "x",
+        lambda k: _nest(k, lambda e: Val(Lambda("x", Passive(), e)), Var("x")),
+    ),
+    "send": (
+        lambda k: "x ! \\y:p. " * k + "y",
+        lambda k: _nest(k, lambda e: Send(Var("x"), Lambda("y", Passive(), e)), Var("y")),
+    ),
+    "arrow type": (
+        lambda k: "\\x:" + "p -> " * k + "p. x",
+        lambda k: Val(Lambda("x", _nest(k, lambda t: Arrow(Passive(), t), Passive()), Var("x"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED_SHAPES)
+def test_format_core_raises_exactly_where_the_parser_rejects(shape):
+    text, core = NESTED_SHAPES[shape]
+    readable = 0
+    for k in range(1, 70):
+        try:
+            parsed = compile_program(text(k))
+        except ParseError:
+            with pytest.raises(ValueError, match="nested more than"):
+                format_core(core(k))
+        else:
+            readable += 1
+            assert parsed == core(k) and format_core(core(k)) == text(k), k
+    assert 0 < readable < 69
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=50_000))
 def test_generated_programs_round_trip(seed):
