@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,17 +24,8 @@ from bestow.surface import format_core
 from bestow.typecheck import TypeCheckError, type_of
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    programs: int = 1000
-    min_budget: int = 4
-    max_budget: int = 12
-    first_seed: int = 0
-    max_states: int = 50_000
-    max_depth: int = 64
-
-
-def sweep(cfg: SweepConfig, verbose: bool = False) -> int:
+def sweep(cfg: argparse.Namespace) -> int:
+    """Sweep as ``main``'s options say; 1 if any program fails, else 0."""
     t0 = time.perf_counter()
     failures = 0
     max_states_seen = 0
@@ -70,7 +60,7 @@ def sweep(cfg: SweepConfig, verbose: bool = False) -> int:
                 print(f"seed {seed}: {name} violated: {cx}")
                 print(f"  program: {format_core(program)}")
                 failures += 1
-        if verbose and i % 100 == 0:
+        if cfg.verbose and i % 100 == 0:
             print(f"... {i}/{cfg.programs} ({len(space.states)} states for seed {seed})")
     dt = time.perf_counter() - t0
     print(
@@ -80,7 +70,7 @@ def sweep(cfg: SweepConfig, verbose: bool = False) -> int:
     return 1 if failures else 0
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--programs", type=int, default=1000)
     ap.add_argument("--min-budget", type=int, default=4)
@@ -89,16 +79,12 @@ def main() -> int:
     ap.add_argument("--max-states", type=int, default=50_000)
     ap.add_argument("--max-depth", type=int, default=64)
     ap.add_argument("-v", "--verbose", action="store_true")
-    args = ap.parse_args()
-    cfg = SweepConfig(
-        programs=args.programs,
-        min_budget=args.min_budget,
-        max_budget=args.max_budget,
-        first_seed=args.first_seed,
-        max_states=args.max_states,
-        max_depth=args.max_depth,
-    )
-    return sweep(cfg, verbose=args.verbose)
+    args = ap.parse_args(argv)
+    if args.min_budget < 1:
+        ap.error("--min-budget must be at least 1")
+    if args.max_budget < args.min_budget:
+        ap.error("--max-budget must be at least --min-budget")
+    return sweep(args)
 
 
 if __name__ == "__main__":

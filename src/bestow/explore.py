@@ -20,11 +20,12 @@ value each actor keeps.  The explorer interns every
 actor it makes: each actor state has one object, rendered and judged once,
 and a successor is looked up by its actor objects before it is keyed.  The
 space stores no copy of a state's choices or depth.  Each edge holds the
-event its step made, one object per memoized step.  Each check returns
-``None`` on success or a counterexample carrying the offending state and a
-shortest trace to it, printed as its schedule: each event's actor and
-``kind``.  ``batch_adjacency`` checks contiguous batches on the same graph in one pass:
-it counts the maximal paths that split a batch and gives one as a schedule.
+event its step made, one object per memoized step.  Each check, and
+``batch_adjacency`` (which counts in one pass the maximal paths that split
+a batch), gives a failure as one ``Counterexample``: the check's name, the
+failing state and heap, a ``detail`` saying what fails there, and a trace
+to it, printed as ``<detail> after N steps (schedule: ...)``, one event's
+actor and ``kind`` per step.  ``None`` stands for success.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .semantics import (
     enqueue,
     poised,
 )
-from .wellformed import ActorFacts, WfReport, facts, wf_heap
+from .wellformed import ActorFacts, facts, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -148,15 +149,14 @@ class StateSpace:
                 self._out.setdefault(e.src, []).append(e)
         return self._out.get(key, [])
 
-    def trace_to(self, key: str) -> list[Edge]:
+    def trace_to(self, key: str) -> tuple[Edge, ...]:
         """A shortest edge path from the initial state to ``key``."""
         path: list[Edge] = []
         while key != self.initial:
             edge = self.parents[key]
             path.append(edge)
             key = edge.src
-        path.reverse()
-        return path
+        return tuple(reversed(path))
 
     def terminal_states(self) -> list[str]:
         return [k for k, rep in self.states.items() if not enabled_choices(rep)]
@@ -275,49 +275,34 @@ def _after(trace: tuple[Edge, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class ProgressFailure:
-    """A reachable state that is neither terminal nor able to step."""
+class Counterexample:
+    """A state that fails ``check`` (named as in ``check_all``, or
+    "batch-adjacency"), what fails there, and a trace to it.  ``heap`` is
+    the heap stored for the key ``state``, which the trace's schedule
+    replays to; a batch's split path may be longer than the shortest trace,
+    and replays to it up to renaming on a canonical space."""
 
+    check: str
     state: str
     heap: Heap
+    detail: str
     trace: tuple[Edge, ...]
 
     def __str__(self) -> str:
-        return f"stuck non-terminal state {_after(self.trace)}: {self.state}"
+        return f"{self.detail} {_after(self.trace)}"
 
 
-@dataclass(frozen=True)
-class PreservationFailure:
-    """A reachable state that lost well-formedness."""
-
-    state: str
-    heap: Heap
-    report: WfReport
-    trace: tuple[Edge, ...]
-
-    def __str__(self) -> str:
-        return f"ill-formed state {_after(self.trace)}: {self.report}"
+def _first(
+    space: StateSpace, check: str, judge: Callable[[Heap], str | None]
+) -> Counterexample | None:
+    """The first state that ``judge`` fails (it says what fails), or None."""
+    for key, rep in space.states.items():
+        if (detail := judge(rep)) is not None:
+            return Counterexample(check, key, rep, detail, space.trace_to(key))
+    return None
 
 
-@dataclass(frozen=True)
-class RaceWitness:
-    """Two actors poised to touch the same location in one state."""
-
-    state: str
-    heap: Heap
-    actors: tuple[int, int]
-    loc: int
-    trace: tuple[Edge, ...]
-
-    def __str__(self) -> str:
-        a, b = self.actors
-        return (
-            f"actors {a} and {b} can both touch location {self.loc} "
-            f"{_after(self.trace)}"
-        )
-
-
-def check_progress(space: StateSpace) -> ProgressFailure | None:
+def check_progress(space: StateSpace) -> Counterexample | None:
     """First state with a busy actor that cannot step, or None.
 
     A stuck actor fails the state even while others can move; a state that
@@ -326,27 +311,30 @@ def check_progress(space: StateSpace) -> ProgressFailure | None:
     cannot produce a false positive: an unexpanded frontier state's actors
     are judged too.
     """
-    for key, rep in space.states.items():
-        if any(
-            not is_value(a.current) and poised(a)[0] != "step"
-            for a in rep.actors.values()
-        ):
-            return ProgressFailure(key, rep, tuple(space.trace_to(key)))
-    return None
+
+    def stuck(rep: Heap) -> str | None:
+        for i, a in rep.actors.items():
+            if not is_value(a.current) and poised(a)[0] != "step":
+                return f"actor {i} is stuck"
+        return None
+
+    return _first(space, "progress", stuck)
 
 
-def check_preservation(space: StateSpace) -> PreservationFailure | None:
+def check_preservation(space: StateSpace) -> Counterexample | None:
     """First reachable ill-formed state, or None."""
-    for key, rep in space.states.items():
+
+    def ill_formed(rep: Heap) -> str | None:
         report = wf_heap(rep)
-        if not report.ok:
-            return PreservationFailure(key, rep, report, tuple(space.trace_to(key)))
-    return None
+        return None if report.ok else f"ill-formed state: {report}"
+
+    return _first(space, "preservation", ill_formed)
 
 
-def check_race_freedom(space: StateSpace) -> RaceWitness | None:
+def check_race_freedom(space: StateSpace) -> Counterexample | None:
     """First state where two actors' next steps touch the same location."""
-    for key, rep in space.states.items():
+
+    def race(rep: Heap) -> str | None:
         touching = [
             (i, loc)
             for i in sorted(rep.actors)
@@ -355,8 +343,10 @@ def check_race_freedom(space: StateSpace) -> RaceWitness | None:
         for i, (a, loc) in enumerate(touching):
             for b, other in touching[i + 1 :]:
                 if loc == other:
-                    return RaceWitness(key, rep, (a, b), loc, tuple(space.trace_to(key)))
-    return None
+                    return f"actors {a} and {b} can both touch location {loc}"
+        return None
+
+    return _first(space, "race-freedom", race)
 
 
 @dataclass(frozen=True)
@@ -365,11 +355,11 @@ class BatchAdjacency:
 
     adjacent: int
     violated: int
-    witness: tuple[Edge, ...] | None
+    witness: Counterexample | None
 
     def __str__(self) -> str:
         s = f"{self.adjacent} adjacent, {self.violated} violated"
-        return s if self.witness is None else f"{s}; a batch is split {_after(self.witness)}"
+        return s if self.witness is None else f"{s}; {self.witness}"
 
 
 def batch_adjacency(
@@ -408,11 +398,16 @@ def batch_adjacency(
     ends = [k for k in space.states if not space.successors(k)]
     split = [k for k in ends if paths[k][VIOLATED]]
     kept = sum(paths[k].total() - paths[k][VIOLATED] for k in ends)
-    witness = first[split[0], VIOLATED] if split else None
+    witness = None
+    if split:
+        end = split[0]
+        witness = Counterexample(
+            "batch-adjacency", end, space.states[end], "a batch is split", first[end, VIOLATED]
+        )
     return BatchAdjacency(kept, sum(paths[k][VIOLATED] for k in split), witness)
 
 
-def check_all(space: StateSpace) -> dict[str, object | None]:
+def check_all(space: StateSpace) -> dict[str, Counterexample | None]:
     """Run the three checks; values are None on success."""
     return {
         "progress": check_progress(space),

@@ -203,7 +203,10 @@ def _draw(rng: random.Random, weighted: Sequence[tuple[T, int]]) -> T:
 def generate_well_typed(
     seed: int, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> tuple[Expr, Type]:
-    """A closed well-typed program and its type, from a seed."""
+    """A closed well-typed program and its type, from a seed; ``ValueError``
+    if no program goal fits in ``size_budget``."""
+    if all(min_size(goal) > size_budget for goal, _ in PROGRAM_GOALS):
+        raise ValueError(f"no program goal fits in size budget {size_budget}")
     rng = random.Random(seed)
     goal = _draw(rng, PROGRAM_GOALS)
     while min_size(goal) > size_budget:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from bestow.explore import (
-    RaceWitness,
+    Counterexample,
     check_all,
     check_race_freedom,
     explore,
@@ -65,7 +65,7 @@ from bestow.runtime import (
 BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
 
 
-def race_in(heap: Heap) -> RaceWitness | None:
+def race_in(heap: Heap) -> Counterexample | None:
     """The race check on ``heap`` alone: no step taken, wf not required."""
     return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
 
@@ -170,8 +170,7 @@ def test_acceptance_negative_controls(verdict):
         )
         witness = race_in(racy)
         assert witness is not None
-        assert witness.actors == (0, 1)
-        assert witness.loc == 5
+        assert witness.detail == "actors 0 and 1 can both touch location 5"
 
         # the clean control: a real program's initial state passes everything
         good = initial_heap(
@@ -226,7 +225,7 @@ def test_acceptance_batch_adjacency(verdict):
         assert unbatched.adjacent > 0  # but does not have to
         # The witness replays, and puts another owner op between two mutates.
         heap, marks = initial_heap(compile_program(BATCHING["UNBATCHED"])), ""
-        for e in unbatched.witness:
+        for e in unbatched.witness.trace:
             heap, event = step_system(heap, e.event.actor)
             assert (event, state_key(heap, canonical=False)) == (e.event, e.dst)
             if event.actor == 0 and event.touched_loc is not None:

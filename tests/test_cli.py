@@ -279,9 +279,8 @@ def test_sweep_prints_failing_programs_the_cli_reads(monkeypatch, capsys):
             failed.append(space)
         return results
 
-    sweep = script["sweep"]
-    monkeypatch.setitem(sweep.__globals__, "check_all", one_failure)
-    assert sweep(script["SweepConfig"](programs=4, first_seed=8)) == 1
+    monkeypatch.setitem(script["main"].__globals__, "check_all", one_failure)
+    assert script["main"](["--programs", "4", "--first-seed", "8"]) == 1
     out = capsys.readouterr().out
     assert "seed 8: race-freedom violated: injected" in out
     printed = [line for line in out.splitlines() if line.startswith("  program: ")]
@@ -292,3 +291,18 @@ def test_sweep_prints_failing_programs_the_cli_reads(monkeypatch, capsys):
     except SystemExit as exit:
         code = exit.code
     assert code in (0, 1), capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [["--min-budget", "5", "--max-budget", "4"], ["--min-budget", "6", "--max-budget", "4"],
+     ["--min-budget", "0"]],
+)
+def test_sweep_rejects_a_budget_range_with_no_program(budgets, capsys):
+    """A minimum above the maximum leaves no budget to sweep, and no program
+    fits a budget below 1: both exit 2 before any program is generated."""
+    script = runpy.run_path(str(Path(__file__).parent.parent / "scripts/soundness_sweep.py"))
+    with pytest.raises(SystemExit) as exc:
+        script["main"]([*budgets, "--programs", "1"])
+    assert exc.value.code == 2
+    assert "--min-budget" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import pytest
 
 from bestow.explore import (
     BatchAdjacency,
-    RaceWitness,
+    Counterexample,
     StateSpace,
     batch_adjacency,
     check_all,
@@ -41,16 +41,19 @@ from bestow.syntax import (
     Val,
     Var,
 )
+from bestow.wellformed import wf_heap
 
 P = Passive()
 UNIT = Val(UnitVal())
+# The batching script holds an unbatched program whose batch can split.
+BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
 
 
 def space_of(src: str, **kw) -> StateSpace:
     return explore(initial_heap(compile_program(src)), **kw)
 
 
-def race_in(heap: Heap) -> RaceWitness | None:
+def race_in(heap: Heap) -> Counterexample | None:
     """The race check on ``heap`` alone: no step taken, wf not required."""
     return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
 
@@ -250,6 +253,7 @@ def test_progress_failure_on_stuck_state():
     failure = check_progress(space)
     assert failure is not None
     assert failure.trace == ()
+    assert str(failure) == "actor 0 is stuck after 0 steps (schedule:)"
 
 
 def test_progress_failure_on_stuck_actor_beside_a_busy_one():
@@ -268,6 +272,7 @@ def test_progress_failure_on_stuck_actor_beside_a_busy_one():
     failure = check_progress(space)
     assert failure is not None
     assert failure.trace == ()
+    assert failure.detail == "actor 0 is stuck"
 
 
 def _stuck_after_one_step() -> Heap:
@@ -312,17 +317,34 @@ def replay_printed(heap: Heap, printed: str) -> tuple[Heap, list[TraceEvent]]:
     return heap, events
 
 
+def _split_batch(space: StateSpace) -> Counterexample | None:
+    return batch_adjacency(space, 0, lambda ev: ev.rule == "mutate").witness
+
+
+# Each finder's check name and trace length.
+FOUND = {check_progress: ("progress", 1), check_race_freedom: ("race-freedom", 1),
+         _split_batch: ("batch-adjacency", 31)}
+
+
 @pytest.mark.parametrize(
     "heap,check",
-    [(_stuck_after_one_step(), check_progress), (_race_after_one_step(), check_race_freedom)],
+    [
+        (_stuck_after_one_step(), check_progress),
+        (_race_after_one_step(), check_race_freedom),
+        (initial_heap(compile_program(BATCHING["UNBATCHED"])), _split_batch),
+    ],
 )
 @pytest.mark.parametrize("canonical", [True, False])
 def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
     failure = check(explore(heap, require_wf=False, canonical=canonical))
     assert failure is not None
+    name, steps = FOUND[check]
+    assert failure.check == name
     heap, events = replay_printed(heap, str(failure))
-    assert len(events) == len(failure.trace) == 1
+    assert len(events) == len(failure.trace) == steps
+    assert events == [e.event for e in failure.trace]
     assert heap == failure.heap
+    assert state_key(heap, canonical) == failure.state == failure.trace[-1].dst
 
 
 def test_preservation_failure_on_ill_formed_state():
@@ -330,7 +352,9 @@ def test_preservation_failure_on_ill_formed_state():
     space = explore(bad, require_wf=False)
     failure = check_preservation(space)
     assert failure is not None
-    assert not failure.report.ok
+    report = wf_heap(failure.heap)
+    assert not report.ok
+    assert (failure.check, failure.detail) == ("preservation", f"ill-formed state: {report}")
 
 
 def test_race_witness_on_shared_location():
@@ -344,8 +368,7 @@ def test_race_witness_on_shared_location():
     )
     w = race_in(h)
     assert w is not None
-    assert w.actors == (0, 1)
-    assert w.loc == 5
+    assert w.detail == "actors 0 and 1 can both touch location 5"
 
 
 def test_no_race_witness_for_disjoint_locations():
@@ -481,13 +504,12 @@ def test_batch_adjacency_counts_interleavings():
 def test_printed_split_schedule_replays_with_its_pops():
     """The schedule printed for a split batch pops messages as well as
     stepping, and replays to the witness's own events and end state."""
-    script = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
-    _, split = adjacency_of(script["UNBATCHED"])
+    _, split = adjacency_of(BATCHING["UNBATCHED"])
     assert split.witness is not None
     assert ":pop" in str(split)
-    heap, events = replay_printed(initial_heap(compile_program(script["UNBATCHED"])), str(split))
-    assert events == [e.event for e in split.witness]
-    assert state_key(heap, canonical=False) == split.witness[-1].dst
+    heap, events = replay_printed(initial_heap(compile_program(BATCHING["UNBATCHED"])), str(split))
+    assert events == [e.event for e in split.witness.trace]
+    assert state_key(heap, canonical=False) == split.witness.state
 
 
 def test_batch_adjacency_reads_only_the_owner():
@@ -525,7 +547,7 @@ def test_singleton_space():
     h = initial_heap(UNIT)
     space = explore(h, max_depth=0)
     assert len(space) == 1
-    assert space.trace_to(space.initial) == []
+    assert space.trace_to(space.initial) == ()
 
 
 def test_import_binds_the_explore_module():

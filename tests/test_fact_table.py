@@ -403,7 +403,7 @@ def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(progra
         broken = replace(space, states=variants, parents={}, initial=next(iter(variants)))
         failure = check_preservation(broken)
         assert failure is not None
-        assert failure.report == wf_heap(failure.heap)
+        assert failure.detail == f"ill-formed state: {wf_heap(failure.heap)}"
     assert ill > 1000
 
 

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import bestow
 from bestow.gen import DEFAULT_SIZE_BUDGET, generate_well_typed, min_size
 from bestow.syntax import (
     ActorType,
@@ -93,6 +100,19 @@ def test_size_tracks_budget():
         for budget in (4, 8, 12):
             program, _ = generate_well_typed(seed, size_budget=budget)
             assert size_of(program) <= budget + 3
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_no_goal_fits_raises(budget):
+    # Run apart, under a timeout: the goal draw once looped forever here.
+    env = {**os.environ, "PYTHONPATH": str(Path(bestow.__file__).parents[1])}
+    code = f"from bestow.gen import generate_well_typed; generate_well_typed(0, size_budget={budget})"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+    )
+    assert proc.returncode == 1
+    assert b"ValueError: no program goal fits in size budget" in proc.stderr
+    assert generate_well_typed(0, size_budget=1)[1] in (UnitType(), Passive(), ActorType())
 
 
 def test_all_forms_eventually_appear():
