@@ -80,6 +80,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-depth", type=int, default=64)
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
+    if args.programs < 1:
+        ap.error("--programs must be at least 1")
+    if args.max_states < 0:
+        ap.error("--max-states must not be negative")
+    if args.max_depth < 0:
+        ap.error("--max-depth must not be negative")
     if args.min_budget < 1:
         ap.error("--min-budget must be at least 1")
     if args.max_budget < args.min_budget:

@@ -9,9 +9,7 @@ from .actors import (
     BatchBrokenError,
     Future,
     NestedOverrideError,
-    OverrideToken,
     current_actor,
-    override_queue,
     spawn,
 )
 from .bestowed import BestowedRef, BestowError, bestow
@@ -43,7 +41,6 @@ __all__ = [
     "ListIterStats",
     "LockedRef",
     "NestedOverrideError",
-    "OverrideToken",
     "atomic_batch",
     "bestow",
     "bestow_iterator",
@@ -51,7 +48,6 @@ __all__ = [
     "current_actor",
     "expected_hops",
     "lock_bestow",
-    "override_queue",
     "run_list_iterator",
     "spawn",
 ]

@@ -6,28 +6,29 @@ created and touched only on that thread.  Interaction goes through
 write-once :class:`Future` for the closure's result.
 
 The mailbox speaks four envelope kinds: calls, a stop request, and the
-override/resume pair used for queue batching (see
-:mod:`bestow.runtime.override`).  While an override is active, calls
-carrying the overriding token run immediately and everything else is
-deferred, in arrival order, until the matching resume.  The watchdog
-times the overriding client alone: once the actor has finished one of its
-envelopes, the client has the watchdog's timeout to send the next, however
-many other clients post meanwhile.  The override breaks once that deadline
-has passed and the mailbox is empty (envelopes already posted are read
-first): a client quiet that long is force-resumed rather than let it wedge
-the actor; its batch is broken, and each later call carrying its token
-fails with :class:`BatchBrokenError` instead of running between other
-clients' calls.
+override/resume pair that :func:`bestow.runtime.override.atomic_batch`
+sends around its block.  While an override is active, calls carrying the
+overriding token run immediately and everything else is deferred, in
+arrival order, until the matching resume.  The watchdog times the
+overriding client alone: once the actor has finished one of its envelopes,
+the client has the watchdog's timeout to send the next, however many other
+clients post meanwhile.  The override breaks once that deadline has passed
+and the mailbox is empty (envelopes already posted are read first): a
+client quiet that long is force-resumed rather than let it wedge the
+actor; its batch is broken, and each later call carrying its token fails
+with :class:`BatchBrokenError` instead of running between other clients'
+calls.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 from time import monotonic
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Callable, Generic, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -119,44 +120,22 @@ class Future(Generic[T]):
         return self._value  # type: ignore[return-value]
 
 
-class OverrideToken:
-    """Capability to run ahead of an actor's queue until resumed.
-
-    It sits in its creator's registry until resumed, from whichever thread.
-    """
-
-    __slots__ = ("ref", "_released", "_registry")
-
-    def __init__(self, ref: "ActorRef", registry: dict) -> None:
-        self.ref = ref
-        self._released = False
-        self._registry = registry
-
-    def resume(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        if self._registry.get(self.ref) is self:
-            del self._registry[self.ref]
-        self.ref._post(_Resume(self))
-
-
 @dataclass
 class _Call:
     fn: Callable[[Any], Any]
     future: Future
-    token: OverrideToken | None
+    token: object | None
 
 
 @dataclass
 class _Override:
-    token: OverrideToken
+    token: object
     watchdog: float
 
 
 @dataclass
 class _Resume:
-    token: OverrideToken
+    token: object
 
 
 class _Stop:
@@ -198,23 +177,24 @@ class ActorRef:
         self._stopped.wait(timeout)
 
 
-def override_queue(ref: ActorRef, *, watchdog: float = DEFAULT_WATCHDOG) -> OverrideToken:
-    """Jump the queue of ``ref``: until the returned token is resumed,
-    this thread's performs run immediately and everyone else's wait.
+@contextmanager
+def _overriding(ref: ActorRef, watchdog: float) -> Iterator[None]:
+    """Jump the queue of ``ref`` for the block: this thread's performs run
+    at once and everyone else's wait, in arrival order, until it ends.
 
-    Deferred work is executed in arrival order on resume.  If this thread
-    sends nothing for ``watchdog`` seconds after the actor finished its last
-    envelope (other clients' envelopes do not count), the actor resumes by
-    itself, once its mailbox is empty, rather than stay hostage to a lost
-    client; this thread's calls then fail with :class:`BatchBrokenError`
-    until the token is resumed.
+    The token is a bare object, registered for this thread so ``perform``
+    tags its calls; the block's end unregisters it and posts the resume.
     """
     reg = _tls.overrides
     if ref in reg:
         raise NestedOverrideError(f"this thread already overrides {ref}")
-    token = reg[ref] = OverrideToken(ref, reg)
+    token = reg[ref] = object()
     ref._post(_Override(token, watchdog))
-    return token
+    try:
+        yield
+    finally:
+        del reg[ref]
+        ref._post(_Resume(token))
 
 
 def _execute(instance: Any, call: _Call) -> None:
@@ -236,9 +216,9 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
         raise
 
     pending: deque = deque()  # deferred envelopes, arrival order
-    mode: OverrideToken | None = None  # the active override
+    mode: object | None = None  # the active override's token
     watchdog = deadline = 0.0
-    broken: set[OverrideToken] = set()  # overrides the watchdog ended
+    broken: set[object] = set()  # overrides the watchdog ended
 
     while True:
         if mode is None:

@@ -3,35 +3,36 @@
 ``atomic_batch(ref)`` makes every operation issued inside the block land
 contiguously.  On an :class:`~bestow.runtime.actors.ActorRef` it overrides
 the actor's queue, on a :class:`~bestow.runtime.bestowed.BestowedRef` its
-owner's (see :func:`~bestow.runtime.actors.override_queue`): the block's
-performs run at once and everyone else's wait, in arrival order, until the
-block ends.  If the owner's watchdog breaks the override, the block's later
-calls fail with ``BatchBrokenError``.  On a
+owner's: the block's performs run at once and everyone else's wait, in
+arrival order, until the block ends.  If the owner's watchdog breaks the
+override, the block's later calls fail with ``BatchBrokenError``.  On a
 :class:`~bestow.runtime.locks.LockedRef` it holds the lock across the block.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import AbstractContextManager
 
-from .actors import ActorRef, override_queue
+from .actors import DEFAULT_WATCHDOG, ActorRef, _overriding
 from .bestowed import BestowedRef
 from .locks import LockedRef
 
 
-@contextmanager
-def atomic_batch(ref: ActorRef | BestowedRef | LockedRef) -> Iterator[None]:
-    """Run the block's operations on ``ref`` as one indivisible burst."""
+def atomic_batch(
+    ref: ActorRef | BestowedRef | LockedRef, *, watchdog: float = DEFAULT_WATCHDOG
+) -> AbstractContextManager:
+    """Run the block's operations on ``ref`` as one indivisible burst.
+
+    If the block sends the actor (a bestowed ref's owner) nothing for
+    ``watchdog`` seconds after the actor finished its last envelope (other
+    clients' envelopes do not count), the actor resumes by itself, once its
+    mailbox is empty, rather than stay hostage to a lost client; the block's
+    later calls then fail with ``BatchBrokenError``.  A ``LockedRef``
+    ignores ``watchdog``: no one can end a lock holder's batch early.
+    """
     if isinstance(ref, LockedRef):
-        with ref.lock:
-            yield
-        return
+        return ref.lock
     actor = ref.owner if isinstance(ref, BestowedRef) else ref
     if not isinstance(actor, ActorRef):
         raise TypeError(f"{ref!r} does not support batching")
-    token = override_queue(actor)
-    try:
-        yield
-    finally:
-        token.resume()
+    return _overriding(actor, watchdog)

@@ -55,7 +55,6 @@ from bestow.wellformed import wf_heap
 from bestow.runtime import (
     bestow,
     current_actor,
-    override_queue,
     run_list_iterator,
     spawn,
     atomic_batch,
@@ -347,13 +346,12 @@ class _Journal:
 def test_acceptance_override_protocol(verdict):
     label = (
         "an override runs the holder's calls before already-queued rivals, "
-        "and a batch equals manual override equals sequential calls"
+        "and a batch equals sequential calls"
     )
     with verdict(label):
         # deferral order: rivals post first, the overrider still goes first
         ref = spawn(_Journal)
         try:
-            token = override_queue(ref)
             posted = threading.Event()
 
             def rival() -> None:
@@ -361,13 +359,13 @@ def test_acceptance_override_protocol(verdict):
                     ref.perform(lambda j, i=i: j.note(f"rival{i}"))
                 posted.set()
 
-            t = threading.Thread(target=rival)
-            t.start()
-            assert posted.wait(timeout=5)
-            t.join(timeout=5)
-            for i in range(3):
-                ref.perform(lambda j, i=i: j.note(f"mine{i}")).result(timeout=5)
-            token.resume()
+            with atomic_batch(ref):
+                t = threading.Thread(target=rival)
+                t.start()
+                assert posted.wait(timeout=5)
+                t.join(timeout=5)
+                for i in range(3):
+                    ref.perform(lambda j, i=i: j.note(f"mine{i}")).result(timeout=5)
             log = ref.perform(lambda j: list(j.entries)).result(timeout=5)
             assert log == [
                 "mine0", "mine1", "mine2",
@@ -377,12 +375,12 @@ def test_acceptance_override_protocol(verdict):
             ref.stop()
             ref.join(timeout=5)
 
-        # equivalence: three driving styles, identical final journals
+        # equivalence: batched or plain, identical final journals
         rng = random.Random(2024)
         for _ in range(100):
             ops = [f"op{rng.randint(0, 9)}" for _ in range(rng.randint(1, 8))]
             finals = []
-            for style in ("batch", "manual", "plain"):
+            for style in ("batch", "plain"):
                 ref = spawn(_Journal)
                 try:
                     if style == "batch":
@@ -393,15 +391,6 @@ def test_acceptance_override_protocol(verdict):
                             ]
                             for f in fs:
                                 f.result(timeout=5)
-                    elif style == "manual":
-                        token = override_queue(ref)
-                        fs = [
-                            ref.perform(lambda j, op=op: j.note(op))
-                            for op in ops
-                        ]
-                        for f in fs:
-                            f.result(timeout=5)
-                        token.resume()
                     else:
                         for op in ops:
                             ref.perform(lambda j, op=op: j.note(op)).result(
@@ -413,7 +402,7 @@ def test_acceptance_override_protocol(verdict):
                 finally:
                     ref.stop()
                     ref.join(timeout=5)
-            assert finals[0] == finals[1] == finals[2] == ops
+            assert finals[0] == finals[1] == ops
 
         # under live interference every batch still lands contiguously
         ref = spawn(_Journal)

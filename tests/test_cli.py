@@ -296,13 +296,16 @@ def test_sweep_prints_failing_programs_the_cli_reads(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "budgets",
     [["--min-budget", "5", "--max-budget", "4"], ["--min-budget", "6", "--max-budget", "4"],
-     ["--min-budget", "0"]],
+     ["--min-budget", "0"], ["--programs", "0"], ["--programs", "-3"],
+     ["--max-states", "-1"], ["--max-depth", "-1"]],
 )
 def test_sweep_rejects_a_budget_range_with_no_program(budgets, capsys):
-    """A minimum above the maximum leaves no budget to sweep, and no program
-    fits a budget below 1: both exit 2 before any program is generated."""
+    """A minimum above the maximum leaves no budget to sweep, no program fits
+    a budget below 1, a sweep of no program checks nothing and a negative
+    bound truncates every space: each exits 2, naming its option, before
+    any program is generated."""
     script = runpy.run_path(str(Path(__file__).parent.parent / "scripts/soundness_sweep.py"))
     with pytest.raises(SystemExit) as exc:
-        script["main"]([*budgets, "--programs", "1"])
+        script["main"](["--programs", "1", *budgets])
     assert exc.value.code == 2
-    assert "--min-budget" in capsys.readouterr().err
+    assert budgets[0] in capsys.readouterr().err

@@ -18,7 +18,6 @@ from bestow.runtime import (
     bestow,
     current_actor,
     lock_bestow,
-    override_queue,
     spawn,
 )
 from bestow.runtime.actors import _tls
@@ -60,57 +59,58 @@ def test_override_defers_other_clients(journal):
 
     t = threading.Thread(target=rival)
     t.start()
-    token = override_queue(journal)
-    started.set()
-    finished.wait(timeout=5)
-    # the rival has already posted; our calls still run first
-    fs = [journal.perform(lambda j, i=i: j.note(f"mine{i}")) for i in range(3)]
-    for f in fs:
-        f.result(timeout=5)
-    token.resume()
+    with atomic_batch(journal):
+        started.set()
+        finished.wait(timeout=5)
+        # the rival has already posted; our calls still run first
+        fs = [journal.perform(lambda j, i=i: j.note(f"mine{i}")) for i in range(3)]
+        for f in fs:
+            f.result(timeout=5)
     t.join(timeout=5)
     log = entries(journal)
     assert log == ["mine0", "mine1", "mine2", "rival0", "rival1", "rival2"]
 
 
 def test_deferred_calls_replay_in_arrival_order(journal):
-    token = override_queue(journal)
     rivals = []
 
     def rival(i):
         rivals.append(journal.perform(lambda j, i=i: j.note(f"r{i}")))
 
-    for i in range(5):
-        t = threading.Thread(target=rival, args=(i,))
-        t.start()
-        t.join(timeout=5)
-    journal.perform(lambda j: j.note("mine")).result(timeout=5)
-    token.resume()
+    with atomic_batch(journal):
+        for i in range(5):
+            t = threading.Thread(target=rival, args=(i,))
+            t.start()
+            t.join(timeout=5)
+        journal.perform(lambda j: j.note("mine")).result(timeout=5)
     for f in rivals:
         f.result(timeout=5)
     assert entries(journal) == ["mine", "r0", "r1", "r2", "r3", "r4"]
 
 
-def test_nested_override_rejected(journal):
-    token = override_queue(journal)
-    try:
+@pytest.mark.parametrize("inner", ["actor", "bestowed"])
+def test_nested_override_rejected(journal, inner):
+    lent = journal.perform(bestow).result(timeout=5)
+    with atomic_batch(journal):
         with pytest.raises(NestedOverrideError):
-            override_queue(journal)
-    finally:
-        token.resume()
+            with atomic_batch(journal if inner == "actor" else lent):
+                pass
+        # the refused inner batch left the outer one open
+        journal.perform(lambda j: j.note("outer")).result(timeout=5)
+    assert _tls.overrides == {}
+    assert entries(journal) == ["outer"]
 
 
 def test_override_same_actor_from_two_threads_serializes(journal):
     def batch(tag: str, barrier: threading.Barrier):
         barrier.wait(timeout=5)
-        token = override_queue(journal)
-        fs = [
-            journal.perform(lambda j, i=i, tag=tag: j.note(f"{tag}{i}"))
-            for i in range(10)
-        ]
-        for f in fs:
-            f.result(timeout=10)
-        token.resume()
+        with atomic_batch(journal):
+            fs = [
+                journal.perform(lambda j, i=i, tag=tag: j.note(f"{tag}{i}"))
+                for i in range(10)
+            ]
+            for f in fs:
+                f.result(timeout=10)
 
     barrier = threading.Barrier(2)
     threads = [
@@ -131,45 +131,27 @@ def test_override_same_actor_from_two_threads_serializes(journal):
     ]
 
 
-def test_resume_is_idempotent(journal):
-    token = override_queue(journal)
-    token.resume()
-    token.resume()
-    journal.perform(lambda j: j.note("after")).result(timeout=5)
-    assert entries(journal) == ["after"]
-
-
-def test_resume_from_another_thread_frees_the_creator(journal):
-    token = override_queue(journal)
-    t = threading.Thread(target=token.resume)
-    t.start()
-    t.join(timeout=5)
-    assert not t.is_alive()
-    # the creator may override the same actor again
-    again = override_queue(journal)
-    journal.perform(lambda j: j.note("again")).result(timeout=5)
-    again.resume()
-    assert entries(journal) == ["again"]
-
-
 def test_watchdog_rescues_an_abandoned_override(journal):
-    override_queue(journal, watchdog=0.1)  # never resumed
+    batch = atomic_batch(journal, watchdog=0.1)
+    batch.__enter__()  # the client goes quiet inside the block
     fut = None
 
     def rival():
         nonlocal fut
         fut = journal.perform(lambda j: j.note("rescued"))
 
-    t = threading.Thread(target=rival)
-    t.start()
-    t.join(timeout=5)
-    assert fut.result(timeout=5) == 1
-    # clear the stale registry entry so later tests on this thread are clean
-    _tls.overrides.clear()
+    try:
+        t = threading.Thread(target=rival)
+        t.start()
+        t.join(timeout=5)
+        assert fut.result(timeout=5) == 1
+    finally:
+        batch.__exit__(None, None, None)
 
 
 def test_watchdog_times_the_client_not_the_mailbox(journal):
-    override_queue(journal, watchdog=0.1)  # never resumed
+    batch = atomic_batch(journal, watchdog=0.1)
+    batch.__enter__()  # the client goes quiet inside the block
     futs = []
 
     def rival():
@@ -190,17 +172,14 @@ def test_watchdog_times_the_client_not_the_mailbox(journal):
         journal.join(timeout=1)
         assert journal._stopped.is_set()
     finally:
-        _tls.overrides.clear()
+        batch.__exit__(None, None, None)
 
 
 def test_watchdog_does_not_count_the_clients_own_calls(journal):
-    token = override_queue(journal, watchdog=0.1)
-    try:
+    with atomic_batch(journal, watchdog=0.1):
         slow = journal.perform(lambda j: (time.sleep(0.2), j.note("slow"))[1])
         assert slow.result(timeout=5) == 1
         assert journal.perform(lambda j: j.note("next")).result(timeout=5) == 2
-    finally:
-        token.resume()
 
 
 def in_other_thread(fn) -> list:
@@ -213,8 +192,7 @@ def in_other_thread(fn) -> list:
 
 
 def test_watchdog_break_fails_the_clients_later_calls(journal):
-    token = override_queue(journal, watchdog=0.1)
-    try:
+    with atomic_batch(journal, watchdog=0.1):
         journal.perform(lambda j: j.note("mine0")).result(timeout=5)
         time.sleep(0.3)  # the watchdog breaks the batch
         # a rival's call can only run once the override is gone
@@ -224,8 +202,6 @@ def test_watchdog_break_fails_the_clients_later_calls(journal):
         with pytest.raises(BatchBrokenError):
             journal.perform(lambda j: j.note("mine1")).result(timeout=5)
         assert in_other_thread(lambda: entries(journal)) == [["mine0", "rival"]]
-    finally:
-        token.resume()
     assert journal.perform(lambda j: j.note("mine2")).result(timeout=5) == 3
     assert entries(journal) == ["mine0", "rival", "mine2"]
 
@@ -234,8 +210,7 @@ def test_watchdog_reads_posted_envelopes_before_breaking(journal):
     # The client's second call sits behind 30 000 rival calls, which take
     # the actor longer than the watchdog to defer; it was posted in time.
     gate = threading.Event()
-    token = override_queue(journal, watchdog=0.02)
-    try:
+    with atomic_batch(journal, watchdog=0.02):
         first = journal.perform(lambda j: (gate.wait(5), j.note("mine0"))[1])
         [rivals] = in_other_thread(
             lambda: [journal.perform(lambda j: j.note("r")) for _ in range(30_000)]
@@ -244,8 +219,6 @@ def test_watchdog_reads_posted_envelopes_before_breaking(journal):
         gate.set()
         assert first.result(timeout=5) == 1
         assert second.result(timeout=5) == 2
-    finally:
-        token.resume()
     assert rivals[-1].result(timeout=10) == 30_002
 
 
@@ -253,30 +226,28 @@ def test_a_deferred_override_runs_its_deferred_calls_first(journal):
     # B holds the override; A's override request, a rival's call and A's
     # call all wait behind it.  When B resumes, A's call runs before the
     # rival's, which arrived first.
-    token_b = override_queue(journal)
-    journal.perform(lambda j: j.note("b")).result(timeout=5)
     a_requested, rival_posted, a_posted = (threading.Event() for _ in range(3))
     outcome: list = []
 
     def client_a():
-        token_a = override_queue(journal, watchdog=0.2)
-        a_requested.set()
-        rival_posted.wait(timeout=5)
-        fut = journal.perform(lambda j: j.note("a1"))
-        a_posted.set()
-        try:
-            outcome.append(fut.result(timeout=5))
-        except BatchBrokenError as exc:
-            outcome.append(exc)
-        token_a.resume()
+        with atomic_batch(journal, watchdog=0.2):
+            a_requested.set()
+            rival_posted.wait(timeout=5)
+            fut = journal.perform(lambda j: j.note("a1"))
+            a_posted.set()
+            try:
+                outcome.append(fut.result(timeout=5))
+            except BatchBrokenError as exc:
+                outcome.append(exc)
 
     t = threading.Thread(target=client_a)
-    t.start()
-    assert a_requested.wait(timeout=5)
-    in_other_thread(lambda: journal.perform(lambda j: j.note("r")))
-    rival_posted.set()
-    assert a_posted.wait(timeout=5)
-    token_b.resume()
+    with atomic_batch(journal):
+        journal.perform(lambda j: j.note("b")).result(timeout=5)
+        t.start()
+        assert a_requested.wait(timeout=5)
+        in_other_thread(lambda: journal.perform(lambda j: j.note("r")))
+        rival_posted.set()
+        assert a_posted.wait(timeout=5)
     t.join(timeout=5)
     assert not t.is_alive()
     assert outcome == [2]
@@ -284,10 +255,9 @@ def test_a_deferred_override_runs_its_deferred_calls_first(journal):
 
 
 def test_stop_waits_for_an_active_override(journal):
-    token = override_queue(journal)
-    journal.stop()
-    journal.perform(lambda j: j.note("still served")).result(timeout=5)
-    token.resume()
+    with atomic_batch(journal):
+        journal.stop()
+        journal.perform(lambda j: j.note("still served")).result(timeout=5)
     journal.join(timeout=5)
 
 
@@ -393,9 +363,9 @@ def test_atomic_batch_on_bestowed_ref_overrides_owner(journal):
     assert entries(journal) == ["lent0", "lent1", "direct"]
 
 
-def test_batch_equivalent_to_manual_override_and_plain_calls():
+def test_batch_equivalent_to_plain_calls():
     # the same straight-line op list gives the same final state whether
-    # batched, manually overridden, or just performed one by one
+    # batched or just performed one by one
     rng = random.Random(42)
     for _ in range(100):
         ops = [
@@ -411,7 +381,7 @@ def test_batch_equivalent_to_manual_override_and_plain_calls():
                 j.entries.clear()
 
         outcomes = []
-        for style in ("batch", "manual", "plain"):
+        for style in ("batch", "plain"):
             ref = spawn(Journal)
             try:
                 if style == "batch":
@@ -419,12 +389,6 @@ def test_batch_equivalent_to_manual_override_and_plain_calls():
                         fs = [ref.perform(lambda j, op=op: apply_op(j, op)) for op in ops]
                         for f in fs:
                             f.result(timeout=5)
-                elif style == "manual":
-                    token = override_queue(ref)
-                    fs = [ref.perform(lambda j, op=op: apply_op(j, op)) for op in ops]
-                    for f in fs:
-                        f.result(timeout=5)
-                    token.resume()
                 else:
                     for op in ops:
                         ref.perform(lambda j, op=op: apply_op(j, op)).result(timeout=5)
@@ -432,7 +396,7 @@ def test_batch_equivalent_to_manual_override_and_plain_calls():
             finally:
                 ref.stop()
                 ref.join(timeout=5)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]
 
 
 def test_batch_stays_contiguous_under_interference(journal):
