@@ -149,7 +149,6 @@ class ActorRef:
         self.name = name
         self._mailbox: SimpleQueue = SimpleQueue()
         self._stopped = threading.Event()
-        self._thread: threading.Thread | None = None
 
     def __repr__(self) -> str:
         return f"<actor {self.name}>"
@@ -287,12 +286,10 @@ def spawn(cls: type, *args: Any, name: str | None = None, **kwargs: Any) -> Acto
     exists on any other thread, which is the whole isolation story.
     """
     ref = ActorRef(name or cls.__name__)
-    thread = threading.Thread(
+    threading.Thread(
         target=_loop,
         args=(ref, lambda: cls(*args, **kwargs)),
         name=f"actor-{ref.name}",
         daemon=True,
-    )
-    ref._thread = thread
-    thread.start()
+    ).start()
     return ref

@@ -355,21 +355,22 @@ def run_to_quiescence(
     attached) after ``fuel`` steps.
     """
     rng = random.Random(seed) if seed is not None else None
-    scripted = list(schedule) if schedule is not None else []
+    scripted = schedule or ()
     trace: list[TraceEvent] = []
 
-    for _ in range(fuel):
+    for step in range(fuel):
+        script = step < len(scripted)
         # The default policy takes the first choice, so it asks for no more:
         # in a long program most actors spawned so far sit idle, and listing
         # every choice would visit each of them on every step.
-        if scripted or rng is not None:
+        if script or rng is not None:
             enabled = enabled_choices(heap)
         else:
             enabled = list(islice(_enabled(heap), 1))
         if not enabled:
             return heap, trace
-        if scripted:
-            ident = scripted.pop(0)
+        if script:
+            ident = scripted[step]
             if ident not in enabled:
                 raise ScheduleError(f"actor {ident} cannot move (enabled: {enabled})")
         elif rng is not None:

@@ -8,6 +8,16 @@ checker.
 Every node renders to a one-line s-expression via ``str()``; the exact
 grammar is documented in the README and is stable, so renderings can be
 used as golden values and as heap canonicalization keys.
+
+Substituting a closed value stops at each lambda whose body holds the
+name and leaves that body *pending*: the lambda keeps the old body and the
+map of names to values, and ``Lambda.body`` substitutes them on its first
+read and keeps the result.  Every reader goes through that attribute
+(matches, ``walk`` and ``fold``, equality), so a pending lambda looks and
+compares exactly like the substituted one.  A later substitution into a
+lambda still pending merges its map into the kept one.  A step of a ``val``
+chain thus rebuilds the few nodes above the next binder, however far away
+the bound name is next used, and a run is linear in the program's length.
 """
 
 from __future__ import annotations
@@ -371,38 +381,109 @@ def subst(term: Term, name: str, v: Value | Var) -> Term:
     through the evaluator are closed, so the capture case is unreachable in
     practice; it is handled anyway by renaming the binder.
 
-    A subtree whose mask lacks ``name`` comes back as it is, so the work is
-    the path down to each free occurrence.  Each node rebuilt on that path
-    gets its mask at once: the old one without ``name``, plus ``v``'s.
+    A subtree whose mask lacks ``name`` comes back as it is.  A closed ``v``
+    stops at each lambda whose body holds ``name`` and leaves that body
+    pending, to be substituted when it is first read; the work is the path
+    down to the nearest such lambdas, not to every occurrence.  An open
+    ``v`` goes down to every occurrence at once.
     """
     new = v if isinstance(v, Var) else Val(v)
-    bit, new_mask = _bit(name), _free_mask(new)
-    if not _free_mask(term) & bit:
+    return _subst(term, {name: new}, _bit(name), _free_mask(new))
+
+
+def _subst(term: Term, sub: dict[str, Expr], dom: int, add: int) -> Term:
+    """``term`` with each free name in ``sub`` replaced by its term, all at
+    once.  ``dom`` is the mask of ``sub``'s names and ``add`` that of the free
+    names of its terms.
+
+    When ``add`` is 0 the terms are closed, and each lambda whose body holds
+    a name in ``sub`` comes back as a *pending* lambda (``_pend``): its body
+    is the old one under ``sub``, to be substituted when it is first read.
+    Otherwise ``sub`` has one entry, and a binder that would capture one of
+    its term's names is renamed first.  Each node rebuilt gets its mask at
+    once: the old one without ``dom``, plus ``add``.
+    """
+    if not _free_mask(term) & dom:
         return term
-    keep = ~bit
+    keep = ~dom
 
     def leaf(n: Expr | Value) -> Expr | Value:
-        return new if type(n) is Var and n.name == name else n
+        return sub.get(n.name, n) if type(n) is Var else n
 
     def skip(n: Expr | Value) -> Expr | Value | None:
         m = n.__dict__[_FREE]
-        if not m & bit:
+        if not m & dom:
             return n
-        if type(n) is Lambda and _bit(n.param) & new_mask:
-            avoid = free_vars(n.body) | _names(new_mask) | {name}
-            q = fresh_name(n.param, avoid)
-            body = subst(n.body, n.param, Var(q))
-            out = Lambda(q, n.param_type, subst(body, name, v))
-            out.__dict__[_FREE] = m & keep | new_mask
-            return out
-        return None
+        if type(n) is not Lambda:
+            return None
+        if not add:
+            return _pend(n, sub, dom, m)
+        p = n.param
+        if not _bit(p) & add:
+            return None
+        q = fresh_name(p, _names(m | add))
+        body = _subst(n.body, {p: Var(q)}, _bit(p), _bit(q))
+        out = Lambda(q, n.param_type, _subst(body, sub, dom, add))
+        out.__dict__[_FREE] = m & keep | add
+        return out
 
     def post(n: Expr | Value, a: Any, b: Any = None) -> Expr | Value:
         out = rebuild(n, a, b)
-        out.__dict__[_FREE] = n.__dict__[_FREE] & keep | new_mask
+        out.__dict__[_FREE] = n.__dict__[_FREE] & keep | add
         return out
 
     return fold(term, leaf, post, skip)
+
+
+# A pending lambda keeps, under this key, a record ``(body, sub, dom)``: its
+# body is ``_subst(body, sub, dom, 0)``.  ``sub`` holds closed terms and only
+# names free in ``body``.  A lambda without the record keeps its body as a
+# plain attribute; every lambda keeps its mask.
+_PENDING = "_pending"
+
+
+def _pend(n: Lambda, sub: dict[str, Expr], dom: int, m: int) -> Lambda:
+    """``n``, whose mask is ``m``, under the closed substitution ``sub``,
+    with its body left pending.  Substituting into a lambda that is pending
+    already merges the two maps: the old one's terms are closed, so the new
+    one cannot reach into them."""
+    live = dom & m  # n.param is not in m
+    if live != dom:
+        sub = {k: t for k, t in sub.items() if _BIT[k] & live}
+    pending = n.__dict__.get(_PENDING)
+    if pending is None:
+        pending = (n.body, sub, live)
+    else:
+        body, old, old_dom = pending
+        pending = (body, {**sub, **old}, live | old_dom)
+    out = object.__new__(Lambda)
+    d = out.__dict__
+    d["param"], d["param_type"] = n.param, n.param_type
+    d[_PENDING], d[_FREE] = pending, m & ~dom
+    return out
+
+
+class _Body:
+    """``Lambda.body``.  A plain lambda's body is its own attribute, which
+    Python reads before this class attribute; a pending lambda's body is
+    substituted here on its first read and then kept.  The body is stored
+    before the record is dropped, so a racing reader finds one or the other,
+    and ``setdefault`` hands every reader the same body."""
+
+    def __get__(self, lam: Lambda | None, owner: type | None = None) -> Any:
+        if lam is None:
+            return self
+        d = lam.__dict__
+        pending = d.get(_PENDING)
+        if pending is None:
+            return d["body"]
+        body = d.setdefault("body", _subst(*pending, 0))
+        d.pop(_PENDING, None)
+        return body
+
+
+# Set after the dataclass is made, so that it is not taken for a default.
+Lambda.body = _Body()  # type: ignore[assignment]
 
 
 # --------------------------------------------------------------------------

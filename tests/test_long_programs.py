@@ -15,6 +15,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bestow import syntax
 from bestow.cli import main
 from bestow.explore import state_key
 from bestow.semantics import FuelExhaustedError, initial_heap, run_program
@@ -23,8 +24,10 @@ from bestow.syntax import (
     App,
     Lambda,
     Loc,
+    Mutate,
     NewPassive,
     Passive,
+    UnitType,
     UnitVal,
     Val,
     Var,
@@ -108,6 +111,42 @@ def test_run_program_runs_long_chain_to_quiescence(chain):
     assert len(trace) == 2 * LINKS
     assert trace[-1].rule == "apply"
     assert render_expr(heap.actors[0].current) == f"(loc {LINKS})"
+
+
+def late_use_chain(n: int) -> App:
+    """``val x0 = new p; ...; val x{n-1} = new p; x0.mutate(); ...;
+    x{n-1}.mutate()`` as core terms: every name is used after all bindings."""
+    e = Mutate(Var(f"x{n - 1}"))
+    for i in reversed(range(n - 1)):
+        e = App(Val(Lambda("_seq", UnitType(), e)), Mutate(Var(f"x{i}")))
+    for i in reversed(range(n)):
+        e = App(Val(Lambda(f"x{i}", Passive(), e)), NewPassive())
+    return e
+
+
+def test_substitution_work_on_a_late_use_chain_is_linear(monkeypatch):
+    # Each step used to copy the path down to every later use of its name:
+    # 3n² nodes over a run.  A pending body costs a few nodes per step.
+    def nodes_built(n: int) -> int:
+        built = 0
+
+        def counting(real):
+            def f(*args):
+                nonlocal built
+                built += 1
+                return real(*args)
+
+            return f
+
+        with monkeypatch.context() as m:
+            m.setattr(syntax, "rebuild", counting(syntax.rebuild))
+            m.setattr(syntax, "_pend", counting(syntax._pend))
+            _, trace = run_program(late_use_chain(n))
+        assert [ev.touched_loc for ev in trace if ev.rule == "mutate"] == list(range(1, n + 1))
+        return built
+
+    small, large = nodes_built(500), nodes_built(1000)
+    assert 0 < small and large < 3 * small
 
 
 def test_ill_typed_bound_and_later_statement_reports_the_later_one():

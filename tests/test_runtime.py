@@ -243,6 +243,13 @@ def test_perform_racing_stop_fails_its_future():
         fut.result(timeout=1)
 
 
+def actor_thread(ref):
+    """The thread running ``ref``, found by the name ``spawn`` gives it; the
+    actor must be unique by name and still running."""
+    [thread] = [t for t in threading.enumerate() if t.name == f"actor-{ref.name}"]
+    return thread
+
+
 class _FailsToStart:
     def __init__(self) -> None:
         time.sleep(0.2)
@@ -251,12 +258,13 @@ class _FailsToStart:
 
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 def test_failing_constructor_fails_the_calls_already_posted():
-    ref = spawn(_FailsToStart)
+    ref = spawn(_FailsToStart, name="fails-to-start")
+    thread = actor_thread(ref)
     fut = ref.perform(lambda x: x)  # posted while the constructor runs
     with pytest.raises(ActorStoppedError):
         fut.result(timeout=2)
-    ref._thread.join(timeout=1)  # the loop re-raises the constructor's error
-    assert not ref._thread.is_alive() and ref._stopped.is_set()
+    thread.join(timeout=1)  # the loop re-raises the constructor's error
+    assert not thread.is_alive() and ref._stopped.is_set()
 
 
 def test_concurrent_external_producers_keep_counts_exact(counter):
@@ -364,11 +372,12 @@ def test_many_threads_share_one_bestowed_object(owner):
 
 
 def test_actor_threads_wind_down():
-    ref = spawn(Counter)
+    ref = spawn(Counter, name="winds-down")
+    thread = actor_thread(ref)
     ref.perform(lambda c: c.add(1)).result(timeout=5)
     ref.stop()
     ref.join(timeout=5)
     deadline = time.monotonic() + 5
-    while ref._thread.is_alive() and time.monotonic() < deadline:
+    while thread.is_alive() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not ref._thread.is_alive()
+    assert not thread.is_alive()

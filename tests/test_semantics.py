@@ -397,6 +397,9 @@ def test_scripted_schedule_and_error():
     assert trace[0] == TraceEvent(0, "new-actor")
     with pytest.raises(ScheduleError):
         run_to_quiescence(heap, schedule=[5])
+    # an unknown id late in the schedule, once only the receiver can move
+    with pytest.raises(ScheduleError, match=r"^actor 7 cannot move \(enabled: \[1\]\)$"):
+        run_to_quiescence(heap, schedule=[0, 0, 0, 7])
     with pytest.raises(ScheduleError, match="no such actor"):
         step_system(heap, 5)
 

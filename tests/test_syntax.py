@@ -232,11 +232,41 @@ def test_masks_and_subst_match_the_references(term, name, v):
 @settings(max_examples=100, deadline=None)
 @given(terms, st.lists(st.tuples(names, values), max_size=4))
 def test_masks_stay_exact_over_repeated_substitution(term, steps):
+    # Nothing reads the result between substitutions, so pending bodies meet
+    # later substitutions unread and their maps merge.
     want = term
     for name, v in steps:
         term, want = subst(term, name, v), ref_subst(want, name, v)
-        assert term == want
-        assert_masks_exact(term)
+    assert syntax._names(syntax._free_mask(term)) == ref_free(want)
+    assert term == want
+    assert_masks_exact(term)
+
+
+def test_a_pending_body_is_substituted_once_on_first_read():
+    inner = Lambda("y", Passive(), App(Var("x"), Var("y")))
+    out = subst(Val(inner), "x", Loc(3)).value
+    assert syntax._PENDING in out.__dict__ and "body" not in out.__dict__
+    assert out.__dict__[syntax._FREE] == 0
+    body = out.body
+    assert body is out.body and syntax._PENDING not in out.__dict__
+    assert out == Lambda("y", Passive(), App(Val(Loc(3)), Var("y")))
+
+
+def test_substitutions_into_a_pending_lambda_merge_their_maps():
+    inner = Lambda("y", Passive(), App(Var("x"), Var("z")))
+    once = subst(Val(inner), "x", Loc(3))
+    twice = subst(once, "z", Loc(4))
+    body, sub, _ = twice.value.__dict__[syntax._PENDING]
+    assert body is inner.body and set(sub) == {"x", "z"}
+    assert twice == Val(Lambda("y", Passive(), App(Val(Loc(3)), Val(Loc(4)))))
+    assert once.value.__dict__[syntax._PENDING][1] == {"x": Val(Loc(3))}
+    # A merged map that names a binder below leaves that name behind there.
+    bound = Lambda("y", Passive(), App(Var("x"), Var("y")))
+    outer = Val(Lambda("w", Passive(), App(Var("y"), Val(bound))))
+    out = subst(subst(outer, "x", Loc(3)), "y", Loc(5))
+    assert set(out.value.__dict__[syntax._PENDING][1]) == {"x", "y"}
+    assert out == ref_subst(ref_subst(outer, "x", Loc(3)), "y", Loc(5))
+    assert_masks_exact(out)
 
 
 @pytest.mark.parametrize(
