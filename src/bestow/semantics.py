@@ -6,24 +6,32 @@ expression by one step.  Expression reduction uses a unique evaluation
 context (leftmost-innermost), so each actor's next step is deterministic;
 all nondeterminism lives in the choice of actor, and a schedule is a
 sequence of actor ids.  One walk down that context (``_focus``) finds the
-node where an actor moves; ``step_expr`` reduces it and ``poised`` reports
-what it enables, each with one match of that node against the redex shapes.
+node where an actor moves; ``step_expr`` reduces it, dispatching on the
+node's type, and ``poised`` reports what it enables, matching that node
+against the redex shapes.
 
 The rule that fires makes the step's one :class:`TraceEvent`, naming that
 rule and, for heap-touching rules, the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
 fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
-which carries the event, and ``apply_effect`` applies that to a heap;
-``step_system`` composes the two, and the explorer memoizes the first.
+which carries the event, and ``apply_effect`` applies that to a copy of a
+heap; ``step_system`` composes the two, and the explorer memoizes the
+first.  A step changes at most three actors: the stepper, the target of
+the message it posts and the actor it spawns.  ``run_to_quiescence``
+therefore keeps one actor table and applies each effect to it in place,
+through the same helper as ``apply_effect``, and keeps the set of enabled
+actors, updated from those three after each step.  So no step of a run
+visits an actor it did not change, except that the seeded policy sorts the
+enabled ids to pick among them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from heapq import heappop, heappush
+from typing import Callable, Iterable, Sequence
 
 from .syntax import (
     Actor,
@@ -200,38 +208,45 @@ def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
     def to(e: Expr) -> Actor:
         return Actor(a.this_loc, a.local_heap, a.queue, _plug(path, e))
 
-    unit = Val(UnitVal())
-    match node:
-        case App(Val(Lambda(param, _, body)), Val(arg)):
-            return Effect(to(subst(body, param, arg)), TraceEvent(ident, "apply"))
-
-        case Send(Val(ActorId(target)), Lambda() as msg):
-            return Effect(to(unit), TraceEvent(ident, "send-actor"), (target, msg))
-
-        case Send(Val(BestowedLoc(loc, owner)), Lambda() as msg):
+    # ``_focus`` stops at an App, Send, Mutate or Bestow only once the holes
+    # it descends into are values.
+    t = type(node)
+    if t is App:
+        fun = node.fun.value
+        if type(fun) is Lambda:
+            body = subst(fun.body, fun.param, node.arg.value)
+            return Effect(to(body), TraceEvent(ident, "apply"))
+    elif t is Send:
+        target, msg = node.target.value, node.msg
+        if type(msg) is Lambda and type(target) is ActorId:
+            event = TraceEvent(ident, "send-actor")
+            return Effect(to(Val(UnitVal())), event, (target.ident, msg))
+        if type(msg) is Lambda and type(target) is BestowedLoc:
             # Forward to the owner: wrap the message so that, once delivered,
             # it applies the original function to the underlying object.
             y = fresh_name("y", free_vars(msg))
-            wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(loc))))
-            return Effect(to(unit), TraceEvent(ident, "send-bestowed"), (owner, wrapper))
-
-        case Mutate(Val(Loc(loc))):
+            wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(target.loc))))
+            event = TraceEvent(ident, "send-bestowed")
+            return Effect(to(Val(UnitVal())), event, (target.owner, wrapper))
+    elif t is Mutate:
+        target = node.target.value
+        if type(target) is Loc:
             # Mutation of the object at `loc` is abstract: the heap is not
             # changed, but the event records which location was written.
-            return Effect(to(unit), TraceEvent(ident, "mutate", loc))
-
-        case Bestow(Val(Loc(loc))):
-            return Effect(to(Val(BestowedLoc(loc, ident))), TraceEvent(ident, "bestow", loc))
-
-        case NewPassive():
-            current = _plug(path, Val(Loc(next_loc)))
-            me = Actor(a.this_loc, a.local_heap | {next_loc}, a.queue, current)
-            return Effect(me, TraceEvent(ident, "new-passive", next_loc))
-
-        case NewActor():
-            spawned = Actor(next_loc, frozenset({next_loc}), (), unit)
-            event = TraceEvent(ident, "new-actor")
-            return Effect(to(Val(ActorId(next_id))), event, spawned=spawned)
+            return Effect(to(Val(UnitVal())), TraceEvent(ident, "mutate", target.loc))
+    elif t is Bestow:
+        inner = node.inner.value
+        if type(inner) is Loc:
+            bestowed = Val(BestowedLoc(inner.loc, ident))
+            return Effect(to(bestowed), TraceEvent(ident, "bestow", inner.loc))
+    elif t is NewPassive:
+        current = _plug(path, Val(Loc(next_loc)))
+        me = Actor(a.this_loc, a.local_heap | {next_loc}, a.queue, current)
+        return Effect(me, TraceEvent(ident, "new-passive", next_loc))
+    elif t is NewActor:
+        spawned = Actor(next_loc, frozenset({next_loc}), (), Val(UnitVal()))
+        event = TraceEvent(ident, "new-actor")
+        return Effect(to(Val(ActorId(next_id))), event, spawned=spawned)
 
     raise _stuck_reason(ident, node)
 
@@ -267,17 +282,31 @@ def apply_effect(
 ) -> Heap:
     """``heap`` after actor ``ident`` stepped with effect ``eff``; a posted
     message reaches its target through ``enqueue``."""
-    actors = {**heap.actors, ident: eff.actor}
+    actors = dict(heap.actors)
+    return Heap(actors, *_apply(actors, heap.next_loc, heap.next_id, ident, eff, enqueue))
+
+
+def _apply(
+    actors: dict[int, Actor],
+    next_loc: int,
+    next_id: int,
+    ident: int,
+    eff: Effect,
+    enqueue: Callable[[Actor, Lambda], Actor],
+) -> tuple[int, int]:
+    """Apply ``eff`` to ``actors`` in place and return the next fresh
+    location and actor id.  Only the stepper, the post's target and the
+    spawned actor (id ``next_id``) change."""
+    actors[ident] = eff.actor
     if eff.post is not None:
         target, msg = eff.post
         actors[target] = enqueue(actors[target], msg)
-    next_loc, next_id = heap.next_loc, heap.next_id
     if eff.event.rule == "new-passive":
-        next_loc += 1
-    elif eff.spawned is not None:
+        return next_loc + 1, next_id
+    if eff.spawned is not None:
         actors[next_id] = eff.spawned
-        next_loc, next_id = next_loc + 1, next_id + 1
-    return Heap(actors, next_loc, next_id)
+        return next_loc + 1, next_id + 1
+    return next_loc, next_id
 
 
 # --------------------------------------------------------------------------
@@ -311,15 +340,10 @@ def _poised(a: Actor) -> tuple[str | None, int | None]:
     return None, None
 
 
-def _enabled(heap: Heap) -> Iterator[int]:
-    """``enabled_choices``, lazily."""
-    actors = heap.actors
-    return (i for i in sorted(actors) if poised(actors[i])[0] is not None)
-
-
 def enabled_choices(heap: Heap) -> list[int]:
     """The ids of the actors that can move in ``heap`` (a stuck one cannot), ascending."""
-    return list(_enabled(heap))
+    actors = heap.actors
+    return [i for i in sorted(actors) if poised(actors[i])[0] is not None]
 
 
 def step_system(heap: Heap, ident: int, *, lifo: bool = False) -> tuple[Heap, TraceEvent]:
@@ -353,36 +377,50 @@ def run_to_quiescence(
     uniformly at random when ``seed`` is given, else always take the first
     enabled choice.  Raises :class:`FuelExhaustedError` (with partial results
     attached) after ``fuel`` steps.
+
+    The run applies each effect in place to its own copy of the actor table
+    and builds a heap only when it stops.  It keeps the set of enabled ids,
+    updated after each step from the actors that step changed, and a
+    min-heap over it for the default policy, whose entries for ids that
+    have since left the set are dropped when they reach the top.
     """
     rng = random.Random(seed) if seed is not None else None
     scripted = schedule or ()
     trace: list[TraceEvent] = []
+    actors = dict(heap.actors)
+    next_loc, next_id = heap.next_loc, heap.next_id
+    ready = {i for i, a in actors.items() if poised(a)[0] is not None}
+    lowest = sorted(ready)  # a sorted list is a min-heap
 
     for step in range(fuel):
-        script = step < len(scripted)
-        # The default policy takes the first choice, so it asks for no more:
-        # in a long program most actors spawned so far sit idle, and listing
-        # every choice would visit each of them on every step.
-        if script or rng is not None:
-            enabled = enabled_choices(heap)
-        else:
-            enabled = list(islice(_enabled(heap), 1))
-        if not enabled:
-            return heap, trace
-        if script:
+        if not ready:
+            break
+        if step < len(scripted):
             ident = scripted[step]
-            if ident not in enabled:
-                raise ScheduleError(f"actor {ident} cannot move (enabled: {enabled})")
+            if ident not in ready:
+                raise ScheduleError(f"actor {ident} cannot move (enabled: {sorted(ready)})")
         elif rng is not None:
-            ident = rng.choice(enabled)
+            ident = rng.choice(sorted(ready))
         else:
-            ident = enabled[0]
-        heap, event = step_system(heap, ident, lifo=lifo)
-        trace.append(event)
+            while lowest[0] not in ready:
+                heappop(lowest)
+            ident = lowest[0]
+        eff = actor_step(ident, actors[ident], next_loc, next_id, lifo=lifo)
+        changed = [ident] if eff.post is None else [ident, eff.post[0]]
+        if eff.spawned is not None:
+            changed.append(next_id)
+        next_loc, next_id = _apply(actors, next_loc, next_id, ident, eff, enqueue)
+        trace.append(eff.event)
+        for i in changed:
+            if poised(actors[i])[0] is None:
+                ready.discard(i)
+            elif i not in ready:
+                ready.add(i)
+                heappush(lowest, i)
 
-    if enabled_choices(heap):
-        raise FuelExhaustedError(heap, trace)
-    return heap, trace
+    if ready:  # only when the fuel ran out
+        raise FuelExhaustedError(Heap(actors, next_loc, next_id), trace)
+    return Heap(actors, next_loc, next_id), trace
 
 
 def run_program(

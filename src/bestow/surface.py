@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .syntax import (
     ActorType,
@@ -82,43 +82,45 @@ class DesugarError(Exception):
 
 _KEYWORDS = {"val", "new", "bestow", "atomic", "mutate", "p", "c", "B", "Unit"}
 _PUNCT = ["<-", "->", "\\", ":", ".", ";", "!", "=", "(", ")", "{", "}"]
+# Each keyword and punctuation mark is its own token kind; any other word is
+# an "ident".
+_KIND = {k: k for k in [*_KEYWORDS, *_PUNCT]}
+# One match per token: blanks, comments and newlines, then the token.  The
+# group ``nl`` ends at the last newline skipped, where the token's line
+# starts.  At the end of the input, or before a character no token starts
+# with, ``tok`` is unmatched.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<nl>\n)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<punct>" + "|".join(re.escape(p) for p in _PUNCT) + r")"
+    r"(?:[ \t\r]+|#[^\n]*|(?P<nl>\n))*"
+    r"(?P<tok>[A-Za-z_][A-Za-z0-9_']*|" + "|".join(re.escape(p) for p in _PUNCT) + r")?"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "eof", or the punct/keyword text itself
     text: str
     pos: Pos
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src``, ending in one ``eof`` token.  A position is
+    (line, column), both counted from 1."""
     out: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", (line, col))
-        text = m.group(0)
-        if m.lastgroup == "nl":
-            line, col = line + 1, 1
-        elif m.lastgroup in ("ws", "comment"):
-            col += len(text)
-        elif m.lastgroup == "ident":
-            kind = text if text in _KEYWORDS else "ident"
-            out.append(Token(kind, text, (line, col)))
-            col += len(text)
-        else:
-            out.append(Token(text, text, (line, col)))
-            col += len(text)
+    match = _TOKEN_RE.match
+    line, line_start, i = 1, 0, 0
+    while True:
+        m = match(src, i)
+        nl = m.end("nl")
+        if nl != -1:
+            line += src.count("\n", i, nl)
+            line_start = nl
         i = m.end()
-    out.append(Token("eof", "", (line, col)))
+        text = m["tok"]
+        if text is None:
+            break
+        out.append(Token(_KIND.get(text, "ident"), text, (line, m.start("tok") - line_start + 1)))
+    if i < len(src):
+        raise ParseError(f"unexpected character {src[i]!r}", (line, i - line_start + 1))
+    out.append(Token("eof", "", (line, i - line_start + 1)))
     return out
 
 
@@ -228,8 +230,8 @@ class _Parser:
                 f"input is nested more than {MAX_NESTING} levels deep", self.peek().pos
             )
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
         t = self.tokens[self.i]

@@ -357,7 +357,8 @@ def _kept_mask(n: Expr | Value) -> int | None:
 def _free_mask(term: Expr | Value) -> int:
     """The mask of ``term``'s free names; each compound node is folded once,
     however many terms share it."""
-    return fold(term, _mask_leaf, _mask_post, _kept_mask)
+    m = _kept_mask(term)
+    return fold(term, _mask_leaf, _mask_post, _kept_mask) if m is None else m
 
 
 def free_vars(term: Expr | Value) -> frozenset[str]:
@@ -387,8 +388,13 @@ def subst(term: Term, name: str, v: Value | Var) -> Term:
     down to the nearest such lambdas, not to every occurrence.  An open
     ``v`` goes down to every occurrence at once.
     """
-    new = v if isinstance(v, Var) else Val(v)
-    return _subst(term, {name: new}, _bit(name), _free_mask(new))
+    if isinstance(v, Var):
+        new, add = v, _bit(v.name)
+    else:
+        new = Val(v)
+        add = _free_mask(v) if type(v) is Lambda else 0
+        new.__dict__[_FREE] = add
+    return _subst(term, {name: new}, _bit(name), add)
 
 
 def _subst(term: Term, sub: dict[str, Expr], dom: int, add: int) -> Term:

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bestow import semantics
 from bestow.semantics import (
     FuelExhaustedError,
     ScheduleError,
@@ -331,9 +332,10 @@ def test_run_deterministic_for_fixed_seed():
     assert saw_different  # the seed genuinely picks among interleavings
 
 
-def replay(heap, pick, lifo=False, fuel=2_000):
-    """Run ``heap`` to quiescence, taking ``pick(enabled_choices(h))`` at
-    each step: the reference for ``run_to_quiescence``'s policies."""
+def replay(heap, pick, lifo=False, fuel=100_000):
+    """Run ``heap`` for ``fuel`` steps or to quiescence, whichever comes
+    first, taking ``pick(enabled_choices(h))`` at each step and copying the
+    heap on every step: the reference for ``run_to_quiescence``'s policies."""
     trace = []
     for _ in range(fuel):
         enabled = enabled_choices(heap)
@@ -342,6 +344,10 @@ def replay(heap, pick, lifo=False, fuel=2_000):
         heap, ev = step_system(heap, pick(enabled), lifo=lifo)
         trace.append(ev)
     return heap, trace
+
+
+def first(enabled):
+    return enabled[0]
 
 
 def straight_line(n, rng):
@@ -365,23 +371,122 @@ def straight_line(n, rng):
     return ";\n".join(stmts)
 
 
+def fan_out(n):
+    """The root spawns ``n`` actors and sends one message to each."""
+    return ";\n".join(f"val a{i} = new c; a{i} ! \\x:p. x.mutate()" for i in range(n))
+
+
+def assert_policies_match_replay(heap, seed):
+    """The default and the seeded policy, FIFO and LIFO, take the steps
+    the reference takes and stop where it stops."""
+    for lifo in (False, True):
+        got = run_to_quiescence(heap, lifo=lifo)
+        assert got == replay(heap, first, lifo)
+        assert not enabled_choices(got[0])
+        want = replay(heap, random.Random(seed).choice, lifo)
+        assert run_to_quiescence(heap, seed=seed, lifo=lifo) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_default_policy_takes_the_first_enabled_choice(seed, lifo):
     program, _ = generate_well_typed(seed, size_budget=4 + seed % 9)
     heap = initial_heap(program)
-    want = replay(heap, lambda enabled: enabled[0], lifo)
+    want = replay(heap, first, lifo)
     assert run_to_quiescence(heap, lifo=lifo) == want
     rng = random.Random(seed)
     assert run_to_quiescence(heap, seed=seed, lifo=lifo) == replay(heap, rng.choice, lifo)
 
 
-@pytest.mark.parametrize("n, seed", [(1, 0), (20, 1), (60, 2), (120, 3)])
+@pytest.mark.parametrize("n, seed", [(1, 0), (20, 1), (60, 2), (120, 3), (1000, 4)])
 def test_default_policy_on_straight_line_programs(n, seed):
     heap = initial_heap(compile_program(straight_line(n, random.Random(seed))))
-    got = run_to_quiescence(heap)
-    assert got == replay(heap, lambda enabled: enabled[0])
-    assert not enabled_choices(got[0])
+    assert_policies_match_replay(heap, seed)
+
+
+@pytest.mark.parametrize("n", [1, 3, 150])
+def test_policies_on_fan_out_programs(n):
+    assert_policies_match_replay(initial_heap(compile_program(fan_out(n))), n)
+
+
+SMALL = {
+    "straight-12": straight_line(12, random.Random(5)),
+    "straight-25": straight_line(25, random.Random(6)),
+    "fan-out-3": fan_out(3),
+}
+
+
+@pytest.mark.parametrize("src", SMALL.values(), ids=SMALL)
+@pytest.mark.parametrize("lifo", [False, True])
+def test_fuel_exhaustion_matches_the_reference_after_every_step(src, lifo):
+    heap = initial_heap(compile_program(src))
+    for seed in (None, 7):
+
+        def reference(fuel=100_000):
+            pick = first if seed is None else random.Random(seed).choice
+            return replay(heap, pick, lifo, fuel)
+
+        steps = len(reference()[1])
+        for fuel in range(steps):
+            with pytest.raises(FuelExhaustedError) as exc:
+                run_to_quiescence(heap, seed=seed, fuel=fuel, lifo=lifo)
+            assert (exc.value.heap, exc.value.trace) == reference(fuel)
+        assert run_to_quiescence(heap, seed=seed, fuel=steps, lifo=lifo) == reference()
+
+
+@pytest.mark.parametrize("src", SMALL.values(), ids=SMALL)
+@pytest.mark.parametrize("lifo", [False, True])
+def test_scripted_schedule_errors_match_the_reference(src, lifo):
+    # After each prefix of the default run, an id that cannot move there
+    # (an idle or stuck actor, or one not yet spawned) stops the run with
+    # the enabled ids the reference lists.
+    heap = initial_heap(compile_program(src))
+    want = replay(heap, first, lifo)
+    picks = [ev.actor for ev in want[1]]
+    assert run_to_quiescence(heap, picks, lifo=lifo) == want
+    h = heap
+    for k, ident in enumerate(picks):
+        enabled = enabled_choices(h)
+        idle = [i for i in sorted(h.actors) if i not in enabled]
+        for bad in idle[:1] + [h.next_id]:
+            with pytest.raises(ScheduleError) as exc:
+                run_to_quiescence(heap, picks[:k] + [bad], lifo=lifo)
+            assert str(exc.value) == f"actor {bad} cannot move (enabled: {enabled})"
+        h, _ = step_system(h, ident, lifo=lifo)
+
+
+LONG = {"straight-2000": straight_line(2000, random.Random(1)), "fan-out-2000": fan_out(2000)}
+
+
+@pytest.mark.parametrize("src", LONG.values(), ids=LONG)
+def test_run_work_per_step_is_bounded(src, monkeypatch):
+    # A step changes at most three actors: the stepper, the post's target
+    # and the spawned actor.  A runner that probed idle actors to choose,
+    # or copied the actor table into a new heap, on every step would be
+    # quadratic on the 2 000-actor fan-out program.
+    heap = initial_heap(compile_program(src))
+    probes = built = 0
+
+    def counting_poised(a):
+        nonlocal probes
+        probes += 1
+        return poised(a)
+
+    def counting_heap(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return Heap(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "poised", counting_poised)
+    monkeypatch.setattr(semantics, "Heap", counting_heap)
+    _, trace = run_to_quiescence(heap)
+    assert len(trace) > 6_000
+    assert probes < 4 * len(trace)
+    assert built == 1  # the heap returned
+    built = 0
+    with pytest.raises(FuelExhaustedError):
+        run_to_quiescence(heap, fuel=len(trace) // 2)
+    assert built == 1  # the heap the error carries
 
 
 def test_poised_is_worked_out_once_per_actor():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,66 @@ def test_tokenize_rejects_stray_characters():
     with pytest.raises(ParseError) as exc:
         tokenize("a @ b")
     assert exc.value.pos == (1, 3)
+
+
+_PIECE = re.compile(
+    r"(?P<blank>[ \t\r]+|#[^\n]*)|(?P<nl>\n)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct><-|->|[\\:.;!=(){}])"
+)
+_KEYWORDS = {"val", "new", "bestow", "atomic", "mutate", "p", "c", "B", "Unit"}
+
+
+def reference_tokens(src):
+    """``src`` read one blank, comment, newline or token at a time, with
+    columns counted by hand: each token's (kind, text, position), or the
+    parse error at the first character no token starts with."""
+    out, line, col, i = [], 1, 1, 0
+    while i < len(src):
+        m = _PIECE.match(src, i)
+        if m is None:
+            return (f"{line}:{col}: unexpected character {src[i]!r}", (line, col))
+        text, kind = m.group(), m.lastgroup
+        if kind == "nl":
+            line, col = line + 1, 0
+        elif kind == "word":
+            out.append((text if text in _KEYWORDS else "ident", text, (line, col)))
+        elif kind == "punct":
+            out.append((text, text, (line, col)))
+        col += len(text)
+        i = m.end()
+    return out + [("eof", "", (line, col))]
+
+
+def tokens_or_error(src):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenize(src)]
+    except ParseError as e:
+        return (str(e), e.pos)
+
+
+# Ladder-style statements, as in a long straight-line program, and what may
+# sit between them.
+LADDER = [
+    "val o1 = new p",
+    "val a2 = new c",
+    "val r3 = bestow o1",
+    "a2 ! \\x:p. x.mutate()",
+    "r3 ! \\x:p. x.mutate()",
+    "atomic y <- r3 { y ! \\x:p. x.mutate() }",
+    "\\f:p -> (B p) -> Unit. f",
+]
+SEPARATORS = [";\n", "; ", ";\r\n", ";\n\n\t", ";  # note\n", "\n# a comment line\n"]
+SEPARATORS += ["", " @", "$", "-"]  # and characters no token starts with
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(LADDER), st.sampled_from(SEPARATORS)), max_size=300),
+    st.sampled_from(["", " ", "\n", "  # trailing"]),
+)
+def test_tokenize_matches_a_piece_by_piece_reference(stmts, tail):
+    src = "".join(s + sep for s, sep in stmts) + tail
+    assert tokens_or_error(src) == reference_tokens(src)
 
 
 # --------------------------------------------------------------------------
