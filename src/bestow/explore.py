@@ -307,14 +307,14 @@ def check_progress(space: StateSpace) -> Counterexample | None:
 
     A stuck actor fails the state even while others can move; a state that
     is not properly terminal has a busy actor, or an idle one that can pop.
-    ``poised`` gives each actor's choice from the actor alone, so truncation
-    cannot produce a false positive: an unexpanded frontier state's actors
-    are judged too.
+    ``poised`` names the rule each actor fires from the actor alone (None
+    for a stuck one), so truncation cannot produce a false positive: an
+    unexpanded frontier state's actors are judged too.
     """
 
     def stuck(rep: Heap) -> str | None:
         for i, a in rep.actors.items():
-            if not is_value(a.current) and poised(a)[0] != "step":
+            if not is_value(a.current) and poised(a)[0] is None:
                 return f"actor {i} is stuck"
         return None
 

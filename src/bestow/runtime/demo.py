@@ -57,7 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # No client or no element would check nothing; exit 2, not a verdict.
+    if args.clients < 1:
+        parser.error("--clients must be at least 1")
+    if args.elements < 1:
+        parser.error("--elements must be at least 1")
     return args.fn(args)
 
 

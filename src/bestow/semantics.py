@@ -5,13 +5,12 @@ actor pops the next message off its queue, a busy actor reduces its current
 expression by one step.  Expression reduction uses a unique evaluation
 context (leftmost-innermost), so each actor's next step is deterministic;
 all nondeterminism lives in the choice of actor, and a schedule is a
-sequence of actor ids.  One walk down that context (``_focus``) finds the
-node where an actor moves; ``step_expr`` reduces it, dispatching on the
-node's type, and ``poised`` reports what it enables, matching that node
-against the redex shapes.
-
-The rule that fires makes the step's one :class:`TraceEvent`, naming that
-rule and, for heap-touching rules, the location involved.
+sequence of actor ids.  Each move fires exactly one of the eight rules.
+One walk down that context (``_focus``) finds the node where an actor
+moves, and ``poised`` names the rule by the one match of that node against
+the redex shapes (``actor-msg`` for an idle actor's pop).  ``actor_step``
+fires the rule ``poised`` names, making the move's one :class:`TraceEvent`:
+the rule and, for heap-touching rules, the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
 fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
@@ -196,77 +195,59 @@ class Effect:
     spawned: Actor | None = None
 
 
-def step_expr(ident: int, a: Actor, next_loc: int, next_id: int) -> Effect:
-    """One reduction of actor ``a``'s expression, running as ``ident``, when
-    the next fresh location and actor id are ``next_loc`` and ``next_id``.
-
-    Raises :class:`StuckError` when the focused node matches no rule (a
-    value matches none).
-    """
-    path, node = _focus(a.current)
-
-    def to(e: Expr) -> Actor:
-        return Actor(a.this_loc, a.local_heap, a.queue, _plug(path, e))
-
-    # ``_focus`` stops at an App, Send, Mutate or Bestow only once the holes
-    # it descends into are values.
-    t = type(node)
-    if t is App:
-        fun = node.fun.value
-        if type(fun) is Lambda:
-            body = subst(fun.body, fun.param, node.arg.value)
-            return Effect(to(body), TraceEvent(ident, "apply"))
-    elif t is Send:
-        target, msg = node.target.value, node.msg
-        if type(msg) is Lambda and type(target) is ActorId:
-            event = TraceEvent(ident, "send-actor")
-            return Effect(to(Val(UnitVal())), event, (target.ident, msg))
-        if type(msg) is Lambda and type(target) is BestowedLoc:
-            # Forward to the owner: wrap the message so that, once delivered,
-            # it applies the original function to the underlying object.
-            y = fresh_name("y", free_vars(msg))
-            wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(target.loc))))
-            event = TraceEvent(ident, "send-bestowed")
-            return Effect(to(Val(UnitVal())), event, (target.owner, wrapper))
-    elif t is Mutate:
-        target = node.target.value
-        if type(target) is Loc:
-            # Mutation of the object at `loc` is abstract: the heap is not
-            # changed, but the event records which location was written.
-            return Effect(to(Val(UnitVal())), TraceEvent(ident, "mutate", target.loc))
-    elif t is Bestow:
-        inner = node.inner.value
-        if type(inner) is Loc:
-            bestowed = Val(BestowedLoc(inner.loc, ident))
-            return Effect(to(bestowed), TraceEvent(ident, "bestow", inner.loc))
-    elif t is NewPassive:
-        current = _plug(path, Val(Loc(next_loc)))
-        me = Actor(a.this_loc, a.local_heap | {next_loc}, a.queue, current)
-        return Effect(me, TraceEvent(ident, "new-passive", next_loc))
-    elif t is NewActor:
-        spawned = Actor(next_loc, frozenset({next_loc}), (), Val(UnitVal()))
-        event = TraceEvent(ident, "new-actor")
-        return Effect(to(Val(ActorId(next_id))), event, spawned=spawned)
-
-    raise _stuck_reason(ident, node)
-
-
 def actor_step(
     ident: int, a: Actor, next_loc: int, next_id: int, *, lifo: bool = False
 ) -> Effect:
-    """The effect of moving actor ``a``, running as ``ident``: a busy actor
-    steps, an idle one pops.
+    """The effect of moving actor ``a``, running as ``ident``, when the next
+    fresh location and actor id are ``next_loc`` and ``next_id``: it fires
+    the rule ``poised(a)`` names.
 
     A pure function of its arguments, so callers may memoize it.  Raises
-    :class:`ScheduleError` for an idle actor with an empty queue.
+    :class:`ScheduleError` for an idle actor with an empty queue and
+    :class:`StuckError` for a busy one whose focused node matches no rule.
     """
-    if not is_value(a.current):
-        return step_expr(ident, a, next_loc, next_id)
-    if not a.queue:
-        raise ScheduleError(f"actor {ident} has an empty queue")
-    msg, rest = (a.queue[-1], a.queue[:-1]) if lifo else (a.queue[0], a.queue[1:])
-    me = Actor(a.this_loc, a.local_heap, rest, App(Val(msg), Val(Loc(a.this_loc))))
-    return Effect(me, TraceEvent(ident, "actor-msg"))
+    rule, loc = poised(a)
+    if rule is None:
+        if is_value(a.current):
+            raise ScheduleError(f"actor {ident} has an empty queue")
+        raise _stuck_reason(ident, _focus(a.current)[1])
+    if rule == "new-passive":
+        loc = next_loc
+    event = TraceEvent(ident, rule, loc)
+    if rule == "actor-msg":
+        msg, rest = (a.queue[-1], a.queue[:-1]) if lifo else (a.queue[0], a.queue[1:])
+        me = Actor(a.this_loc, a.local_heap, rest, App(Val(msg), Val(Loc(a.this_loc))))
+        return Effect(me, event)
+
+    # The rule fixes the focused node's shape, so its fields are read as is.
+    path, node = _focus(a.current)
+    local_heap, post, spawned = a.local_heap, None, None
+    match rule:
+        case "apply":
+            fun = node.fun.value
+            e = subst(fun.body, fun.param, node.arg.value)
+        case "send-actor":
+            e, post = Val(UnitVal()), (node.target.value.ident, node.msg)
+        case "send-bestowed":
+            # Forward to the owner: wrap the message so that, once delivered,
+            # it applies the original function to the underlying object.
+            target, msg = node.target.value, node.msg
+            y = fresh_name("y", free_vars(msg))
+            wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(target.loc))))
+            e, post = Val(UnitVal()), (target.owner, wrapper)
+        case "mutate":
+            # Mutation of the object at `loc` is abstract: the heap is not
+            # changed, but the event records which location was written.
+            e = Val(UnitVal())
+        case "bestow":
+            e = Val(BestowedLoc(loc, ident))
+        case "new-passive":
+            e, local_heap = Val(Loc(next_loc)), local_heap | {next_loc}
+        case "new-actor":
+            e = Val(ActorId(next_id))
+            spawned = Actor(next_loc, frozenset({next_loc}), (), Val(UnitVal()))
+    me = Actor(a.this_loc, local_heap, a.queue, _plug(path, e))
+    return Effect(me, event, post, spawned)
 
 
 def enqueue(recv: Actor, msg: Lambda) -> Actor:
@@ -315,28 +296,33 @@ def _apply(
 
 
 def poised(a: Actor) -> tuple[str | None, int | None]:
-    """How ``a`` can move (``"pop"``, ``"step"`` or None) and the
-    location that step would read or write (None for rules that touch no
-    existing location).  It matches the node ``step_expr`` would reduce
-    against the same redex shapes; a stuck actor enables nothing.  Worked
-    out once per actor object.
+    """The rule ``a``'s move fires (``actor-msg`` for a pop, one of the seven
+    step rules, or None if it cannot move) and the location that move would
+    read or write (set for ``mutate`` and ``bestow``, else None).  The one
+    match of the node ``_focus`` finds against the redex shapes; a stuck
+    actor fires nothing.  Worked out once per actor object.
     """
     return memo(a, "_poised", _poised)
 
 
 def _poised(a: Actor) -> tuple[str | None, int | None]:
     if is_value(a.current):
-        return ("pop" if a.queue else None), None
+        return ("actor-msg" if a.queue else None), None
     match _focus(a.current)[1]:
-        case Mutate(Val(Loc(loc))) | Bestow(Val(Loc(loc))):
-            return "step", loc
-        case (
-            App(Val(Lambda()), Val())
-            | Send(Val(ActorId() | BestowedLoc()), Lambda())
-            | NewPassive()
-            | NewActor()
-        ):
-            return "step", None
+        case Mutate(Val(Loc(loc))):
+            return "mutate", loc
+        case Bestow(Val(Loc(loc))):
+            return "bestow", loc
+        case App(Val(Lambda()), Val()):
+            return "apply", None
+        case Send(Val(ActorId()), Lambda()):
+            return "send-actor", None
+        case Send(Val(BestowedLoc()), Lambda()):
+            return "send-bestowed", None
+        case NewPassive():
+            return "new-passive", None
+        case NewActor():
+            return "new-actor", None
     return None, None
 
 

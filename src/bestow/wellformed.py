@@ -116,7 +116,7 @@ class ActorFacts:
     queued messages; ``slots`` lists its own location and then those terms'
     slot codes, in the order the explorer's renaming scans them; ``lh`` is
     its local heap, sorted.  ``text`` is ``render()``, its key fragment as
-    it is.  The choice it enables is ``semantics.poised``'s, memoized on
+    it is.  The rule its move fires is ``semantics.poised``'s, memoized on
     the actor itself.
     """
 

@@ -5,8 +5,8 @@ actor keeps on itself must equal what a fresh walk of each heap gives.  The refe
 walk every term: a canonical renaming, whose result keys are compared
 with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
-Each actor's choice and footprint (``semantics.poised``) must agree with
-the step that ``step_expr`` takes, or fails to take.  A record changes nothing its
+Each actor's rule and footprint (``semantics.poised``) must agree with
+the move that ``actor_step`` makes, or fails to make.  A record changes nothing its
 object shows and keeps no reference to it.
 """
 
@@ -23,11 +23,12 @@ import pytest
 from bestow.explore import StateSpace, check_all, check_preservation, explore, state_key
 from bestow.gen import generate_well_typed
 from bestow.semantics import (
+    ScheduleError,
     StuckError,
+    actor_step,
     enabled_choices,
     initial_heap,
     poised,
-    step_expr,
     step_system,
 )
 from bestow.surface import compile_program
@@ -271,19 +272,18 @@ CONTEXTS = [
 
 
 def poised_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None:
-    """Check ``poised(a)`` against stepping ``a``; the rule that fired, if any.
+    """Check ``poised(a)`` against moving ``a``; the rule that fired, if any.
 
-    ``poised`` enables a step exactly when ``step_expr`` returns, and its
-    footprint is the location a ``mutate`` or ``bestow`` step reports."""
-    kind, touches = poised(a)
+    ``actor_step`` raises exactly when ``poised`` names no rule; otherwise
+    the event names that rule, and ``poised``'s footprint is the location a
+    ``mutate`` or ``bestow`` move reports."""
     try:
-        eff = step_expr(ident, a, *counters)
-    except StuckError:
-        assert kind != "step" and touches is None, a
+        ev = actor_step(ident, a, *counters).event
+    except (ScheduleError, StuckError):
+        assert poised(a) == (None, None), a
         return None
-    assert kind == "step", a
-    ev = eff.event
-    assert touches == (ev.touched_loc if ev.rule in ("mutate", "bestow") else None), a
+    touches = ev.touched_loc if ev.rule in ("mutate", "bestow") else None
+    assert poised(a) == (ev.rule, touches), a
     return ev.rule
 
 
@@ -295,9 +295,10 @@ def test_poised_agrees_with_step_expr(programs):
             for ident, a in rep.actors.items():
                 counters = rep.next_loc, rep.next_id
                 fired.add(poised_agrees(ident, a, counters))
-    # Every redex shape was reached, so a shape missing from either match shows.
+    # Every rule was reached, so a shape the match misclassifies shows.
     assert fired == {
         None,
+        "actor-msg",
         "apply",
         "send-actor",
         "send-bestowed",

@@ -13,6 +13,7 @@ from bestow.runtime import (
     run_list_iterator,
     spawn,
 )
+from bestow.runtime import demo
 
 
 def test_linked_list_basics():
@@ -137,3 +138,14 @@ def test_single_client_degenerate_cases():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run_list_iterator(1, 1, "nope")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize("flag", ["--clients", "--elements"])
+def test_demo_rejects_counts_below_one(flag, count, capsys):
+    # A run with no client or no element checks nothing, so it must not
+    # print a verdict: bad input exits 2.
+    with pytest.raises(SystemExit) as exc:
+        demo.main(["list-iterator", "--mode", "get", flag, count])
+    assert exc.value.code == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err

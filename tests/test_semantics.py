@@ -18,13 +18,13 @@ from bestow.semantics import (
     TraceEvent,
     _focus,
     _plug,
+    actor_step,
     apply_effect,
     enabled_choices,
     events_to_jsonl,
     initial_heap,
     poised,
     run_to_quiescence,
-    step_expr,
     step_system,
 )
 from bestow.gen import generate_well_typed
@@ -62,7 +62,7 @@ def one_actor(e, lh=frozenset({0}), queue=()):
 def step_one(heap, ident=0):
     """Reduce actor ``ident``'s expression once: the heap after the step's
     effect, the new expression, the rule and the touched location."""
-    eff = step_expr(ident, heap.actors[ident], heap.next_loc, heap.next_id)
+    eff = actor_step(ident, heap.actors[ident], heap.next_loc, heap.next_id)
     ev = eff.event
     return apply_effect(heap, ident, eff), eff.actor.current, ev.rule, ev.touched_loc
 
@@ -75,16 +75,16 @@ def actor_at(e, queue=()):
 
 
 def test_redex_forms():
-    for e in [
-        NewPassive(),
-        NewActor(),
-        App(Val(MSG), UNIT),
-        Send(Val(ActorId(0)), MSG),
-        Send(Val(BestowedLoc(0, 0)), MSG),
+    for e, rule in [
+        (NewPassive(), "new-passive"),
+        (NewActor(), "new-actor"),
+        (App(Val(MSG), UNIT), "apply"),
+        (Send(Val(ActorId(0)), MSG), "send-actor"),
+        (Send(Val(BestowedLoc(0, 0)), MSG), "send-bestowed"),
     ]:
-        assert poised(actor_at(e)) == ("step", None)
-    assert poised(actor_at(Mutate(Val(Loc(0))))) == ("step", 0)
-    assert poised(actor_at(Bestow(Val(Loc(3))))) == ("step", 3)
+        assert poised(actor_at(e)) == (rule, None)
+    assert poised(actor_at(Mutate(Val(Loc(0))))) == ("mutate", 0)
+    assert poised(actor_at(Bestow(Val(Loc(3))))) == ("bestow", 3)
     for e in [
         UNIT,
         Var("x"),
@@ -93,7 +93,7 @@ def test_redex_forms():
         Send(Val(ActorId(0)), Loc(0)),
     ]:
         assert poised(actor_at(e)) == (None, None)
-    assert poised(actor_at(UNIT, queue=(MSG,))) == ("pop", None)
+    assert poised(actor_at(UNIT, queue=(MSG,))) == ("actor-msg", None)
 
 
 def test_decompose_finds_innermost_redex():
@@ -127,9 +127,13 @@ def test_decompose_send_target():
 
 def test_decompose_none_for_values_and_stuck():
     # The focus stops where no rule applies, inside its context too: the
-    # actor enables no step and stepping it reports that node.
+    # actor fires no rule and stepping it reports that node.  An idle actor
+    # with an empty queue has nothing to pop.
+    assert _focus(UNIT)[1] == UNIT
+    assert poised(actor_at(UNIT)) == (None, None)
+    with pytest.raises(ScheduleError):
+        actor_step(0, actor_at(UNIT), 1, 1)
     for e, node in [
-        (UNIT, UNIT),
         (Var("x"), Var("x")),
         (Send(Val(Loc(0)), MSG), Send(Val(Loc(0)), MSG)),
         (App(Mutate(Val(UnitVal())), NewPassive()), Mutate(Val(UnitVal()))),
@@ -137,7 +141,7 @@ def test_decompose_none_for_values_and_stuck():
         assert _focus(e)[1] == node
         assert poised(actor_at(e)) == (None, None)
         with pytest.raises(StuckError) as exc:
-            step_expr(0, actor_at(e), 1, 1)
+            actor_step(0, actor_at(e), 1, 1)
         assert exc.value.expr == node
 
 
@@ -491,7 +495,7 @@ def test_run_work_per_step_is_bounded(src, monkeypatch):
 
 def test_poised_is_worked_out_once_per_actor():
     a = Actor(0, frozenset({0}), (), Mutate(Val(Loc(0))))
-    assert poised(a) == ("step", 0)
+    assert poised(a) == ("mutate", 0)
     assert poised(a) is poised(a)
 
 
