@@ -5,7 +5,9 @@ id of an actor that can move) from an initial heap, deduplicating states by
 a key that is canonical up to the renaming of actor ids and heap locations.
 Each state is stored as the heap its shortest trace reaches, so every trace
 replays from the initial heap.
-On the resulting state graph, three checks replay the soundness story:
+Each stored state is judged for three checks as it is expanded, in the
+order states were stored, and each check's first failure is recorded on
+the space:
 
 * ``check_progress`` — in every reachable state each busy actor can step
   (so a state is properly terminal, all actors idle and all queues empty,
@@ -16,16 +18,17 @@ On the resulting state graph, three checks replay the soundness story:
 
 Keys and all three checks read the records each actor and term keeps on
 itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
-value each actor keeps.  The explorer interns every
-actor it makes: each actor state has one object, rendered and judged once,
-and a successor is looked up by its actor objects before it is keyed.  The
-space stores no copy of a state's choices or depth.  Each edge holds the
-event its step made, one object per memoized step.  Each check, and
-``batch_adjacency`` (which counts in one pass the maximal paths that split
-a batch), gives a failure as one ``Counterexample``: the check's name, the
-failing state and heap, a ``detail`` saying what fails there, and a trace
-to it, printed as ``<detail> after N steps (schedule: ...)``, one event's
-actor and ``kind`` per step.  ``None`` stands for success.
+value each actor keeps, in the same pass over a state's actors as the
+checks.  The explorer interns every actor it makes: each actor state has
+one object, rendered and judged once, and a successor is looked up by its
+actor objects before it is keyed or built as a ``Heap``.  The space stores
+no copy of a state's choices or depth.  Each edge holds the event its step
+made, one object per memoized step.  Each check, and ``batch_adjacency``
+(which counts in one pass the maximal paths that split a batch), gives a
+failure as one ``Counterexample``: the check's name, the failing state and
+heap, a ``detail`` saying what fails there, and a trace to it, printed as
+``<detail> after N steps (schedule: ...)``, one event's actor and ``kind``
+per step.  ``None`` stands for success.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ from .syntax import Actor, Heap, Lambda, is_value
 from .semantics import (
     Effect,
     TraceEvent,
+    _apply,
     actor_step,
-    apply_effect,
     enabled_choices,
     enqueue,
     poised,
 )
-from .wellformed import ActorFacts, facts, wf_heap
+from .wellformed import ActorFacts, WfReport, facts, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -61,7 +64,8 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
     to new numbers.
 
     The walk starts at the root (the lowest surviving actor id) and visits
-    actors breadth-first, scanning each one's slots (see ``ActorFacts``).
+    actors breadth-first, scanning each one's slots (see ``ActorFacts``),
+    and notes on the way whether every number stays as it is.
     Actors unreachable from the root do arise (once the root has sent to
     two spawned actors, it holds neither id); each starts a new walk, in
     original-id order, so two heaps that differ only in such ids get
@@ -70,10 +74,12 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
     new: dict[int, int] = {}
     order: list[int] = []
     locs = 0
+    same = True
     for root in sorted(actors):
         if ~root in new:
             continue
         pos = new[~root] = len(order)
+        same &= pos == root
         order.append(root)
         while pos < len(order):
             slots = actors[order[pos]].slots
@@ -82,9 +88,11 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
                 if k not in new:
                     if k >= 0:
                         new[k] = locs
+                        same &= locs == k
                         locs += 1
                     else:
                         new[k] = len(order)
+                        same &= len(order) == ~k
                         order.append(~k)
     # Locations owned but never mentioned are interchangeable; give them
     # trailing numbers, actor by actor in canonical order.
@@ -92,8 +100,8 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
         for loc in actors[ident].lh:
             if loc not in new:
                 new[loc] = locs
+                same &= locs == loc
                 locs += 1
-    same = all(v == (k if k >= 0 else ~k) for k, v in new.items())
     return None if same else new
 
 
@@ -132,8 +140,38 @@ class Edge:
     dst: str
 
 
+def _after(trace: tuple[Edge, ...]) -> str:
+    """The trace's length and its schedule, one ``actor:kind`` per step."""
+    steps = "".join(f" {e.event.actor}:{e.event.kind}" for e in trace)
+    return f"after {len(trace)} steps (schedule:{steps})"
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """A state that fails ``check`` (named as in ``check_all``, or
+    "batch-adjacency"), what fails there, and a trace to it.  ``heap`` is
+    the heap stored for the key ``state``, which the trace's schedule
+    replays to; a batch's split path may be longer than the shortest trace,
+    and replays to it up to renaming on a canonical space."""
+
+    check: str
+    state: str
+    heap: Heap
+    detail: str
+    trace: tuple[Edge, ...]
+
+    def __str__(self) -> str:
+        return f"{self.detail} {_after(self.trace)}"
+
+
+_CHECKS = ("progress", "preservation", "race-freedom")
+
+
 @dataclass
 class StateSpace:
+    """The states ``explore`` stored, the edges between them, and each
+    check's verdict: its first failing state in discovery order, or None."""
+
     initial: str
     states: dict[str, Heap]
     edges: list[Edge]
@@ -141,6 +179,9 @@ class StateSpace:
     truncated: bool
     canonical: bool
     lifo: bool
+    verdicts: dict[str, Counterexample | None] = field(
+        default_factory=lambda: dict.fromkeys(_CHECKS)
+    )
     _out: dict[str, list[Edge]] = field(default_factory=dict, repr=False)
 
     def successors(self, key: str) -> list[Edge]:
@@ -165,6 +206,54 @@ class StateSpace:
         return len(self.states)
 
 
+def _race(touching: list[tuple[int, int]]) -> str | None:
+    """The first two actors, by id, whose next steps touch one location;
+    ``touching`` pairs each actor whose next step touches a location with
+    that location, ascending by id."""
+    for n, (a, loc) in enumerate(touching):
+        for b, other in touching[n + 1 :]:
+            if loc == other:
+                return f"actors {a} and {b} can both touch location {loc}"
+    return None
+
+
+def _judge_state(space: StateSpace, key: str, rep: Heap, report: WfReport | None) -> list[int]:
+    """The ids of the actors that can move in ``rep``, ascending, read in one
+    pass that also judges the state stored at ``key``: each check that has
+    not yet failed records its ``Counterexample`` here if ``rep`` fails it.
+    ``report`` is ``rep``'s wf report if already made.
+
+    * progress: a busy actor that cannot step (``poised`` names no rule)
+      fails the state, even while others can move; the first in the heap's
+      order is named;
+    * preservation: ``rep`` is ill-formed;
+    * race-freedom: two actors' next steps touch the same location.
+    """
+    enabled: list[int] = []
+    touching: list[tuple[int, int]] = []
+    stuck = None
+    for i, a in rep.actors.items():
+        rule, loc = poised(a)
+        if rule is not None:
+            enabled.append(i)
+            if loc is not None:
+                touching.append((i, loc))
+        elif stuck is None and not is_value(a.current):
+            stuck = f"actor {i} is stuck"
+    enabled.sort()
+    touching.sort()
+    verdicts = space.verdicts
+    ill = None
+    if verdicts["preservation"] is None:
+        if report is None:
+            report = wf_heap(rep)
+        ill = None if report.ok else f"ill-formed state: {report}"
+    for check, detail in zip(_CHECKS, (stuck, ill, _race(touching))):
+        if detail is not None and verdicts[check] is None:
+            verdicts[check] = Counterexample(check, key, rep, detail, space.trace_to(key))
+    return enabled
+
+
 def explore(
     heap: Heap,
     *,
@@ -174,14 +263,17 @@ def explore(
     canonical: bool = True,
     require_wf: bool = True,
 ) -> StateSpace:
-    """Breadth-first exploration of every scheduler interleaving.
+    """Breadth-first exploration of every scheduler interleaving, judging
+    each stored state for the three checks as it is expanded.
 
     Stops expanding once ``max_states`` states have been collected or a
     state sits at ``max_depth`` steps from the start; ``truncated`` reports
-    whether any frontier was cut off.  The initial heap must be well-formed
-    (disable with ``require_wf`` for deliberately broken inputs).
+    whether any frontier was cut off.  Every stored state is judged, those
+    at ``max_depth`` too.  The initial heap must be well-formed (disable
+    with ``require_wf`` for deliberately broken inputs).
     """
-    if require_wf and not (report := wf_heap(heap)).ok:
+    report: WfReport | None = wf_heap(heap)
+    if require_wf and not report.ok:
         raise ValueError(f"heap is not well-formed:\n{report}")
     # Memoized transitions, keyed by object identity.  A step is a pure
     # function of the actor and its id (``bestow`` names the stepper) and
@@ -211,23 +303,23 @@ def explore(
         intern(a)
     init_key = state_key(heap, canonical)
     # Successors by counters, actor ids and actor objects, to their keys;
-    # equal tuples name one heap.
+    # equal tuples name one heap, which is built only the first time.
     seen: dict[tuple[int, ...], str] = {}
-    states = {init_key: heap}
-    edges: list[Edge] = []
-    parents: dict[str, Edge] = {}
-    truncated = False
+    space = StateSpace(init_key, {init_key: heap}, [], {}, False, canonical, lifo)
+    states, edges, parents = space.states, space.edges, space.parents
 
-    # Each state with its distance from the start.
+    # Each state with its distance from the start, popped in the order it
+    # was stored, so each check records its first failure in that order.
     frontier: deque[tuple[str, int]] = deque([(init_key, 0)])
     while frontier:
         key, d = frontier.popleft()
         rep = states[key]
-        enabled = enabled_choices(rep)
+        enabled = _judge_state(space, key, rep, report)
+        report = None
         if not enabled:
             continue
         if d >= max_depth:
-            truncated = True
+            space.truncated = True
             continue
         counters = rep.next_loc, rep.next_id
         for ident in enabled:
@@ -237,69 +329,30 @@ def explore(
                 e = actor_step(ident, a, *counters, lifo=lifo)
                 spawned = e.spawned and intern(e.spawned)
                 eff = steps[k] = Effect(intern(e.actor), e.event, e.post, spawned)
-            nxt = apply_effect(rep, ident, eff, post)
-            shape = (nxt.next_loc, nxt.next_id, *nxt.actors, *map(id, nxt.actors.values()))
-            nxt_key = seen.get(shape)
-            if nxt_key is None:
+            actors = dict(rep.actors)
+            nxt_counters = _apply(actors, *counters, ident, eff, post)
+            shape = (*nxt_counters, *actors, *map(id, actors.values()))
+            if (nxt_key := seen.get(shape)) is None:
+                nxt = Heap(actors, *nxt_counters)
                 nxt_key = seen[shape] = state_key(nxt, canonical)
             edge = Edge(key, eff.event, nxt_key)
             if nxt_key not in states:
+                # Only a new shape gets here with room to store: a seen
+                # shape's key was stored, or cut off once the space was
+                # full, which it stays.
                 if len(states) >= max_states:
-                    truncated = True
+                    space.truncated = True
                     continue
                 states[nxt_key] = nxt
                 parents[nxt_key] = edge
                 frontier.append((nxt_key, d + 1))
             edges.append(edge)
-
-    return StateSpace(
-        initial=init_key,
-        states=states,
-        edges=edges,
-        parents=parents,
-        truncated=truncated,
-        canonical=canonical,
-        lifo=lifo,
-    )
+    return space
 
 
 # --------------------------------------------------------------------------
 # Machine checks
 # --------------------------------------------------------------------------
-
-
-def _after(trace: tuple[Edge, ...]) -> str:
-    """The trace's length and its schedule, one ``actor:kind`` per step."""
-    steps = "".join(f" {e.event.actor}:{e.event.kind}" for e in trace)
-    return f"after {len(trace)} steps (schedule:{steps})"
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    """A state that fails ``check`` (named as in ``check_all``, or
-    "batch-adjacency"), what fails there, and a trace to it.  ``heap`` is
-    the heap stored for the key ``state``, which the trace's schedule
-    replays to; a batch's split path may be longer than the shortest trace,
-    and replays to it up to renaming on a canonical space."""
-
-    check: str
-    state: str
-    heap: Heap
-    detail: str
-    trace: tuple[Edge, ...]
-
-    def __str__(self) -> str:
-        return f"{self.detail} {_after(self.trace)}"
-
-
-def _first(
-    space: StateSpace, check: str, judge: Callable[[Heap], str | None]
-) -> Counterexample | None:
-    """The first state that ``judge`` fails (it says what fails), or None."""
-    for key, rep in space.states.items():
-        if (detail := judge(rep)) is not None:
-            return Counterexample(check, key, rep, detail, space.trace_to(key))
-    return None
 
 
 def check_progress(space: StateSpace) -> Counterexample | None:
@@ -311,42 +364,17 @@ def check_progress(space: StateSpace) -> Counterexample | None:
     for a stuck one), so truncation cannot produce a false positive: an
     unexpanded frontier state's actors are judged too.
     """
-
-    def stuck(rep: Heap) -> str | None:
-        for i, a in rep.actors.items():
-            if not is_value(a.current) and poised(a)[0] is None:
-                return f"actor {i} is stuck"
-        return None
-
-    return _first(space, "progress", stuck)
+    return space.verdicts["progress"]
 
 
 def check_preservation(space: StateSpace) -> Counterexample | None:
     """First reachable ill-formed state, or None."""
-
-    def ill_formed(rep: Heap) -> str | None:
-        report = wf_heap(rep)
-        return None if report.ok else f"ill-formed state: {report}"
-
-    return _first(space, "preservation", ill_formed)
+    return space.verdicts["preservation"]
 
 
 def check_race_freedom(space: StateSpace) -> Counterexample | None:
     """First state where two actors' next steps touch the same location."""
-
-    def race(rep: Heap) -> str | None:
-        touching = [
-            (i, loc)
-            for i in sorted(rep.actors)
-            if (loc := poised(rep.actors[i])[1]) is not None
-        ]
-        for i, (a, loc) in enumerate(touching):
-            for b, other in touching[i + 1 :]:
-                if loc == other:
-                    return f"actors {a} and {b} can both touch location {loc}"
-        return None
-
-    return _first(space, "race-freedom", race)
+    return space.verdicts["race-freedom"]
 
 
 @dataclass(frozen=True)
@@ -408,7 +436,7 @@ def batch_adjacency(
 
 
 def check_all(space: StateSpace) -> dict[str, Counterexample | None]:
-    """Run the three checks; values are None on success."""
+    """The three checks' verdicts; values are None on success."""
     return {
         "progress": check_progress(space),
         "preservation": check_preservation(space),

@@ -12,7 +12,8 @@ Each term and each actor keeps its facts on itself (``facts``): a record
 is worked out once per object and lives as long as the object does.  An
 actor's own clauses, those that read only that actor, are judged once per
 actor object too; the two that read other actors (allocated ids, bestowed
-owners) and disjointness are judged by ``wf_heap`` against each heap.
+owners) and disjointness are judged by ``wf_heap`` against each heap, which
+builds a report only for a heap that fails them.
 
 Queued messages are checked as plain functions (not with the stricter rule
 for send expressions): a forwarded message for a bestowed reference embeds
@@ -114,7 +115,8 @@ class ActorFacts:
 
     ``terms`` are the facts of its current expression and then of its
     queued messages; ``slots`` lists its own location and then those terms'
-    slot codes, in the order the explorer's renaming scans them; ``lh`` is
+    slot codes, each once, in the order the explorer's renaming scans them
+    (a repeat changes no numbering); ``lh`` is
     its local heap, sorted.  ``text`` is ``render()``, its key fragment as
     it is.  The rule its move fires is ``semantics.poised``'s, memoized on
     the actor itself.
@@ -122,7 +124,9 @@ class ActorFacts:
 
     def __init__(self, a: Actor) -> None:
         self.terms = (facts(a.current), *map(facts, a.queue))
-        self.slots = (a.this_loc, *chain.from_iterable(f.slots for f in self.terms))
+        self.slots = tuple(
+            dict.fromkeys((a.this_loc, *chain.from_iterable(f.slots for f in self.terms)))
+        )
         self.lh = tuple(sorted(a.local_heap))
         self.text = self.render()
 
@@ -193,12 +197,45 @@ def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
     return None
 
 
+_WELL_FORMED = WfReport()
+
+
+def _pending(a: Actor) -> tuple[tuple[int, int | None], ...] | None:
+    """The distinct ``(owner, loc)`` pairs of ``a``'s pending clauses (see
+    ``_own_clauses``), or None if one of its own clauses fails."""
+    clauses = memo(a, "_wf", _own_clauses)
+    if any(type(detail) is not tuple for _, _, detail in clauses):
+        return None
+    return tuple(dict.fromkeys(detail[1:] for _, _, detail in clauses))
+
+
+def _holds(heap: Heap) -> bool:
+    """Whether ``heap`` is well formed, judged with no report: local heaps
+    are disjoint when their union is as large as their sizes' sum."""
+    actors = heap.actors
+    lhs = [a.local_heap for a in actors.values()]
+    if len(frozenset().union(*lhs)) != sum(map(len, lhs)):
+        return False
+    for a in actors.values():
+        if (pending := memo(a, "_pending", _pending)) is None:
+            return False
+        for owner, loc in pending:
+            if _judge(heap, "", owner, loc) is not None:
+                return False
+    return True
+
+
 def wf_heap(heap: Heap) -> WfReport:
     """Check the whole system; returns a report listing all violations.
 
     Local heaps must be disjoint, and each actor's clauses (see
     ``_own_clauses``, judged once per actor object) must hold in ``heap``.
+    A well-formed heap gets the shared ``_WELL_FORMED``; only an ill-formed
+    one pays for the report, which lists each overlapping pair and then
+    each actor's violations in clause order.
     """
+    if _holds(heap):
+        return _WELL_FORMED
     out: list[WfViolation] = []
     for a, b in combinations(sorted(heap.actors), 2):
         shared = heap.actors[a].local_heap & heap.actors[b].local_heap

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -225,6 +226,30 @@ def test_readme_explore_sample_prints_what_the_readme_shows(src, capsys):
     assert len(shown.splitlines()) == 6
     assert main(["explore", src(program)]) == 0
     assert capsys.readouterr().out == shown
+
+
+# Three clients each send two mutates to one bestowed object (3x2).
+CONTENDED = "val obj = new p;\nval ref = bestow obj;\n" + ";\n".join(
+    [f"val k{i} = new c" for i in range(3)]
+    + [f"k{i} ! \\x:p. {{ ref ! \\y:p. y.mutate(); ref ! \\y:p. y.mutate() }}" for i in range(3)]
+)
+
+
+def test_explore_exits_1_when_a_check_fails(src, capsys, sender_queue_mutant):
+    """A semantic bug that queues bestowed sends on the sender breaks
+    preservation and race freedom; each failure prints its replayable
+    schedule and the command exits 1."""
+    assert main(["explore", src(CONTENDED), "--depth", "96"]) == 1
+    out = capsys.readouterr().out
+    after = r" after (\d+) steps \(schedule:((?: \d+:(?:pop|step))+)\)$"
+    assert "progress: ok" in out.splitlines()
+    for line in (
+        r"preservation: FAIL — ill-formed state: \[wf-actor\] actor \d+: .*",
+        r"race-freedom: FAIL — actors \d+ and \d+ can both touch location \d+",
+    ):
+        found = re.search("^" + line + after, out, re.M)
+        assert found is not None, out
+        assert int(found.group(1)) == len(found.group(2).split()) > 0
 
 
 def test_explore_reports_truncation(src, capsys):

@@ -241,26 +241,23 @@ def test_properly_terminal():
         assert explore(heap, max_depth=0).terminal_states() == []
 
 
-def test_progress_failure_on_stuck_state():
-    # a send to a plain location is well typed nowhere, but we can build
-    # the state directly and skip the wf gate
-    stuck = Heap(
+# Negative controls: heaps built directly, past the wf gate, that fail a check.
+
+
+def _stuck_alone() -> Heap:
+    """A send to a plain location, well typed nowhere: no actor can move."""
+    return Heap(
         {0: Actor(0, frozenset({0}), (), Send(Val(Loc(0)), Lambda("x", P, UNIT)))},
         1,
         1,
     )
-    space = explore(stuck, require_wf=False)
-    failure = check_progress(space)
-    assert failure is not None
-    assert failure.trace == ()
-    assert str(failure) == "actor 0 is stuck after 0 steps (schedule:)"
 
 
-def test_progress_failure_on_stuck_actor_beside_a_busy_one():
-    # Actor 0 can never step; actor 1 still has two applications to run.
+def _stuck_beside_busy() -> Heap:
+    """Actor 0 can never step; actor 1 still has two applications to run."""
     inner = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
     busy = App(Val(Lambda("x", UnitType(), inner)), UNIT)
-    h = Heap(
+    return Heap(
         {
             0: Actor(0, frozenset({0}), (), Mutate(UNIT)),
             1: Actor(1, frozenset({1}), (), busy),
@@ -268,7 +265,47 @@ def test_progress_failure_on_stuck_actor_beside_a_busy_one():
         2,
         2,
     )
-    space = explore(h, require_wf=False, max_depth=1)
+
+
+def _stuck_listed_high_first() -> Heap:
+    """Two stuck actors, the higher id first in the heap's order."""
+    return Heap(
+        {
+            3: Actor(3, frozenset({3}), (), Mutate(UNIT)),
+            1: Actor(1, frozenset({1}), (), Mutate(UNIT)),
+        },
+        4,
+        4,
+    )
+
+
+def _ill_formed() -> Heap:
+    """Actor 0 mutates location 9, outside its local heap."""
+    return Heap({0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(9))))}, 10, 1)
+
+
+def _shared_location() -> Heap:
+    """Actors 0 and 1 both mutate location 5 next."""
+    return Heap(
+        {
+            0: Actor(0, frozenset({0, 5}), (), Mutate(Val(Loc(5)))),
+            1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(5)))),
+        },
+        10,
+        10,
+    )
+
+
+def test_progress_failure_on_stuck_state():
+    space = explore(_stuck_alone(), require_wf=False)
+    failure = check_progress(space)
+    assert failure is not None
+    assert failure.trace == ()
+    assert str(failure) == "actor 0 is stuck after 0 steps (schedule:)"
+
+
+def test_progress_failure_on_stuck_actor_beside_a_busy_one():
+    space = explore(_stuck_beside_busy(), require_wf=False, max_depth=1)
     failure = check_progress(space)
     assert failure is not None
     assert failure.trace == ()
@@ -301,6 +338,17 @@ def _race_after_one_step() -> Heap:
         6,
         10,
     )
+
+
+NEGATIVE_CONTROLS = (
+    _stuck_alone,
+    _stuck_beside_busy,
+    _stuck_listed_high_first,
+    _stuck_after_one_step,
+    _ill_formed,
+    _shared_location,
+    _race_after_one_step,
+)
 
 
 def replay_printed(heap: Heap, printed: str) -> tuple[Heap, list[TraceEvent]]:
@@ -348,8 +396,7 @@ def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
 
 
 def test_preservation_failure_on_ill_formed_state():
-    bad = Heap({0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(9))))}, 10, 1)
-    space = explore(bad, require_wf=False)
+    space = explore(_ill_formed(), require_wf=False)
     failure = check_preservation(space)
     assert failure is not None
     report = wf_heap(failure.heap)
@@ -358,15 +405,7 @@ def test_preservation_failure_on_ill_formed_state():
 
 
 def test_race_witness_on_shared_location():
-    h = Heap(
-        {
-            0: Actor(0, frozenset({0, 5}), (), Mutate(Val(Loc(5)))),
-            1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(5)))),
-        },
-        10,
-        10,
-    )
-    w = race_in(h)
+    w = race_in(_shared_location())
     assert w is not None
     assert w.detail == "actors 0 and 1 can both touch location 5"
 

@@ -7,20 +7,31 @@ with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
 Each actor's rule and footprint (``semantics.poised``) must agree with
 the move that ``actor_step`` makes, or fails to make.  A record changes nothing its
-object shows and keeps no reference to it.
+object shows and keeps no reference to it.  The verdicts ``explore`` records
+as it expands each state must equal the three checks judged afterwards
+over the finished space.
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from test_explore import NEGATIVE_CONTROLS
 
-from bestow.explore import StateSpace, check_all, check_preservation, explore, state_key
+import bestow.explore
+from bestow.explore import (
+    Counterexample,
+    StateSpace,
+    check_all,
+    check_preservation,
+    explore,
+    state_key,
+)
 from bestow.gen import generate_well_typed
 from bestow.semantics import (
     ScheduleError,
@@ -41,6 +52,7 @@ from bestow.syntax import (
     Expr,
     Heap,
     Lambda,
+    UnitType,
     Loc,
     Mutate,
     NewPassive,
@@ -51,6 +63,7 @@ from bestow.syntax import (
     Value,
     Var,
     fold,
+    is_value,
     rebuild,
     render_expr,
     render_heap,
@@ -388,23 +401,23 @@ def ill_formed_variants(heap: Heap) -> list[Heap]:
 
 
 def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(programs):
-    """Variants reuse term objects, and their records, from explored states."""
+    """Variants reuse term objects, and their records, from explored states.
+    Each variant's own exploration judges it as its initial state."""
     spaces = [explore(contended(2, 2))] + [explore(h) for h in programs[:60]]
     ill = 0
     for space in spaces:
-        variants = {
-            f"{key} #{n}": v
-            for key, rep in space.states.items()
-            for n, v in enumerate(ill_formed_variants(rep))
-        }
-        for v in variants.values():
-            report = wf_heap(v)
-            assert report == reference_wf_heap(v)
-            ill += not report.ok
-        broken = replace(space, states=variants, parents={}, initial=next(iter(variants)))
-        failure = check_preservation(broken)
-        assert failure is not None
-        assert failure.detail == f"ill-formed state: {wf_heap(failure.heap)}"
+        for rep in space.states.values():
+            for v in ill_formed_variants(rep):
+                report = wf_heap(v)
+                assert report == reference_wf_heap(v)
+                ill += not report.ok
+                failure = check_preservation(
+                    explore(v, max_depth=0, canonical=False, require_wf=False)
+                )
+                assert (failure is None) == report.ok
+                if failure is not None:
+                    assert failure.heap is v and failure.trace == ()
+                    assert failure.detail == f"ill-formed state: {report}"
     assert ill > 1000
 
 
@@ -475,3 +488,190 @@ def test_explored_objects_die_with_the_last_reference():
         assert [r for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+# --- verdicts judged on the fly -------------------------------------------
+
+
+def posthoc(space: StateSpace) -> dict[str, Counterexample | None]:
+    """The three checks judged after exploring: each walks the stored
+    states in the order they were stored and reports the first that fails."""
+
+    def first(check: str, judge) -> Counterexample | None:
+        for key, rep in space.states.items():
+            if (detail := judge(rep)) is not None:
+                return Counterexample(check, key, rep, detail, space.trace_to(key))
+        return None
+
+    def stuck(rep: Heap) -> str | None:
+        for i, a in rep.actors.items():
+            if not is_value(a.current) and poised(a)[0] is None:
+                return f"actor {i} is stuck"
+        return None
+
+    def ill_formed(rep: Heap) -> str | None:
+        report = wf_heap(rep)
+        return None if report.ok else f"ill-formed state: {report}"
+
+    def race(rep: Heap) -> str | None:
+        touching = [
+            (i, loc) for i in sorted(rep.actors) if (loc := poised(rep.actors[i])[1]) is not None
+        ]
+        for n, (a, loc) in enumerate(touching):
+            for b, other in touching[n + 1 :]:
+                if loc == other:
+                    return f"actors {a} and {b} can both touch location {loc}"
+        return None
+
+    return {
+        "progress": first("progress", stuck),
+        "preservation": first("preservation", ill_formed),
+        "race-freedom": first("race-freedom", race),
+    }
+
+
+def assert_verdicts_match_posthoc(space: StateSpace) -> int:
+    """``check_all`` equals the post-hoc checks: check name, state key,
+    detail, heap, trace and printed text.  Returns the number of failures."""
+    got, want = check_all(space), posthoc(space)
+    assert list(got) == list(want)
+    for name, c in want.items():
+        assert got[name] == c
+        if c is not None:
+            assert got[name].check == name and str(got[name]) == str(c)
+    return sum(c is not None for c in want.values())
+
+
+SHAPES = [(2, 2), (3, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("lifo", [False, True])
+def test_on_the_fly_verdicts_match_posthoc(programs, canonical, lifo):
+    for heap in [contended(c, s) for c, s in SHAPES] + programs:
+        space = explore(heap, max_depth=96, canonical=canonical, lifo=lifo)
+        assert assert_verdicts_match_posthoc(space) == 0
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_on_the_fly_verdicts_match_posthoc_on_negative_controls(canonical):
+    for make in NEGATIVE_CONTROLS:
+        for depth in (0, 1, 64):
+            space = explore(make(), max_depth=depth, canonical=canonical, require_wf=False)
+            assert assert_verdicts_match_posthoc(space) > 0
+
+
+def _overlap_at_depth_two() -> Heap:
+    """Well formed, but the location counter points into actor 0's local
+    heap: actor 1's ``new p``, its second step, makes the heaps overlap
+    while actor 0 can still move."""
+    then = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
+    return Heap(
+        {
+            0: Actor(0, frozenset({0, 5}), (), App(Val(Lambda("x", UnitType(), then)), UNIT)),
+            1: Actor(1, frozenset({1}), (), App(Val(Lambda("x", UnitType(), NewPassive())), UNIT)),
+        },
+        5,
+        2,
+    )
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_a_failure_at_the_depth_bound_is_judged(canonical):
+    """States at ``max_depth`` are stored but not expanded; they are judged
+    all the same."""
+    heap = _overlap_at_depth_two()
+    short = explore(heap, max_depth=1, canonical=canonical)
+    assert short.truncated and check_preservation(short) is None
+    space = explore(heap, max_depth=2, canonical=canonical)
+    assert assert_verdicts_match_posthoc(space) == 1
+    failure = check_preservation(space)
+    assert [e.event.actor for e in failure.trace] == [1, 1]
+    assert enabled_choices(failure.heap) == [0]
+    assert failure.detail == (
+        "ill-formed state: [wf-heap] actors 0 and 1: local heaps overlap on location(s) [5]"
+    )
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("lifo", [False, True])
+def test_on_the_fly_verdicts_match_posthoc_under_a_sender_queue_mutant(
+    sender_queue_mutant, canonical, lifo
+):
+    for c, s in SHAPES:
+        space = explore(contended(c, s), max_depth=96, canonical=canonical, lifo=lifo)
+        verdicts = check_all(space)
+        assert verdicts["preservation"] is not None and verdicts["race-freedom"] is not None
+        assert assert_verdicts_match_posthoc(space) == 2
+
+
+def test_explore_and_check_work_is_one_per_stored_state(monkeypatch):
+    """On 3x2 each stored state is keyed once and judged once, and at most
+    one successor ``Heap`` is built per stored state: a successor whose
+    actors and counters were seen before is built no more (one per edge,
+    6 237, were built before)."""
+    calls: Counter[str] = Counter()
+
+    def counted(name: str):
+        fn = getattr(bestow.explore, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bestow.explore, name, wrapper)
+
+    for name in ("state_key", "Heap", "_judge_state", "_race", "wf_heap"):
+        counted(name)
+    space = explore(contended(3, 2), max_depth=96)
+    assert all(v is None for v in check_all(space).values())
+    states = len(space.states)
+    assert (states, len(space.edges)) == (2039, 6237)
+    assert {calls[n] for n in ("state_key", "_judge_state", "_race", "wf_heap")} == {states}
+    assert calls["Heap"] < states
+
+
+def test_wf_accept_path_matches_the_pairwise_report():
+    """A well-formed heap shares one empty report; an ill-formed one gets
+    the pairwise report, overlaps by pair and then each actor's violations."""
+
+    def actor(this: int, lh: set[int], current=UNIT) -> Actor:
+        return Actor(this, frozenset(lh), (), current)
+
+    holder = actor(0, {0}, Val(BestowedLoc(7, 1)))
+    cases = {
+        # every pair of the three local heaps shares one location
+        "pairwise": {0: actor(0, {0, 1, 2}), 1: actor(1, {1, 3}), 2: actor(2, {2, 3})},
+        # an overlap, and a reference to location 7 that actor 1 does not own
+        "overlap+owner": {0: holder, 1: actor(1, {1, 2}), 2: actor(2, {2})},
+        # only the reference, and only an unallocated id
+        "owner": {0: holder, 1: actor(1, {1})},
+        "unallocated": {0: actor(0, {0}, Val(ActorId(9)))},
+    }
+    want = {
+        "pairwise": [
+            "[wf-heap] actors 0 and 1: local heaps overlap on location(s) [1]",
+            "[wf-heap] actors 0 and 2: local heaps overlap on location(s) [2]",
+            "[wf-heap] actors 1 and 2: local heaps overlap on location(s) [3]",
+        ],
+        "overlap+owner": [
+            "[wf-heap] actors 1 and 2: local heaps overlap on location(s) [2]",
+            "[wf-actor] actor 0: current expression holds a bestowed reference to "
+            "location 7, which actor 1 does not own",
+        ],
+        "owner": [
+            "[wf-actor] actor 0: current expression holds a bestowed reference to "
+            "location 7, which actor 1 does not own",
+        ],
+        "unallocated": ["[wf-actor] actor 0: current expression mentions unallocated actor id 9"],
+    }
+    for name, actors in cases.items():
+        heap = Heap(actors, 8, 3)
+        report = wf_heap(heap)
+        assert report == reference_wf_heap(heap)
+        assert str(report) == str(reference_wf_heap(heap)) == "\n".join(want[name])
+    accepted = wf_heap(initial_heap(UNIT))
+    assert accepted.ok
+    for c, s in SHAPES:
+        for rep in explore(contended(c, s), max_depth=96).states.values():
+            assert wf_heap(rep) is accepted
