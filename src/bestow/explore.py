@@ -6,15 +6,15 @@ a key that is canonical up to the renaming of actor ids and heap locations.
 Each state is stored as the heap its shortest trace reaches, so every trace
 replays from the initial heap.
 Each stored state is judged for three checks as it is expanded, in the
-order states were stored, and each check's first failure is recorded on
-the space:
+order states were stored, and each check's first failure is recorded in
+the space's ``verdicts``, which ``check_all`` copies:
 
-* ``check_progress`` — in every reachable state each busy actor can step
-  (so a state is properly terminal, all actors idle and all queues empty,
-  or has an enabled choice);
-* ``check_preservation`` — every reachable state is well-formed;
-* ``check_race_freedom`` — no reachable state lets two distinct actors
-  touch the same location with their next steps.
+* ``progress`` — in every reachable state each busy actor can step (so a
+  state is properly terminal, all actors idle and all queues empty, or has
+  an enabled choice);
+* ``preservation`` — every reachable state is well-formed;
+* ``race-freedom`` — no reachable state lets two distinct actors touch the
+  same location with their next steps.
 
 Keys and all three checks read the records each actor and term keeps on
 itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
@@ -170,7 +170,13 @@ _CHECKS = ("progress", "preservation", "race-freedom")
 @dataclass
 class StateSpace:
     """The states ``explore`` stored, the edges between them, and each
-    check's verdict: its first failing state in discovery order, or None."""
+    check's verdict.
+
+    ``verdicts`` maps each check's name (``progress``, ``preservation``,
+    ``race-freedom``; see ``_judge_state``) to its first failing state, in
+    discovery order, as a ``Counterexample``, or to None if no stored state
+    fails it.  ``check_all`` returns a copy.
+    """
 
     initial: str
     states: dict[str, Heap]
@@ -225,7 +231,9 @@ def _judge_state(space: StateSpace, key: str, rep: Heap, report: WfReport | None
 
     * progress: a busy actor that cannot step (``poised`` names no rule)
       fails the state, even while others can move; the first in the heap's
-      order is named;
+      order is named.  ``poised`` reads the actor alone, so truncation
+      cannot produce a false positive: an unexpanded frontier state's
+      actors are judged too;
     * preservation: ``rep`` is ill-formed;
     * race-freedom: two actors' next steps touch the same location.
     """
@@ -355,28 +363,6 @@ def explore(
 # --------------------------------------------------------------------------
 
 
-def check_progress(space: StateSpace) -> Counterexample | None:
-    """First state with a busy actor that cannot step, or None.
-
-    A stuck actor fails the state even while others can move; a state that
-    is not properly terminal has a busy actor, or an idle one that can pop.
-    ``poised`` names the rule each actor fires from the actor alone (None
-    for a stuck one), so truncation cannot produce a false positive: an
-    unexpanded frontier state's actors are judged too.
-    """
-    return space.verdicts["progress"]
-
-
-def check_preservation(space: StateSpace) -> Counterexample | None:
-    """First reachable ill-formed state, or None."""
-    return space.verdicts["preservation"]
-
-
-def check_race_freedom(space: StateSpace) -> Counterexample | None:
-    """First state where two actors' next steps touch the same location."""
-    return space.verdicts["race-freedom"]
-
-
 @dataclass(frozen=True)
 class BatchAdjacency:
     """Maximal paths that keep the owner's batch together or split it, and a split one."""
@@ -436,9 +422,5 @@ def batch_adjacency(
 
 
 def check_all(space: StateSpace) -> dict[str, Counterexample | None]:
-    """The three checks' verdicts; values are None on success."""
-    return {
-        "progress": check_progress(space),
-        "preservation": check_preservation(space),
-        "race-freedom": check_race_freedom(space),
-    }
+    """The three checks' verdicts (see ``StateSpace``); values are None on success."""
+    return dict(space.verdicts)

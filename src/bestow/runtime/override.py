@@ -11,6 +11,7 @@ override, the block's later calls fail with ``BatchBrokenError``.  On a
 
 from __future__ import annotations
 
+import threading
 from contextlib import AbstractContextManager
 
 from .actors import DEFAULT_WATCHDOG, ActorRef, _overriding
@@ -29,7 +30,11 @@ def atomic_batch(
     mailbox is empty, rather than stay hostage to a lost client; the block's
     later calls then fail with ``BatchBrokenError``.  A ``LockedRef``
     ignores ``watchdog``: no one can end a lock holder's batch early.
+    Raises ``ValueError`` for any ``ref`` unless ``0 < watchdog <=
+    threading.TIMEOUT_MAX``, the longest wait a mailbox can time.
     """
+    if not 0 < watchdog <= threading.TIMEOUT_MAX:
+        raise ValueError(f"watchdog must be in (0, {threading.TIMEOUT_MAX}] s, not {watchdog!r}")
     if isinstance(ref, LockedRef):
         return ref.lock
     actor = ref.owner if isinstance(ref, BestowedRef) else ref

@@ -14,15 +14,15 @@ the rule and, for heap-touching rules, the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
 fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
-which carries the event, and ``apply_effect`` applies that to a copy of a
-heap; ``step_system`` composes the two, and the explorer memoizes the
-first.  A step changes at most three actors: the stepper, the target of
-the message it posts and the actor it spawns.  ``run_to_quiescence``
-therefore keeps one actor table and applies each effect to it in place,
-through the same helper as ``apply_effect``, and keeps the set of enabled
-actors, updated from those three after each step.  So no step of a run
-visits an actor it did not change, except that the seeded policy sorts the
-enabled ids to pick among them.
+which carries the event, and ``_apply`` applies that to an actor table in
+place; ``step_system`` applies it to a copy of a heap's table, and the
+explorer memoizes the first.  A step changes at most three actors: the
+stepper, the target of the message it posts and the actor it spawns.
+``run_to_quiescence`` therefore keeps one actor table and applies each
+effect to it, and keeps the set of enabled actors, updated from those
+three after each step.  So no step of a run visits an actor it did not
+change, except that the seeded policy sorts the enabled ids to pick among
+them.
 """
 
 from __future__ import annotations
@@ -255,18 +255,6 @@ def enqueue(recv: Actor, msg: Lambda) -> Actor:
     return Actor(recv.this_loc, recv.local_heap, recv.queue + (msg,), recv.current)
 
 
-def apply_effect(
-    heap: Heap,
-    ident: int,
-    eff: Effect,
-    enqueue: Callable[[Actor, Lambda], Actor] = enqueue,
-) -> Heap:
-    """``heap`` after actor ``ident`` stepped with effect ``eff``; a posted
-    message reaches its target through ``enqueue``."""
-    actors = dict(heap.actors)
-    return Heap(actors, *_apply(actors, heap.next_loc, heap.next_id, ident, eff, enqueue))
-
-
 def _apply(
     actors: dict[int, Actor],
     next_loc: int,
@@ -333,13 +321,16 @@ def enabled_choices(heap: Heap) -> list[int]:
 
 
 def step_system(heap: Heap, ident: int, *, lifo: bool = False) -> tuple[Heap, TraceEvent]:
-    """Move actor ``ident`` one step.  Raises :class:`ScheduleError` for an
+    """The heap after actor ``ident`` moves one step, which leaves ``heap``
+    as it is, and the step's event.  Raises :class:`ScheduleError` for an
     unknown id or an idle actor with an empty queue, and :class:`StuckError`
     for a stuck one."""
     if ident not in heap.actors:
         raise ScheduleError(f"no such actor: {ident}")
     eff = actor_step(ident, heap.actors[ident], heap.next_loc, heap.next_id, lifo=lifo)
-    return apply_effect(heap, ident, eff), eff.event
+    actors = dict(heap.actors)
+    counters = _apply(actors, heap.next_loc, heap.next_id, ident, eff, enqueue)
+    return Heap(actors, *counters), eff.event
 
 
 def initial_heap(e: Expr) -> Heap:

@@ -12,8 +12,9 @@ Each term and each actor keeps its facts on itself (``facts``): a record
 is worked out once per object and lives as long as the object does.  An
 actor's own clauses, those that read only that actor, are judged once per
 actor object too; the two that read other actors (allocated ids, bestowed
-owners) and disjointness are judged by ``wf_heap`` against each heap, which
-builds a report only for a heap that fails them.
+owners) are judged by ``wf_heap`` against each heap, in one walk over its
+actors' clauses.  Disjointness takes one size test on the union of the
+local heaps; only a heap that fails it has its overlapping pairs listed.
 
 Queued messages are checked as plain functions (not with the stricter rule
 for send expressions): a forwarded message for a bestowed reference embeds
@@ -200,53 +201,30 @@ def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
 _WELL_FORMED = WfReport()
 
 
-def _pending(a: Actor) -> tuple[tuple[int, int | None], ...] | None:
-    """The distinct ``(owner, loc)`` pairs of ``a``'s pending clauses (see
-    ``_own_clauses``), or None if one of its own clauses fails."""
-    clauses = memo(a, "_wf", _own_clauses)
-    if any(type(detail) is not tuple for _, _, detail in clauses):
-        return None
-    return tuple(dict.fromkeys(detail[1:] for _, _, detail in clauses))
-
-
-def _holds(heap: Heap) -> bool:
-    """Whether ``heap`` is well formed, judged with no report: local heaps
-    are disjoint when their union is as large as their sizes' sum."""
-    actors = heap.actors
-    lhs = [a.local_heap for a in actors.values()]
-    if len(frozenset().union(*lhs)) != sum(map(len, lhs)):
-        return False
-    for a in actors.values():
-        if (pending := memo(a, "_pending", _pending)) is None:
-            return False
-        for owner, loc in pending:
-            if _judge(heap, "", owner, loc) is not None:
-                return False
-    return True
-
-
 def wf_heap(heap: Heap) -> WfReport:
     """Check the whole system; returns a report listing all violations.
 
     Local heaps must be disjoint, and each actor's clauses (see
     ``_own_clauses``, judged once per actor object) must hold in ``heap``.
-    A well-formed heap gets the shared ``_WELL_FORMED``; only an ill-formed
-    one pays for the report, which lists each overlapping pair and then
-    each actor's violations in clause order.
+    The report lists each overlapping pair and then each actor's violations
+    in clause order; the pairs are listed only when the union of the local
+    heaps is smaller than their sizes' sum.  A well-formed heap gets the
+    shared ``_WELL_FORMED``.
     """
-    if _holds(heap):
-        return _WELL_FORMED
+    actors = heap.actors
     out: list[WfViolation] = []
-    for a, b in combinations(sorted(heap.actors), 2):
-        shared = heap.actors[a].local_heap & heap.actors[b].local_heap
-        if shared:
-            detail = f"local heaps overlap on location(s) {sorted(shared)}"
-            out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
-    for ident in sorted(heap.actors):
-        for rule, suffix, detail in memo(heap.actors[ident], "_wf", _own_clauses):
+    lhs = [a.local_heap for a in actors.values()]
+    if len(frozenset().union(*lhs)) != sum(map(len, lhs)):
+        for a, b in combinations(sorted(actors), 2):
+            shared = actors[a].local_heap & actors[b].local_heap
+            if shared:
+                detail = f"local heaps overlap on location(s) {sorted(shared)}"
+                out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
+    for ident in sorted(actors):
+        for rule, suffix, detail in memo(actors[ident], "_wf", _own_clauses):
             if type(detail) is tuple:
                 detail = _judge(heap, *detail)
                 if detail is None:
                     continue
             out.append(WfViolation(rule, f"actor {ident}{suffix}", detail))
-    return WfReport(tuple(out))
+    return WfReport(tuple(out)) if out else _WELL_FORMED

@@ -20,7 +20,6 @@ import pytest
 from bestow.explore import (
     Counterexample,
     check_all,
-    check_race_freedom,
     explore,
     state_key,
 )
@@ -66,7 +65,8 @@ BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_a
 
 def race_in(heap: Heap) -> Counterexample | None:
     """The race check on ``heap`` alone: no step taken, wf not required."""
-    return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
+    space = explore(heap, max_depth=0, canonical=False, require_wf=False)
+    return space.verdicts["race-freedom"]
 
 
 @pytest.fixture

@@ -16,9 +16,6 @@ from bestow.explore import (
     StateSpace,
     batch_adjacency,
     check_all,
-    check_preservation,
-    check_progress,
-    check_race_freedom,
     explore,
     state_key,
 )
@@ -55,7 +52,8 @@ def space_of(src: str, **kw) -> StateSpace:
 
 def race_in(heap: Heap) -> Counterexample | None:
     """The race check on ``heap`` alone: no step taken, wf not required."""
-    return check_race_freedom(explore(heap, max_depth=0, canonical=False, require_wf=False))
+    space = explore(heap, max_depth=0, canonical=False, require_wf=False)
+    return space.verdicts["race-freedom"]
 
 
 # --- canonicalization -----------------------------------------------------
@@ -183,7 +181,7 @@ def test_truncation_by_depth():
     space = space_of("val a = new c; a ! \\x:p. x.mutate()", max_depth=2)
     assert space.truncated
     # progress must not mistake an unexpanded frontier for a stuck state
-    assert check_progress(space) is None
+    assert space.verdicts["progress"] is None
 
 
 def test_explore_requires_wf_by_default():
@@ -298,7 +296,7 @@ def _shared_location() -> Heap:
 
 def test_progress_failure_on_stuck_state():
     space = explore(_stuck_alone(), require_wf=False)
-    failure = check_progress(space)
+    failure = space.verdicts["progress"]
     assert failure is not None
     assert failure.trace == ()
     assert str(failure) == "actor 0 is stuck after 0 steps (schedule:)"
@@ -306,7 +304,7 @@ def test_progress_failure_on_stuck_state():
 
 def test_progress_failure_on_stuck_actor_beside_a_busy_one():
     space = explore(_stuck_beside_busy(), require_wf=False, max_depth=1)
-    failure = check_progress(space)
+    failure = space.verdicts["progress"]
     assert failure is not None
     assert failure.trace == ()
     assert failure.detail == "actor 0 is stuck"
@@ -365,29 +363,31 @@ def replay_printed(heap: Heap, printed: str) -> tuple[Heap, list[TraceEvent]]:
     return heap, events
 
 
-def _split_batch(space: StateSpace) -> Counterexample | None:
-    return batch_adjacency(space, 0, lambda ev: ev.rule == "mutate").witness
+def _found(space: StateSpace, check: str) -> Counterexample | None:
+    if check == "batch-adjacency":
+        return batch_adjacency(space, 0, lambda ev: ev.rule == "mutate").witness
+    return space.verdicts[check]
 
 
-# Each finder's check name and trace length.
-FOUND = {check_progress: ("progress", 1), check_race_freedom: ("race-freedom", 1),
-         _split_batch: ("batch-adjacency", 31)}
-
-
+# Explicit ids keep the ids these tests have long been tracked by.
 @pytest.mark.parametrize(
-    "heap,check",
+    "heap,check,steps",
     [
-        (_stuck_after_one_step(), check_progress),
-        (_race_after_one_step(), check_race_freedom),
-        (initial_heap(compile_program(BATCHING["UNBATCHED"])), _split_batch),
+        pytest.param(_stuck_after_one_step(), "progress", 1, id="heap0-check_progress"),
+        pytest.param(_race_after_one_step(), "race-freedom", 1, id="heap1-check_race_freedom"),
+        pytest.param(
+            initial_heap(compile_program(BATCHING["UNBATCHED"])),
+            "batch-adjacency",
+            31,
+            id="heap2-_split_batch",
+        ),
     ],
 )
 @pytest.mark.parametrize("canonical", [True, False])
-def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
-    failure = check(explore(heap, require_wf=False, canonical=canonical))
+def test_printed_schedule_replays_to_the_counterexample(heap, check, steps, canonical):
+    failure = _found(explore(heap, require_wf=False, canonical=canonical), check)
     assert failure is not None
-    name, steps = FOUND[check]
-    assert failure.check == name
+    assert failure.check == check
     heap, events = replay_printed(heap, str(failure))
     assert len(events) == len(failure.trace) == steps
     assert events == [e.event for e in failure.trace]
@@ -397,7 +397,7 @@ def test_printed_schedule_replays_to_the_counterexample(heap, check, canonical):
 
 def test_preservation_failure_on_ill_formed_state():
     space = explore(_ill_formed(), require_wf=False)
-    failure = check_preservation(space)
+    failure = space.verdicts["preservation"]
     assert failure is not None
     report = wf_heap(failure.heap)
     assert not report.ok
@@ -428,7 +428,7 @@ def test_race_check_covers_reachable_states():
         "val obj = new p; val b = bestow obj; val a = new c;"
         "a ! \\x:p. b ! \\y:p. y.mutate(); obj.mutate()"
     )
-    assert check_race_freedom(space) is None
+    assert space.verdicts["race-freedom"] is None
 
 
 # --- memoized transitions -------------------------------------------------

@@ -28,7 +28,6 @@ from bestow.explore import (
     Counterexample,
     StateSpace,
     check_all,
-    check_preservation,
     explore,
     state_key,
 )
@@ -396,7 +395,9 @@ def ill_formed_variants(heap: Heap) -> list[Heap]:
             if i != j:
                 foreign = Lambda("z", Passive(), Mutate(Val(Loc(b.this_loc))))
                 queued = replace(a, queue=a.queue + (foreign,))
-                out.append(Heap({**heap.actors, i: queued}, heap.next_loc, heap.next_id))
+                grabbed = replace(a, local_heap=a.local_heap | {b.this_loc})
+                for broken in (queued, grabbed):
+                    out.append(Heap({**heap.actors, i: broken}, heap.next_loc, heap.next_id))
     return out
 
 
@@ -411,9 +412,8 @@ def test_table_backed_preservation_matches_wf_heap_on_ill_formed_variants(progra
                 report = wf_heap(v)
                 assert report == reference_wf_heap(v)
                 ill += not report.ok
-                failure = check_preservation(
-                    explore(v, max_depth=0, canonical=False, require_wf=False)
-                )
+                alone = explore(v, max_depth=0, canonical=False, require_wf=False)
+                failure = alone.verdicts["preservation"]
                 assert (failure is None) == report.ok
                 if failure is not None:
                     assert failure.heap is v and failure.trace == ()
@@ -582,10 +582,10 @@ def test_a_failure_at_the_depth_bound_is_judged(canonical):
     all the same."""
     heap = _overlap_at_depth_two()
     short = explore(heap, max_depth=1, canonical=canonical)
-    assert short.truncated and check_preservation(short) is None
+    assert short.truncated and short.verdicts["preservation"] is None
     space = explore(heap, max_depth=2, canonical=canonical)
     assert assert_verdicts_match_posthoc(space) == 1
-    failure = check_preservation(space)
+    failure = space.verdicts["preservation"]
     assert [e.event.actor for e in failure.trace] == [1, 1]
     assert enabled_choices(failure.heap) == [0]
     assert failure.detail == (

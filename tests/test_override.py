@@ -222,6 +222,20 @@ def test_watchdog_reads_posted_envelopes_before_breaking(journal):
     assert rivals[-1].result(timeout=10) == 30_002
 
 
+@pytest.mark.parametrize("watchdog", [float("inf"), float("nan"), 1e300, 0.0, -1.0])
+def test_a_watchdog_the_mailbox_cannot_time_is_refused(journal, watchdog):
+    # Past threading.TIMEOUT_MAX the actor's timed mailbox read raises, its
+    # thread dies and the block's call never resolves; refuse it up front,
+    # for every kind of reference.
+    with pytest.raises(ValueError, match="watchdog"):
+        with atomic_batch(journal, watchdog=watchdog):
+            journal.perform(lambda j: j.note("lost")).result(timeout=2)
+    with pytest.raises(ValueError, match="watchdog"):
+        atomic_batch(lock_bestow(Journal()), watchdog=watchdog)
+    with atomic_batch(journal, watchdog=threading.TIMEOUT_MAX):
+        assert journal.perform(lambda j: j.note("kept")).result(timeout=5) == 1
+
+
 def test_a_deferred_override_runs_its_deferred_calls_first(journal):
     # B holds the override; A's override request, a rival's call and A's
     # call all wait behind it.  When B resumes, A's call runs before the

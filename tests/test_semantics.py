@@ -19,7 +19,6 @@ from bestow.semantics import (
     _focus,
     _plug,
     actor_step,
-    apply_effect,
     enabled_choices,
     events_to_jsonl,
     initial_heap,
@@ -60,11 +59,10 @@ def one_actor(e, lh=frozenset({0}), queue=()):
 
 
 def step_one(heap, ident=0):
-    """Reduce actor ``ident``'s expression once: the heap after the step's
-    effect, the new expression, the rule and the touched location."""
-    eff = actor_step(ident, heap.actors[ident], heap.next_loc, heap.next_id)
-    ev = eff.event
-    return apply_effect(heap, ident, eff), eff.actor.current, ev.rule, ev.touched_loc
+    """Reduce actor ``ident``'s expression once: the heap after the step,
+    the new expression, the rule and the touched location."""
+    nxt, ev = step_system(heap, ident)
+    return nxt, nxt.actors[ident].current, ev.rule, ev.touched_loc
 
 
 # --- decomposition --------------------------------------------------------
@@ -229,6 +227,37 @@ def test_step_new_actor_spawns_idle_actor():
     assert len(spawned.local_heap) == 1
     # the new actor's location is fresh, not shared with the spawner
     assert not (spawned.local_heap & heap2.actors[0].local_heap)
+
+
+# A redex and a queue for actor 0 that fire each rule, beside actor 1,
+# which owns location 5.
+FIRES = {
+    "actor-msg": (UNIT, (MSG,)),
+    "send-actor": (Send(Val(ActorId(1)), MSG), ()),
+    "send-bestowed": (Send(Val(BestowedLoc(5, 1)), MSG), ()),
+    "apply": (App(Val(MSG), Val(Loc(0))), ()),
+    "mutate": (Mutate(Val(Loc(0))), ()),
+    "bestow": (Bestow(Val(Loc(0))), ()),
+    "new-passive": (NewPassive(), ()),
+    "new-actor": (NewActor(), ()),
+}
+
+
+@pytest.mark.parametrize("rule", FIRES)
+def test_step_system_leaves_the_given_heap_unchanged(rule):
+    e, queue = FIRES[rule]
+    heap = Heap(
+        {0: Actor(0, frozenset({0}), queue, e), 1: Actor(1, frozenset({1, 5}), (), UNIT)},
+        next_loc=6,
+        next_id=2,
+    )
+    before = dict(heap.actors)
+    heap2, ev = step_system(heap, 0)
+    assert ev.rule == rule
+    assert heap2.actors != before
+    assert heap.actors == before
+    assert all(heap.actors[i] is a for i, a in before.items())
+    assert (heap.next_loc, heap.next_id) == (6, 2)
 
 
 def test_step_stuck_diagnoses():
