@@ -37,7 +37,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .syntax import Actor, Heap, Lambda, is_value
+from .syntax import Actor, Heap, Lambda, Value
 from .semantics import (
     Effect,
     TraceEvent,
@@ -246,7 +246,7 @@ def _judge_state(space: StateSpace, key: str, rep: Heap, report: WfReport | None
             enabled.append(i)
             if loc is not None:
                 touching.append((i, loc))
-        elif stuck is None and not is_value(a.current):
+        elif stuck is None and not isinstance(a.current, Value):
             stuck = f"actor {i} is stuck"
     enabled.sort()
     touching.sort()

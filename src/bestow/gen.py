@@ -32,7 +32,6 @@ from .syntax import (
     Type,
     UnitType,
     UnitVal,
-    Val,
     Var,
 )
 from .typecheck import TypeEnv
@@ -83,7 +82,7 @@ def _minimal(env: TypeEnv, goal: Type, counter: list[int]) -> Expr:
             return Var(name)
     match goal:
         case UnitType():
-            return Val(UnitVal())
+            return UnitVal()
         case Passive():
             return NewPassive()
         case ActorType():
@@ -92,7 +91,7 @@ def _minimal(env: TypeEnv, goal: Type, counter: list[int]) -> Expr:
             return Bestow(NewPassive())
         case Arrow(dom, cod):
             x = _fresh(counter)
-            return Val(Lambda(x, dom, _minimal(env.extend(x, dom), cod, counter)))
+            return Lambda(x, dom, _minimal(env.extend(x, dom), cod, counter))
     raise TypeError(f"not a type: {goal!r}")
 
 
@@ -116,9 +115,7 @@ def _gen(
 
     match goal:
         case UnitType():
-            options.append("unit")
-            if budget >= 2:
-                options.append("mutate")
+            options += ["unit", "mutate"]
             if budget >= 4:
                 options.append("send")
         case Passive():
@@ -126,8 +123,7 @@ def _gen(
         case ActorType():
             options.append("new-actor")
         case Bestowed():
-            if budget >= 2:
-                options.append("bestow")
+            options.append("bestow")
         case Arrow(_, _):
             options.append("lambda")
 
@@ -137,14 +133,11 @@ def _gen(
     if arg_candidates:
         options.append("apply")
 
-    if not options:
-        return _minimal(env, goal, counter)
-
     match production := _draw(rng, [(p, WEIGHTS[p]) for p in options]):
         case "var":
             return Var(rng.choice(candidates))
         case "unit":
-            return Val(UnitVal())
+            return UnitVal()
         case "new-passive":
             return NewPassive()
         case "new-actor":
@@ -157,7 +150,7 @@ def _gen(
             assert isinstance(goal, Arrow)
             x = _fresh(counter)
             body = _gen(rng, env.extend(x, goal.dom), goal.cod, budget - 1, counter)
-            return Val(Lambda(x, goal.dom, body))
+            return Lambda(x, goal.dom, body)
         case "send":
             return _gen_send(rng, env, budget, counter)
         case "apply":

@@ -70,6 +70,12 @@ class BatchBrokenError(RuntimeError):
     """The watchdog force-resumed this call's override: the batch is over."""
 
 
+def _limit(timeout: float | None) -> float | None:
+    """``timeout``, or None (no limit) when it is longer than any wait the
+    platform's locks accept."""
+    return None if timeout is not None and timeout > threading.TIMEOUT_MAX else timeout
+
+
 class Future(Generic[T]):
     """A write-once result slot on one lock, held until the slot is filled;
     a waiter takes the lock and drops it at once, so every waiter gets by."""
@@ -111,6 +117,7 @@ class Future(Generic[T]):
                     "hand the future to an external thread or restructure "
                     "the protocol as further messages"
                 )
+            timeout = _limit(timeout)
             block = timeout is None or timeout > 0  # <= 0 polls, as in Event.wait
             if not self._lock.acquire(block, timeout if block and timeout else -1):
                 raise TimeoutError("future did not resolve in time")
@@ -173,7 +180,7 @@ class ActorRef:
         self._post(_Stop())
 
     def join(self, timeout: float | None = None) -> None:
-        self._stopped.wait(timeout)
+        self._stopped.wait(_limit(timeout))
 
 
 @contextmanager

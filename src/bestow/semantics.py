@@ -8,9 +8,13 @@ all nondeterminism lives in the choice of actor, and a schedule is a
 sequence of actor ids.  Each move fires exactly one of the eight rules.
 One walk down that context (``_focus``) finds the node where an actor
 moves, and ``poised`` names the rule by the one match of that node against
-the redex shapes (``actor-msg`` for an idle actor's pop).  ``actor_step``
-fires the rule ``poised`` names, making the move's one :class:`TraceEvent`:
-the rule and, for heap-touching rules, the location involved.
+the redex shapes (``actor-msg`` for an idle actor's pop).  A value is an
+expression, so the shapes name the values in their holes directly:
+``App(Lambda(), Value())``, ``Mutate(Loc())``, ``Bestow(Loc())``,
+``Send(ActorId(), Lambda())``, ``Send(BestowedLoc(), Lambda())``,
+``NewPassive()`` and ``NewActor()``.  ``actor_step`` fires the rule
+``poised`` names, making the move's one :class:`TraceEvent`: the rule and,
+for heap-touching rules, the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
 fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
@@ -22,7 +26,8 @@ stepper, the target of the message it posts and the actor it spawns.
 effect to it, and keeps the set of enabled actors, updated from those
 three after each step.  So no step of a run visits an actor it did not
 change, except that the seeded policy sorts the enabled ids to pick among
-them.
+them.  A run that stops with fuel left while an actor is still busy is
+stuck, and raises that actor's :class:`StuckError`.
 """
 
 from __future__ import annotations
@@ -48,11 +53,10 @@ from .syntax import (
     Passive,
     Send,
     UnitVal,
-    Val,
+    Value,
     Var,
     free_vars,
     fresh_name,
-    is_value,
     memo,
     rebuild,
     render_expr,
@@ -128,14 +132,14 @@ def _focus(e: Expr) -> tuple[list[Expr], Expr]:
     while True:
         t = type(e)
         if t is App:
-            hole = e.fun if type(e.fun) is not Val else e.arg
+            hole = e.arg if isinstance(e.fun, Value) else e.fun
         elif t is Send or t is Mutate:
             hole = e.target
         elif t is Bestow:
             hole = e.inner
         else:
             return path, e
-        if type(hole) is Val:
+        if isinstance(hole, Value):
             return path, e
         path.append(e)
         e = hole
@@ -145,7 +149,7 @@ def _plug(path: list[Expr], x: Expr) -> Expr:
     """Fill the context ``path`` (from ``_focus``) with ``x``."""
     for n in reversed(path):
         if type(n) is App:
-            x = rebuild(n, n.fun, x) if type(n.fun) is Val else rebuild(n, x, n.arg)
+            x = rebuild(n, n.fun, x) if isinstance(n.fun, Value) else rebuild(n, x, n.arg)
         elif type(n) is Send:
             x = rebuild(n, x, n.msg)
         else:
@@ -161,7 +165,7 @@ def _stuck_reason(actor: int, e: Expr) -> StuckError:
         case App():
             return StuckError(actor, e, "application of a non-function value")
         case Send(target):
-            if not isinstance(target.value, (ActorId, BestowedLoc)):
+            if not isinstance(target, (ActorId, BestowedLoc)):
                 return SendToNonActiveError(
                     actor, e, "send target is not an actor or bestowed reference"
                 )
@@ -208,7 +212,7 @@ def actor_step(
     """
     rule, loc = poised(a)
     if rule is None:
-        if is_value(a.current):
+        if isinstance(a.current, Value):
             raise ScheduleError(f"actor {ident} has an empty queue")
         raise _stuck_reason(ident, _focus(a.current)[1])
     if rule == "new-passive":
@@ -216,7 +220,7 @@ def actor_step(
     event = TraceEvent(ident, rule, loc)
     if rule == "actor-msg":
         msg, rest = (a.queue[-1], a.queue[:-1]) if lifo else (a.queue[0], a.queue[1:])
-        me = Actor(a.this_loc, a.local_heap, rest, App(Val(msg), Val(Loc(a.this_loc))))
+        me = Actor(a.this_loc, a.local_heap, rest, App(msg, Loc(a.this_loc)))
         return Effect(me, event)
 
     # The rule fixes the focused node's shape, so its fields are read as is.
@@ -224,28 +228,28 @@ def actor_step(
     local_heap, post, spawned = a.local_heap, None, None
     match rule:
         case "apply":
-            fun = node.fun.value
-            e = subst(fun.body, fun.param, node.arg.value)
+            fun = node.fun
+            e = subst(fun.body, fun.param, node.arg)
         case "send-actor":
-            e, post = Val(UnitVal()), (node.target.value.ident, node.msg)
+            e, post = UnitVal(), (node.target.ident, node.msg)
         case "send-bestowed":
             # Forward to the owner: wrap the message so that, once delivered,
             # it applies the original function to the underlying object.
-            target, msg = node.target.value, node.msg
+            target, msg = node.target, node.msg
             y = fresh_name("y", free_vars(msg))
-            wrapper = Lambda(y, Passive(), App(Val(msg), Val(Loc(target.loc))))
-            e, post = Val(UnitVal()), (target.owner, wrapper)
+            wrapper = Lambda(y, Passive(), App(msg, Loc(target.loc)))
+            e, post = UnitVal(), (target.owner, wrapper)
         case "mutate":
             # Mutation of the object at `loc` is abstract: the heap is not
             # changed, but the event records which location was written.
-            e = Val(UnitVal())
+            e = UnitVal()
         case "bestow":
-            e = Val(BestowedLoc(loc, ident))
+            e = BestowedLoc(loc, ident)
         case "new-passive":
-            e, local_heap = Val(Loc(next_loc)), local_heap | {next_loc}
+            e, local_heap = Loc(next_loc), local_heap | {next_loc}
         case "new-actor":
-            e = Val(ActorId(next_id))
-            spawned = Actor(next_loc, frozenset({next_loc}), (), Val(UnitVal()))
+            e = ActorId(next_id)
+            spawned = Actor(next_loc, frozenset({next_loc}), (), UnitVal())
     me = Actor(a.this_loc, local_heap, a.queue, _plug(path, e))
     return Effect(me, event, post, spawned)
 
@@ -294,18 +298,18 @@ def poised(a: Actor) -> tuple[str | None, int | None]:
 
 
 def _poised(a: Actor) -> tuple[str | None, int | None]:
-    if is_value(a.current):
+    if isinstance(a.current, Value):
         return ("actor-msg" if a.queue else None), None
     match _focus(a.current)[1]:
-        case Mutate(Val(Loc(loc))):
+        case Mutate(Loc(loc)):
             return "mutate", loc
-        case Bestow(Val(Loc(loc))):
+        case Bestow(Loc(loc)):
             return "bestow", loc
-        case App(Val(Lambda()), Val()):
+        case App(Lambda(), Value()):
             return "apply", None
-        case Send(Val(ActorId()), Lambda()):
+        case Send(ActorId(), Lambda()):
             return "send-actor", None
-        case Send(Val(BestowedLoc()), Lambda()):
+        case Send(BestowedLoc(), Lambda()):
             return "send-bestowed", None
         case NewPassive():
             return "new-passive", None
@@ -353,7 +357,9 @@ def run_to_quiescence(
     (raising :class:`ScheduleError` if an entry cannot move), then pick
     uniformly at random when ``seed`` is given, else always take the first
     enabled choice.  Raises :class:`FuelExhaustedError` (with partial results
-    attached) after ``fuel`` steps.
+    attached) after ``fuel`` steps, and :class:`StuckError` for the lowest
+    busy actor when no actor can move but some actor's expression is not
+    a value.
 
     The run applies each effect in place to its own copy of the actor table
     and builds a heap only when it stops.  It keeps the set of enabled ids,
@@ -397,6 +403,10 @@ def run_to_quiescence(
 
     if ready:  # only when the fuel ran out
         raise FuelExhaustedError(Heap(actors, next_loc, next_id), trace)
+    busy = [i for i, a in actors.items() if not isinstance(a.current, Value)]
+    if busy:  # none of them can move: each is stuck
+        i = min(busy)
+        raise _stuck_reason(i, _focus(actors[i].current)[1])
     return Heap(actors, next_loc, next_id), trace
 
 

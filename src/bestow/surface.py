@@ -40,7 +40,6 @@ from .syntax import (
     Type,
     UnitType,
     UnitVal,
-    Val,
     Var,
     free_vars,
     fresh_name,
@@ -447,12 +446,12 @@ def _elab(node: SNode, env: TypeEnv, in_atomic: bool) -> Expr:
         case SVar(name):
             return Var(name)
         case SUnit():
-            return Val(UnitVal())
+            return UnitVal()
         case SNew(active):
             return NewActor() if active else NewPassive()
         case SLambda(param, param_type, body):
             core = _elab(body, env.extend(param, param_type), in_atomic)
-            return Val(Lambda(param, param_type, core))
+            return Lambda(param, param_type, core)
         case SApp(fun, arg):
             return App(_elab(fun, env, in_atomic), _elab(arg, env, in_atomic))
         case SMutate(target):
@@ -474,8 +473,8 @@ def _elab(node: SNode, env: TypeEnv, in_atomic: bool) -> Expr:
 def _elab_send(node: SSend, env: TypeEnv, in_atomic: bool) -> Expr:
     target = _elab(node.target, env, in_atomic)
     msg = _elab(node.msg, env, in_atomic)
-    if isinstance(msg, Val) and isinstance(msg.value, Lambda):
-        return Send(target, msg.value)
+    if isinstance(msg, Lambda):
+        return Send(target, msg)
     # The core only sends literal functions; wrap anything else so the
     # function position is evaluated on the receiver.
     z = fresh_name("z", free_vars(msg))
@@ -484,7 +483,7 @@ def _elab_send(node: SSend, env: TypeEnv, in_atomic: bool) -> Expr:
 
 def _elab_block(stmts: list[SNode], env: TypeEnv, in_atomic: bool) -> Expr:
     if not stmts:
-        return Val(UnitVal())
+        return UnitVal()
     links: list[tuple[str | None, Expr, Type]] = []
     for s in stmts[:-1]:
         bound = _elab(s, env, in_atomic)
@@ -507,7 +506,7 @@ def _sequence(links: list[tuple[str | None, Expr, Type]], last: Expr) -> Expr:
     for name, bound, t in reversed(links):
         if name is None:
             name = fresh_name("_seq", body_free)
-        body = App(Val(Lambda(name, t, body)), bound)
+        body = App(Lambda(name, t, body), bound)
         body_free.discard(name)
         body_free |= free_vars(bound)
     return body
@@ -566,7 +565,7 @@ def _elab_atomic(node: SAtomic, env: TypeEnv, in_atomic: bool) -> Expr:
         # Each `alias ! m` runs m directly on the underlying object.
         parts.append(App(core, Var(alias)))
 
-    body: Expr = Val(UnitVal())
+    body: Expr = UnitVal()
     if parts:
         links = [(None, part, _try_type(part, body_env)) for part in parts[:-1]]
         body = _sequence(links, parts[-1])
@@ -614,17 +613,17 @@ def _fmt(e: Expr, level: int, depth: int) -> str:
     match e:
         case Var(name):
             return name
-        case Val(UnitVal()):
+        case UnitVal():
             return "()"
         case NewPassive():
             return "new p"
         case NewActor():
             return "new c"
-        case Val(Lambda(param, param_type, body)) if level <= _LEVEL_EXPR:
+        case Lambda(param, param_type, body) if level <= _LEVEL_EXPR:
             ty = _fmt_type(param_type, _deeper(depth))
             return f"\\{param}:{ty}. {_fmt(body, _LEVEL_EXPR, _deeper(depth))}"
         case Send(target, msg) if level <= _LEVEL_SEND:
-            rhs = _fmt(Val(msg), _LEVEL_EXPR, _deeper(depth))
+            rhs = _fmt(msg, _LEVEL_EXPR, _deeper(depth))
             return f"{_fmt(target, _LEVEL_PREFIX, depth)} ! {rhs}"
         case Bestow(inner) if level <= _LEVEL_PREFIX:
             return f"bestow {_fmt(inner, _LEVEL_PREFIX, _deeper(depth))}"
@@ -643,7 +642,7 @@ def _fmt(e: Expr, level: int, depth: int) -> str:
                 target, n = target.target, n + 1
             _deeper(depth + n - 1)  # the i-th `.mutate()` reads i levels deeper
             return _fmt(target, _LEVEL_POSTFIX, depth) + ".mutate()" * n
-        case Val(Lambda()) | Send() | Bestow() | App():
+        case Lambda() | Send() | Bestow() | App():
             return f"({_fmt(e, _LEVEL_EXPR, _deeper(depth))})"
     raise ValueError(f"expression has no surface form: {e}")
 

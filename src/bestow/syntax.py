@@ -5,6 +5,10 @@ helpers (free variables, substitution, location scanning, the per-object
 memo) shared by the typechecker, the evaluator and the well-formedness
 checker.
 
+A value (a function, unit, a location, an actor id, a bestowed reference)
+is an expression: ``Value`` subclasses ``Expr``, and a value stands in any
+expression position as itself.
+
 Every node renders to a one-line s-expression via ``str()``; the exact
 grammar is documented in the README and is stable, so renderings can be
 used as golden values and as heap canonicalization keys.
@@ -87,17 +91,14 @@ class Expr:
         return render_expr(self)
 
 
-class Value:
-    """Base class for values.
+class Value(Expr):
+    """Base class for values, the expressions that do not reduce.
 
     ``Lambda`` and ``UnitVal`` may appear in source programs; ``ActorId``,
     ``Loc`` and ``BestowedLoc`` arise only at run time.
     """
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return render_expr(self)
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,6 @@ class Bestow(Expr):
 
 
 @dataclass(frozen=True)
-class Val(Expr):
-    value: Value
-
-
-@dataclass(frozen=True)
 class Lambda(Value):
     param: str
     param_type: Type
@@ -172,10 +168,6 @@ class BestowedLoc(Value):
     owner: int
 
 
-def is_value(e: Expr) -> bool:
-    return isinstance(e, Val)
-
-
 # --------------------------------------------------------------------------
 # Traversal
 # --------------------------------------------------------------------------
@@ -189,17 +181,14 @@ _CHILDREN: dict[type, tuple[str, ...]] = {
     Send: ("target", "msg"),
     Mutate: ("target",),
     Bestow: ("inner",),
-    Val: ("value",),
     Lambda: ("body",),
 }
 # Children right to left, as a stack takes them: a one-child getter returns
 # the child itself, a two-child getter a pair.
 _PUSH = {t: attrgetter(*reversed(f)) for t, f in _CHILDREN.items()}
 
-Term = TypeVar("Term", Expr, Value)
 
-
-def walk(term: Expr | Value) -> Iterator[Expr | Value]:
+def walk(term: Expr) -> Iterator[Expr]:
     """Every node of ``term`` in preorder, left to right, descending into
     lambda bodies and messages."""
     stack = [term]
@@ -218,7 +207,7 @@ def walk(term: Expr | Value) -> Iterator[Expr | Value]:
 
 
 def fold(
-    term: Expr | Value,
+    term: Expr,
     leaf: Callable[[Any], Any],
     post: Callable[..., Any],
     skip: Callable[[Any], Any] | None = None,
@@ -264,7 +253,7 @@ def fold(
     return out[0]
 
 
-def rebuild(n: Term, a: Any, b: Any = None) -> Term:
+def rebuild(n: Expr, a: Any, b: Any = None) -> Expr:
     """``n`` with children ``a`` (and ``b``); ``n`` itself when they are
     its own children, so unchanged subtrees stay shared.  Every compound
     node but ``Lambda`` is constructed from its children alone."""
@@ -340,28 +329,28 @@ def _names(mask: int) -> frozenset[str]:
 _FREE = "_free"
 
 
-def _mask_leaf(n: Expr | Value) -> int:
+def _mask_leaf(n: Expr) -> int:
     return _bit(n.name) if type(n) is Var else 0
 
 
-def _mask_post(n: Expr | Value, a: int, b: int = 0) -> int:
+def _mask_post(n: Expr, a: int, b: int = 0) -> int:
     m = a & ~_bit(n.param) if type(n) is Lambda else a | b
     n.__dict__[_FREE] = m
     return m
 
 
-def _kept_mask(n: Expr | Value) -> int | None:
+def _kept_mask(n: Expr) -> int | None:
     return n.__dict__.get(_FREE)
 
 
-def _free_mask(term: Expr | Value) -> int:
+def _free_mask(term: Expr) -> int:
     """The mask of ``term``'s free names; each compound node is folded once,
     however many terms share it."""
     m = _kept_mask(term)
     return fold(term, _mask_leaf, _mask_post, _kept_mask) if m is None else m
 
 
-def free_vars(term: Expr | Value) -> frozenset[str]:
+def free_vars(term: Expr) -> frozenset[str]:
     return _names(_free_mask(term))
 
 
@@ -375,7 +364,7 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}_{k}"
 
 
-def subst(term: Term, name: str, v: Value | Var) -> Term:
+def subst(term: Expr, name: str, v: Value | Var) -> Expr:
     """Capture-avoiding substitution of ``v`` for the free ``name`` in ``term``.
 
     ``v`` is a value, or a variable when a binder is renamed.  Values flowing
@@ -388,16 +377,11 @@ def subst(term: Term, name: str, v: Value | Var) -> Term:
     down to the nearest such lambdas, not to every occurrence.  An open
     ``v`` goes down to every occurrence at once.
     """
-    if isinstance(v, Var):
-        new, add = v, _bit(v.name)
-    else:
-        new = Val(v)
-        add = _free_mask(v) if type(v) is Lambda else 0
-        new.__dict__[_FREE] = add
-    return _subst(term, {name: new}, _bit(name), add)
+    add = _bit(v.name) if type(v) is Var else _free_mask(v) if type(v) is Lambda else 0
+    return _subst(term, {name: v}, _bit(name), add)
 
 
-def _subst(term: Term, sub: dict[str, Expr], dom: int, add: int) -> Term:
+def _subst(term: Expr, sub: dict[str, Expr], dom: int, add: int) -> Expr:
     """``term`` with each free name in ``sub`` replaced by its term, all at
     once.  ``dom`` is the mask of ``sub``'s names and ``add`` that of the free
     names of its terms.
@@ -413,10 +397,10 @@ def _subst(term: Term, sub: dict[str, Expr], dom: int, add: int) -> Term:
         return term
     keep = ~dom
 
-    def leaf(n: Expr | Value) -> Expr | Value:
+    def leaf(n: Expr) -> Expr:
         return sub.get(n.name, n) if type(n) is Var else n
 
-    def skip(n: Expr | Value) -> Expr | Value | None:
+    def skip(n: Expr) -> Expr | None:
         m = n.__dict__[_FREE]
         if not m & dom:
             return n
@@ -433,7 +417,7 @@ def _subst(term: Term, sub: dict[str, Expr], dom: int, add: int) -> Term:
         out.__dict__[_FREE] = m & keep | add
         return out
 
-    def post(n: Expr | Value, a: Any, b: Any = None) -> Expr | Value:
+    def post(n: Expr, a: Any, b: Any = None) -> Expr:
         out = rebuild(n, a, b)
         out.__dict__[_FREE] = n.__dict__[_FREE] & keep | add
         return out
@@ -559,7 +543,7 @@ def render_type(t: Type) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
-def _render_leaf(n: Expr | Value) -> str:
+def _render_leaf(n: Expr) -> str:
     t = type(n)
     if t is Var:
         return n.name
@@ -578,10 +562,8 @@ def _render_leaf(n: Expr | Value) -> str:
     raise TypeError(f"not a term: {n!r}")
 
 
-def _render_post(n: Expr | Value, a: str, b: str = "") -> str:
+def _render_post(n: Expr, a: str, b: str = "") -> str:
     t = type(n)
-    if t is Val:
-        return a
     if t is App:
         return f"(app {a} {b})"
     if t is Lambda:
@@ -593,7 +575,7 @@ def _render_post(n: Expr | Value, a: str, b: str = "") -> str:
     return f"(bestow {a})"
 
 
-def render_expr(term: Expr | Value) -> str:
+def render_expr(term: Expr) -> str:
     """The one-line s-expression of an expression or a value."""
     return fold(term, _render_leaf, _render_post)
 
@@ -601,7 +583,7 @@ def render_expr(term: Expr | Value) -> str:
 _NAME_TEMPLATE = {Loc: "(loc %d)", ActorId: "(id %d)", BestowedLoc: "(bloc %d %d)"}
 
 
-def render_template(term: Expr | Value) -> tuple[str, list[Value]]:
+def render_template(term: Expr) -> tuple[str, list[Value]]:
     """``term``'s rendering split at its runtime names: a template in which
     each number of a ``Loc``, ``ActorId`` or ``BestowedLoc`` is ``%d`` (and
     any other ``%`` is doubled), and those names in preorder.  Filled with
@@ -609,14 +591,14 @@ def render_template(term: Expr | Value) -> tuple[str, list[Value]]:
     with other numbers, it renders ``term`` renamed."""
     names: list[Value] = []
 
-    def leaf(n: Expr | Value) -> str:
+    def leaf(n: Expr) -> str:
         t = type(n)
         if t in _NAME_TEMPLATE:
             names.append(n)
             return _NAME_TEMPLATE[t]
         return n.name.replace("%", "%%") if t is Var else _render_leaf(n)
 
-    def post(n: Expr | Value, a: str, b: str = "") -> str:
+    def post(n: Expr, a: str, b: str = "") -> str:
         if type(n) is Lambda and "%" in n.param:
             n = Lambda(n.param.replace("%", "%%"), n.param_type, n.body)
         return _render_post(n, a, b)

@@ -1,8 +1,10 @@
 """Typechecker for the actor calculus.
 
-Twelve syntax-directed rules, one per expression/value form (sends are the
-interesting case: the message body is checked in an environment stripped of
-passive-typed bindings, and may not mention a bare heap location).
+Twelve syntax-directed rules, one per term form, each a case of
+``_check_node``.  A value is an expression, so ``check`` types values too.
+Sends are the interesting case: the message body is checked in an
+environment stripped of passive-typed bindings, and may not mention a bare
+heap location.
 
 ``check`` raises :class:`TypeCheckError` carrying the name of the violated
 rule; ``type_of`` is the total-function wrapper used by tests.
@@ -29,8 +31,6 @@ from .syntax import (
     Type,
     UnitType,
     UnitVal,
-    Val,
-    Value,
     Var,
     contains_loc,
     is_active,
@@ -41,7 +41,7 @@ from .syntax import (
 class TypeCheckError(Exception):
     """A static typing failure, tagged with the rule whose premise broke."""
 
-    def __init__(self, rule: str, expr: Expr | Value, message: str) -> None:
+    def __init__(self, rule: str, expr: Expr, message: str) -> None:
         self.rule = rule
         self.expr = expr
         self.message = message
@@ -115,8 +115,8 @@ def check(env: TypeEnv, e: Expr) -> Type:
     from the innermost link out.
     """
     links: list[tuple[TypeEnv, App, Lambda]] = []
-    while type(e) is App and type(e.fun) is Val and type(e.fun.value) is Lambda:
-        lam = e.fun.value
+    while type(e) is App and type(e.fun) is Lambda:
+        lam = e.fun
         links.append((env, e, lam))
         env = env.extend(lam.param, lam.param_type)
         e = lam.body
@@ -218,26 +218,22 @@ def _check_node(env: TypeEnv, e: Expr) -> Type:
                 ) from err
             return UnitType()
 
-        case Val(value):
-            return check_value(env, value)
-
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def check_value(env: TypeEnv, v: Value) -> Type:
-    match v:
         case Lambda(param, param_type, body):
-            tb = check(env.extend(param, param_type), body)
-            return Arrow(param_type, tb)
+            return Arrow(param_type, check(env.extend(param, param_type), body))
+
         case UnitVal():
             return UnitType()
-        case Loc(_):
+
+        case Loc():
             return Passive()
-        case ActorId(_):
+
+        case ActorId():
             return ActorType()
-        case BestowedLoc(_, _):
+
+        case BestowedLoc():
             return Bestowed()
-    raise TypeError(f"not a value: {v!r}")
+
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def type_of(e: Expr, env: TypeEnv | None = None) -> Type:

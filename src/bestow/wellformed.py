@@ -39,7 +39,7 @@ from .syntax import (
     memo,
     render_template,
 )
-from .typecheck import TypeCheckError, TypeEnv, check, check_value
+from .typecheck import TypeCheckError, TypeEnv, check
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,16 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def facts(x: Actor | Expr | Value) -> ActorFacts | TermFacts:
+def facts(x: Actor | Expr) -> ActorFacts | TermFacts:
     """The record of an actor state (``ActorFacts``) or of a term
     (``TermFacts``), worked out once per object."""
     return memo(x, "_facts", ActorFacts if type(x) is Actor else TermFacts)
 
 
-def _type_error(term: Expr | Value) -> str | None:
+def _type_error(term: Expr) -> str | None:
     """Why ``term`` does not typecheck in the empty environment, or None."""
     try:
-        (check_value if isinstance(term, Value) else check)(TypeEnv(), term)
+        check(TypeEnv(), term)
     except TypeCheckError as err:
         return err.message
     return None
@@ -93,7 +93,7 @@ class TermFacts:
     locations, actor ids and bestowed ``(loc, owner)`` pairs.
     """
 
-    def __init__(self, term: Expr | Value) -> None:
+    def __init__(self, term: Expr) -> None:
         self.template, names = render_template(term)
         self.slots = tuple(k for n in names for k in _codes(n))
         self.text = self.template % tuple(k if k >= 0 else ~k for k in self.slots)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import bestow.explore
+import bestow.semantics
 
 
 @pytest.fixture
@@ -23,3 +24,16 @@ def sender_queue_mutant(monkeypatch):
         return eff
 
     monkeypatch.setattr(bestow.explore, "actor_step", actor_step)
+
+
+@pytest.fixture
+def mutate_never_fires(monkeypatch):
+    """The evaluator with a semantic bug injected: ``poised`` never names
+    the mutate rule, so an actor about to mutate a location is stuck."""
+    real = bestow.semantics._poised
+
+    def _poised(a):
+        rule, loc = real(a)
+        return (None, None) if rule == "mutate" else (rule, loc)
+
+    monkeypatch.setattr(bestow.semantics, "_poised", _poised)

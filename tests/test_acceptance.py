@@ -46,7 +46,6 @@ from bestow.syntax import (
     Type,
     UnitType,
     UnitVal,
-    Val,
     Var,
 )
 from bestow.typecheck import TypeCheckError, TypeEnv, check, type_of
@@ -118,7 +117,7 @@ def test_acceptance_negative_controls(verdict):
         "race detector pins the racing pair"
     )
     with verdict(label):
-        idle = Val(UnitVal())
+        idle = UnitVal()
 
         # two actors claim location 5
         shared = Heap(
@@ -135,7 +134,7 @@ def test_acceptance_negative_controls(verdict):
 
         # an actor's expression touches a location it does not own
         foreign = Heap(
-            actors={0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(7))))},
+            actors={0: Actor(0, frozenset({0}), (), Mutate(Loc(7)))},
             next_loc=8,
             next_id=1,
         )
@@ -147,7 +146,7 @@ def test_acceptance_negative_controls(verdict):
         # a bestowed reference names an owner that does not own the location
         bad_owner = Heap(
             actors={
-                0: Actor(0, frozenset({0}), (), Val(BestowedLoc(5, 1))),
+                0: Actor(0, frozenset({0}), (), BestowedLoc(5, 1)),
                 1: Actor(1, frozenset({1}), (), idle),
             },
             next_loc=6,
@@ -161,8 +160,8 @@ def test_acceptance_negative_controls(verdict):
         # two actors poised to mutate the same location
         racy = Heap(
             actors={
-                0: Actor(0, frozenset({0, 5}), (), Mutate(Val(Loc(5)))),
-                1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(5)))),
+                0: Actor(0, frozenset({0, 5}), (), Mutate(Loc(5))),
+                1: Actor(1, frozenset({1}), (), Mutate(Loc(5))),
             },
             next_loc=6,
             next_id=2,
@@ -440,19 +439,19 @@ def test_acceptance_override_protocol(verdict):
 # --------------------------------------------------------------------------
 
 _P, _C, _U, _B = Passive(), ActorType(), UnitType(), Bestowed()
-_unit = Val(UnitVal())
+_unit = UnitVal()
 
 
-def _fn(x: str, t: Type, body) -> Val:
-    return Val(Lambda(x, t, body))
+def _fn(x: str, t: Type, body) -> Lambda:
+    return Lambda(x, t, body)
 
 
 _WELL_TYPED: list[tuple[str, TypeEnv, object, Type]] = [
     ("unit value", TypeEnv(), _unit, _U),
     ("variable lookup", TypeEnv.of(x=_P), Var("x"), _P),
-    ("location literal", TypeEnv(), Val(Loc(3)), _P),
-    ("actor id literal", TypeEnv(), Val(ActorId(2)), _C),
-    ("bestowed location literal", TypeEnv(), Val(BestowedLoc(4, 1)), _B),
+    ("location literal", TypeEnv(), Loc(3), _P),
+    ("actor id literal", TypeEnv(), ActorId(2), _C),
+    ("bestowed location literal", TypeEnv(), BestowedLoc(4, 1), _B),
     ("allocate passive", TypeEnv(), NewPassive(), _P),
     ("allocate actor", TypeEnv(), NewActor(), _C),
     ("identity function", TypeEnv(), _fn("x", _P, Var("x")), Arrow(_P, _P)),
@@ -503,7 +502,7 @@ _WELL_TYPED: list[tuple[str, TypeEnv, object, Type]] = [
     (
         "bare location outside a message",
         TypeEnv(),
-        _fn("y", _P, App(_fn("x", _P, _unit), Val(Loc(0)))),
+        _fn("y", _P, App(_fn("x", _P, _unit), Loc(0))),
         Arrow(_P, _U),
     ),
 ]
@@ -514,7 +513,7 @@ _ILL_TYPED: list[tuple[str, TypeEnv, object, str]] = [
     (
         "apply a bestowed location",
         TypeEnv(),
-        App(Val(BestowedLoc(0, 0)), NewPassive()),
+        App(BestowedLoc(0, 0), NewPassive()),
         "e-apply",
     ),
     (
@@ -560,7 +559,7 @@ _ILL_TYPED: list[tuple[str, TypeEnv, object, str]] = [
     (
         "message body smuggles a bare location",
         TypeEnv(),
-        Send(NewActor(), Lambda("x", _P, Mutate(Val(Loc(0))))),
+        Send(NewActor(), Lambda("x", _P, Mutate(Loc(0)))),
         "e-send",
     ),
     (

@@ -160,6 +160,13 @@ def test_run_writes_jsonl_trace(src, tmp_path, capsys):
     assert set(events[0]) == {"step", "actor", "rule", "loc"}
 
 
+def test_run_stuck_exits_1(src, capsys, mutate_never_fires):
+    assert main(["run", src("val o = new p; o.mutate()\n")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: actor 0 stuck: ")
+
+
 def test_run_fuel_exhaustion_exits_1_and_dumps_partial_trace(
     src, tmp_path, capsys
 ):

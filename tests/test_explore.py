@@ -35,13 +35,12 @@ from bestow.syntax import (
     Send,
     UnitType,
     UnitVal,
-    Val,
     Var,
 )
 from bestow.wellformed import wf_heap
 
 P = Passive()
-UNIT = Val(UnitVal())
+UNIT = UnitVal()
 # The batching script holds an unbatched program whose batch can split.
 BATCHING = runpy.run_path(str(Path(__file__).parent.parent / "scripts/batching_adjacency.py"))
 
@@ -63,7 +62,7 @@ def test_canonicalize_renames_to_encounter_order():
     msg = Lambda("x", P, UNIT)
     h = Heap(
         {
-            7: Actor(30, frozenset({30}), (), Send(Val(ActorId(9)), msg)),
+            7: Actor(30, frozenset({30}), (), Send(ActorId(9), msg)),
             9: Actor(41, frozenset({41}), (), UNIT),
         },
         next_loc=99,
@@ -85,7 +84,7 @@ def test_canonicalize_is_invariant_under_renaming():
                     root_loc,
                     frozenset({root_loc, extra}),
                     (msg,),
-                    Send(Val(ActorId(other_id)), msg),
+                    Send(ActorId(other_id), msg),
                 ),
                 other_id: Actor(other_loc, frozenset({other_loc}), (), UNIT),
             },
@@ -185,7 +184,7 @@ def test_truncation_by_depth():
 
 
 def test_explore_requires_wf_by_default():
-    bad = Heap({0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(9))))}, 10, 1)
+    bad = Heap({0: Actor(0, frozenset({0}), (), Mutate(Loc(9)))}, 10, 1)
     with pytest.raises(ValueError):
         explore(bad)
     space = explore(bad, require_wf=False)
@@ -233,7 +232,7 @@ def test_properly_terminal():
     space = explore(initial_heap(UNIT))
     assert space.terminal_states() == [space.initial]
     for heap in [
-        initial_heap(Mutate(Val(Loc(0)))),
+        initial_heap(Mutate(Loc(0))),
         Heap({0: Actor(0, frozenset({0}), (Lambda("x", P, UNIT),), UNIT)}, 1, 1),
     ]:
         assert explore(heap, max_depth=0).terminal_states() == []
@@ -245,7 +244,7 @@ def test_properly_terminal():
 def _stuck_alone() -> Heap:
     """A send to a plain location, well typed nowhere: no actor can move."""
     return Heap(
-        {0: Actor(0, frozenset({0}), (), Send(Val(Loc(0)), Lambda("x", P, UNIT)))},
+        {0: Actor(0, frozenset({0}), (), Send(Loc(0), Lambda("x", P, UNIT)))},
         1,
         1,
     )
@@ -253,8 +252,8 @@ def _stuck_alone() -> Heap:
 
 def _stuck_beside_busy() -> Heap:
     """Actor 0 can never step; actor 1 still has two applications to run."""
-    inner = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
-    busy = App(Val(Lambda("x", UnitType(), inner)), UNIT)
+    inner = App(Lambda("y", UnitType(), UNIT), UNIT)
+    busy = App(Lambda("x", UnitType(), inner), UNIT)
     return Heap(
         {
             0: Actor(0, frozenset({0}), (), Mutate(UNIT)),
@@ -279,15 +278,15 @@ def _stuck_listed_high_first() -> Heap:
 
 def _ill_formed() -> Heap:
     """Actor 0 mutates location 9, outside its local heap."""
-    return Heap({0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(9))))}, 10, 1)
+    return Heap({0: Actor(0, frozenset({0}), (), Mutate(Loc(9)))}, 10, 1)
 
 
 def _shared_location() -> Heap:
     """Actors 0 and 1 both mutate location 5 next."""
     return Heap(
         {
-            0: Actor(0, frozenset({0, 5}), (), Mutate(Val(Loc(5)))),
-            1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(5)))),
+            0: Actor(0, frozenset({0, 5}), (), Mutate(Loc(5))),
+            1: Actor(1, frozenset({1}), (), Mutate(Loc(5))),
         },
         10,
         10,
@@ -312,9 +311,9 @@ def test_progress_failure_on_stuck_actor_beside_a_busy_one():
 
 def _stuck_after_one_step() -> Heap:
     """Actor 5 applies once and is then stuck beside busy actor 2."""
-    inner = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
-    busy = App(Val(Lambda("x", UnitType(), inner)), UNIT)
-    stuck = App(Val(Lambda("x", UnitType(), Mutate(UNIT))), UNIT)
+    inner = App(Lambda("y", UnitType(), UNIT), UNIT)
+    busy = App(Lambda("x", UnitType(), inner), UNIT)
+    stuck = App(Lambda("x", UnitType(), Mutate(UNIT)), UNIT)
     return Heap(
         {
             2: Actor(3, frozenset({3}), (), busy),
@@ -327,11 +326,11 @@ def _stuck_after_one_step() -> Heap:
 
 def _race_after_one_step() -> Heap:
     """Actor 4 applies once and then, like actor 9, mutates location 5."""
-    late = App(Val(Lambda("x", UnitType(), Mutate(Val(Loc(5))))), UNIT)
+    late = App(Lambda("x", UnitType(), Mutate(Loc(5))), UNIT)
     return Heap(
         {
             4: Actor(1, frozenset({1, 5}), (), late),
-            9: Actor(2, frozenset({2}), (), Mutate(Val(Loc(5)))),
+            9: Actor(2, frozenset({2}), (), Mutate(Loc(5))),
         },
         6,
         10,
@@ -413,8 +412,8 @@ def test_race_witness_on_shared_location():
 def test_no_race_witness_for_disjoint_locations():
     h = Heap(
         {
-            0: Actor(0, frozenset({0}), (), Mutate(Val(Loc(0)))),
-            1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(1)))),
+            0: Actor(0, frozenset({0}), (), Mutate(Loc(0))),
+            1: Actor(1, frozenset({1}), (), Mutate(Loc(1))),
         },
         10,
         10,
@@ -472,7 +471,7 @@ def test_one_actor_state_steps_under_different_counters(canonical):
 
 def test_one_actor_object_at_two_ids():
     # ``bestow`` names the stepping actor, so a step depends on its id too.
-    twin = Actor(5, frozenset({5}), (), Bestow(Val(Loc(5))))
+    twin = Actor(5, frozenset({5}), (), Bestow(Loc(5)))
     space = explore(Heap({0: twin, 1: twin}, 6, 2), require_wf=False)
     assert_steps_match_step_system(space)
     assert {e.event.actor for e in space.edges} == {0, 1}
@@ -485,8 +484,8 @@ def test_two_senders_race_to_one_queue():
     second = Lambda("x", P, Mutate(Var("x")))
     heap = Heap(
         {
-            0: Actor(0, frozenset({0}), (), Send(Val(ActorId(2)), first)),
-            1: Actor(1, frozenset({1}), (), Send(Val(ActorId(2)), second)),
+            0: Actor(0, frozenset({0}), (), Send(ActorId(2), first)),
+            1: Actor(1, frozenset({1}), (), Send(ActorId(2), second)),
             2: Actor(2, frozenset({2}), (), UNIT),
         },
         3,
@@ -504,7 +503,7 @@ def test_fifo_then_lifo_in_one_process():
     newer = Lambda("x", P, Mutate(Var("x")))
     heap = Heap(
         {
-            0: Actor(0, frozenset({0}), (), Send(Val(ActorId(1)), newer)),
+            0: Actor(0, frozenset({0}), (), Send(ActorId(1), newer)),
             1: Actor(1, frozenset({1}), (older,), UNIT),
         },
         2,
@@ -575,7 +574,7 @@ def test_batch_adjacency_rejects_a_truncated_space():
 
 
 def test_batch_adjacency_rejects_a_cycle():
-    w = Val(Lambda("x", P, App(Var("x"), Var("x"))))  # applies itself forever
+    w = Lambda("x", P, App(Var("x"), Var("x")))  # applies itself forever
     space = explore(initial_heap(App(w, w)), canonical=False, require_wf=False)
     assert [(e.src, e.dst) for e in space.edges] == [(space.initial, space.initial)]
     with pytest.raises(ValueError, match="cycle"):

@@ -58,17 +58,15 @@ from bestow.syntax import (
     Passive,
     Send,
     UnitVal,
-    Val,
     Value,
     Var,
     fold,
-    is_value,
     rebuild,
     render_expr,
     render_heap,
     walk,
 )
-from bestow.typecheck import TypeCheckError, TypeEnv, check, check_value
+from bestow.typecheck import TypeCheckError, TypeEnv, check
 from bestow.wellformed import WfReport, WfViolation, facts, wf_heap
 
 
@@ -142,9 +140,9 @@ def reference_wf_heap(heap: Heap) -> WfReport:
             detail = f"local heaps overlap on location(s) {sorted(shared)}"
             out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
 
-    def error(term: Expr | Value) -> str | None:
+    def error(term: Expr) -> str | None:
         try:
-            (check_value if isinstance(term, Value) else check)(TypeEnv(), term)
+            check(TypeEnv(), term)
         except TypeCheckError as err:
             return err.message
         return None
@@ -259,25 +257,25 @@ def test_generated_programs_match_reference(programs):
     assert branching > 0
 
 
-UNIT = Val(UnitVal())
+UNIT = UnitVal()
 MSG = Lambda("x", Passive(), Mutate(Var("x")))
 # Stuck terms, each also placed inside evaluation contexts.
 STUCK = [
     Var("x"),
     App(UNIT, UNIT),
-    App(Val(Loc(0)), UNIT),
+    App(Loc(0), UNIT),
     Send(UNIT, MSG),
-    Send(Val(Loc(0)), MSG),
-    Send(Val(ActorId(1)), Loc(0)),
-    Send(Val(BestowedLoc(0, 1)), UnitVal()),
+    Send(Loc(0), MSG),
+    Send(ActorId(1), Loc(0)),
+    Send(BestowedLoc(0, 1), UnitVal()),
     Mutate(UNIT),
-    Mutate(Val(ActorId(1))),
+    Mutate(ActorId(1)),
     Bestow(UNIT),
-    Bestow(Val(BestowedLoc(0, 1))),
+    Bestow(BestowedLoc(0, 1)),
 ]
 CONTEXTS = [
     lambda e: e,
-    lambda e: App(Val(MSG), e),
+    lambda e: App(MSG, e),
     lambda e: Send(Mutate(e), MSG),
     lambda e: App(Bestow(e), NewPassive()),
 ]
@@ -393,7 +391,7 @@ def ill_formed_variants(heap: Heap) -> list[Heap]:
     for i, a in heap.actors.items():
         for j, b in heap.actors.items():
             if i != j:
-                foreign = Lambda("z", Passive(), Mutate(Val(Loc(b.this_loc))))
+                foreign = Lambda("z", Passive(), Mutate(Loc(b.this_loc)))
                 queued = replace(a, queue=a.queue + (foreign,))
                 grabbed = replace(a, local_heap=a.local_heap | {b.this_loc})
                 for broken in (queued, grabbed):
@@ -432,20 +430,20 @@ def test_two_explorations_in_a_row_do_not_share_facts():
 def test_a_shared_record_caches_no_cross_actor_verdict():
     """Heaps that share one holder object, and so its record, are judged
     each against its own other actors."""
-    owner = Actor(1, frozenset({1, 5}), (), Val(UnitVal()))
+    owner = Actor(1, frozenset({1, 5}), (), UnitVal())
     cases = [
         (
-            Val(BestowedLoc(5, 1)),
+            BestowedLoc(5, 1),
             replace(owner, local_heap=frozenset({1})),
             "current expression holds a bestowed reference to location 5, "
             "which actor 1 does not own",
         ),
         (
-            Val(BestowedLoc(5, 1)),
+            BestowedLoc(5, 1),
             None,
             "current expression holds a reference bestowed by unallocated actor 1",
         ),
-        (Val(ActorId(1)), None, "current expression mentions unallocated actor id 1"),
+        (ActorId(1), None, "current expression mentions unallocated actor id 1"),
     ]
     for current, other, detail in cases:
         holder = Actor(0, frozenset({0}), (), current)
@@ -459,7 +457,7 @@ def test_a_shared_record_caches_no_cross_actor_verdict():
         )
 
 
-def objects_of(heap: Heap) -> list[Actor | Expr | Value]:
+def objects_of(heap: Heap) -> list[Actor | Expr]:
     """``heap``'s actors, then every node of their terms."""
     terms = [t for a in heap.actors.values() for t in (a.current, *a.queue)]
     return [*heap.actors.values(), *(n for t in terms for n in walk(t))]
@@ -505,7 +503,7 @@ def posthoc(space: StateSpace) -> dict[str, Counterexample | None]:
 
     def stuck(rep: Heap) -> str | None:
         for i, a in rep.actors.items():
-            if not is_value(a.current) and poised(a)[0] is None:
+            if not isinstance(a.current, Value) and poised(a)[0] is None:
                 return f"actor {i} is stuck"
         return None
 
@@ -565,11 +563,11 @@ def _overlap_at_depth_two() -> Heap:
     """Well formed, but the location counter points into actor 0's local
     heap: actor 1's ``new p``, its second step, makes the heaps overlap
     while actor 0 can still move."""
-    then = App(Val(Lambda("y", UnitType(), UNIT)), UNIT)
+    then = App(Lambda("y", UnitType(), UNIT), UNIT)
     return Heap(
         {
-            0: Actor(0, frozenset({0, 5}), (), App(Val(Lambda("x", UnitType(), then)), UNIT)),
-            1: Actor(1, frozenset({1}), (), App(Val(Lambda("x", UnitType(), NewPassive())), UNIT)),
+            0: Actor(0, frozenset({0, 5}), (), App(Lambda("x", UnitType(), then), UNIT)),
+            1: Actor(1, frozenset({1}), (), App(Lambda("x", UnitType(), NewPassive()), UNIT)),
         },
         5,
         2,
@@ -638,7 +636,7 @@ def test_wf_accept_path_matches_the_pairwise_report():
     def actor(this: int, lh: set[int], current=UNIT) -> Actor:
         return Actor(this, frozenset(lh), (), current)
 
-    holder = actor(0, {0}, Val(BestowedLoc(7, 1)))
+    holder = actor(0, {0}, BestowedLoc(7, 1))
     cases = {
         # every pair of the three local heaps shares one location
         "pairwise": {0: actor(0, {0, 1, 2}), 1: actor(1, {1, 3}), 2: actor(2, {2, 3})},
@@ -646,7 +644,7 @@ def test_wf_accept_path_matches_the_pairwise_report():
         "overlap+owner": {0: holder, 1: actor(1, {1, 2}), 2: actor(2, {2})},
         # only the reference, and only an unallocated id
         "owner": {0: holder, 1: actor(1, {1})},
-        "unallocated": {0: actor(0, {0}, Val(ActorId(9)))},
+        "unallocated": {0: actor(0, {0}, ActorId(9))},
     }
     want = {
         "pairwise": [

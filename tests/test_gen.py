@@ -18,13 +18,13 @@ from bestow.syntax import (
     Bestow,
     Bestowed,
     Expr,
+    Lambda,
     Mutate,
     NewActor,
     NewPassive,
     Passive,
     Send,
     UnitType,
-    Val,
     free_vars,
     walk,
 )
@@ -33,14 +33,10 @@ from bestow.typecheck import type_of
 
 def size_of(e: Expr) -> int:
     match e:
-        case Val(v):
-            from bestow.syntax import Lambda
-
-            if isinstance(v, Lambda):
-                return 1 + size_of(v.body)
-            return 1
+        case Lambda(body=body):
+            return 1 + size_of(body)
         case Send(t, m):
-            return 1 + size_of(t) + size_of(Val(m))
+            return 1 + size_of(t) + size_of(m)
         case Mutate(t) | Bestow(inner=t):
             return 1 + size_of(t)
         case NewPassive() | NewActor():
@@ -102,9 +98,10 @@ def test_size_tracks_budget():
             assert size_of(program) <= budget + 3
 
 
-@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("budget", [0, -1, -3])
 def test_a_budget_no_goal_fits_raises(budget):
-    # Run apart, under a timeout: the goal draw once looped forever here.
+    # Run apart, under a timeout, first: the goal draw once looped forever
+    # here.  Only then in this process.
     env = {**os.environ, "PYTHONPATH": str(Path(bestow.__file__).parents[1])}
     code = f"from bestow.gen import generate_well_typed; generate_well_typed(0, size_budget={budget})"
     proc = subprocess.run(
@@ -112,6 +109,8 @@ def test_a_budget_no_goal_fits_raises(budget):
     )
     assert proc.returncode == 1
     assert b"ValueError: no program goal fits in size budget" in proc.stderr
+    with pytest.raises(ValueError, match="no program goal fits in size budget"):
+        generate_well_typed(0, size_budget=budget)
     assert generate_well_typed(0, size_budget=1)[1] in (UnitType(), Passive(), ActorType())
 
 
@@ -128,11 +127,9 @@ def test_all_forms_eventually_appear():
                 if isinstance(child, Expr):
                     stack.append(child)
             if isinstance(e, Send):
-                stack.append(Val(e.msg))
-            if isinstance(e, Val):
-                body = getattr(e.value, "body", None)
-                if body is not None:
-                    stack.append(body)
+                stack.append(e.msg)
+            if isinstance(e, Lambda):
+                stack.append(e.body)
     assert {Send, Mutate, Bestow, NewPassive, NewActor}.issubset(seen)
 
 

@@ -29,7 +29,6 @@ from bestow.syntax import (
     Passive,
     UnitType,
     UnitVal,
-    Val,
     Var,
     fold,
     free_vars,
@@ -50,7 +49,7 @@ def val_chain(n: int, tail: str | None = None) -> App:
     terms without the front end; ``tail`` defaults to ``x{n-1}``."""
     e = Var(tail or f"x{n - 1}")
     for i in reversed(range(n)):
-        e = App(Val(Lambda(f"x{i}", Passive(), e)), NewPassive())
+        e = App(Lambda(f"x{i}", Passive(), e), NewPassive())
     return e
 
 
@@ -118,9 +117,9 @@ def late_use_chain(n: int) -> App:
     x{n-1}.mutate()`` as core terms: every name is used after all bindings."""
     e = Mutate(Var(f"x{n - 1}"))
     for i in reversed(range(n - 1)):
-        e = App(Val(Lambda("_seq", UnitType(), e)), Mutate(Var(f"x{i}")))
+        e = App(Lambda("_seq", UnitType(), e), Mutate(Var(f"x{i}")))
     for i in reversed(range(n)):
-        e = App(Val(Lambda(f"x{i}", Passive(), e)), NewPassive())
+        e = App(Lambda(f"x{i}", Passive(), e), NewPassive())
     return e
 
 

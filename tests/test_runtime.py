@@ -160,6 +160,25 @@ def test_future_timed_out_waiter_gets_the_value_later():
     assert fut.result(timeout=0) == "late"
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), 1e300])
+def test_future_waits_without_limit_past_the_longest_timeout(timeout):
+    # Past threading.TIMEOUT_MAX no lock takes the timeout; the wait has no limit.
+    fut = Future()
+    timer = threading.Timer(0.1, fut.set_result, args=("late",))
+    timer.start()
+    assert fut.result(timeout=timeout) == "late"
+    timer.join(timeout=5)
+
+
+def test_join_waits_without_limit_past_the_longest_timeout():
+    ref = spawn(Counter)
+    timer = threading.Timer(0.1, ref.stop)
+    timer.start()
+    ref.join(timeout=float("inf"))
+    assert ref._stopped.is_set()
+    timer.join(timeout=5)
+
+
 def test_locked_ref_future_is_done_on_return(counter):
     ref = lock_bestow([1])
     fut = ref.perform(lambda xs: xs[0])

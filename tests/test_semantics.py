@@ -43,14 +43,13 @@ from bestow.syntax import (
     Passive,
     Send,
     UnitVal,
-    Val,
     Var,
     free_vars,
     render_expr,
 )
 
 P = Passive()
-UNIT = Val(UnitVal())
+UNIT = UnitVal()
 MSG = Lambda("x", P, Mutate(Var("x")))
 
 
@@ -76,19 +75,19 @@ def test_redex_forms():
     for e, rule in [
         (NewPassive(), "new-passive"),
         (NewActor(), "new-actor"),
-        (App(Val(MSG), UNIT), "apply"),
-        (Send(Val(ActorId(0)), MSG), "send-actor"),
-        (Send(Val(BestowedLoc(0, 0)), MSG), "send-bestowed"),
+        (App(MSG, UNIT), "apply"),
+        (Send(ActorId(0), MSG), "send-actor"),
+        (Send(BestowedLoc(0, 0), MSG), "send-bestowed"),
     ]:
         assert poised(actor_at(e)) == (rule, None)
-    assert poised(actor_at(Mutate(Val(Loc(0))))) == ("mutate", 0)
-    assert poised(actor_at(Bestow(Val(Loc(3))))) == ("bestow", 3)
+    assert poised(actor_at(Mutate(Loc(0)))) == ("mutate", 0)
+    assert poised(actor_at(Bestow(Loc(3)))) == ("bestow", 3)
     for e in [
         UNIT,
         Var("x"),
-        Mutate(Val(UnitVal())),
-        Send(Val(Loc(0)), MSG),
-        Send(Val(ActorId(0)), Loc(0)),
+        Mutate(UnitVal()),
+        Send(Loc(0), MSG),
+        Send(ActorId(0), Loc(0)),
     ]:
         assert poised(actor_at(e)) == (None, None)
     assert poised(actor_at(UNIT, queue=(MSG,))) == ("actor-msg", None)
@@ -99,28 +98,28 @@ def test_decompose_finds_innermost_redex():
     path, redex = _focus(e)
     assert redex == NewPassive()
     assert _plug(path, redex) == e
-    assert _plug(path, Val(Loc(7))) == App(Mutate(Val(Loc(7))), UNIT)
+    assert _plug(path, Loc(7)) == App(Mutate(Loc(7)), UNIT)
 
 
 def test_decompose_function_position_first():
-    e = App(Mutate(Val(Loc(0))), NewPassive())
+    e = App(Mutate(Loc(0)), NewPassive())
     path, redex = _focus(e)
-    assert redex == Mutate(Val(Loc(0)))
+    assert redex == Mutate(Loc(0))
     assert _plug(path, UNIT) == App(UNIT, NewPassive())
 
 
 def test_decompose_argument_after_function_value():
-    e = App(Val(MSG), NewPassive())
+    e = App(MSG, NewPassive())
     path, redex = _focus(e)
     assert redex == NewPassive()
-    assert _plug(path, Val(Loc(4))) == App(Val(MSG), Val(Loc(4)))
+    assert _plug(path, Loc(4)) == App(MSG, Loc(4))
 
 
 def test_decompose_send_target():
     e = Send(NewActor(), MSG)
     path, redex = _focus(e)
     assert redex == NewActor()
-    assert _plug(path, Val(ActorId(3))) == Send(Val(ActorId(3)), MSG)
+    assert _plug(path, ActorId(3)) == Send(ActorId(3), MSG)
 
 
 def test_decompose_none_for_values_and_stuck():
@@ -133,8 +132,8 @@ def test_decompose_none_for_values_and_stuck():
         actor_step(0, actor_at(UNIT), 1, 1)
     for e, node in [
         (Var("x"), Var("x")),
-        (Send(Val(Loc(0)), MSG), Send(Val(Loc(0)), MSG)),
-        (App(Mutate(Val(UnitVal())), NewPassive()), Mutate(Val(UnitVal()))),
+        (Send(Loc(0), MSG), Send(Loc(0), MSG)),
+        (App(Mutate(UnitVal()), NewPassive()), Mutate(UnitVal())),
     ]:
         assert _focus(e)[1] == node
         assert poised(actor_at(e)) == (None, None)
@@ -147,17 +146,17 @@ def test_decompose_none_for_values_and_stuck():
 
 
 def test_step_apply_substitutes():
-    heap = one_actor(App(Val(MSG), Val(Loc(0))))
+    heap = one_actor(App(MSG, Loc(0)))
     heap2, e2, rule, touched = step_one(heap)
     assert (rule, touched) == ("apply", None)
-    assert e2 == Mutate(Val(Loc(0)))
+    assert e2 == Mutate(Loc(0))
     assert heap2.actors == {0: replace(heap.actors[0], current=e2)}
 
 
 def test_step_send_actor_enqueues_at_receiver():
     heap = Heap(
         {
-            0: Actor(0, frozenset({0}), (), Send(Val(ActorId(1)), MSG)),
+            0: Actor(0, frozenset({0}), (), Send(ActorId(1), MSG)),
             1: Actor(1, frozenset({1}), (), UNIT),
         },
         next_loc=2,
@@ -173,7 +172,7 @@ def test_step_send_actor_enqueues_at_receiver():
 def test_step_send_bestowed_wraps_and_forwards_to_owner():
     heap = Heap(
         {
-            0: Actor(0, frozenset({0}), (), Send(Val(BestowedLoc(5, 1)), MSG)),
+            0: Actor(0, frozenset({0}), (), Send(BestowedLoc(5, 1), MSG)),
             1: Actor(1, frozenset({1, 5}), (), UNIT),
         },
         next_loc=6,
@@ -185,31 +184,31 @@ def test_step_send_bestowed_wraps_and_forwards_to_owner():
     (wrapper,) = heap2.actors[1].queue
     # the wrapper applies the original message to the underlying location
     assert wrapper.param_type == P
-    assert wrapper.body == App(Val(MSG), Val(Loc(5)))
-    assert wrapper.param not in free_vars(Val(MSG))
+    assert wrapper.body == App(MSG, Loc(5))
+    assert wrapper.param not in free_vars(MSG)
 
 
 def test_step_mutate_reports_location():
-    heap = one_actor(Mutate(Val(Loc(0))))
+    heap = one_actor(Mutate(Loc(0)))
     _, e2, rule, touched = step_one(heap)
     assert (e2, rule, touched) == (UNIT, "mutate", 0)
 
 
 def test_step_bestow_stamps_acting_actor_as_owner():
     heap = Heap(
-        {7: Actor(0, frozenset({0}), (), Bestow(Val(Loc(0))))}, next_loc=1, next_id=8
+        {7: Actor(0, frozenset({0}), (), Bestow(Loc(0)))}, next_loc=1, next_id=8
     )
     _, e2, rule, touched = step_one(heap, 7)
     assert rule == "bestow"
     assert touched == 0
-    assert e2 == Val(BestowedLoc(0, 7))
+    assert e2 == BestowedLoc(0, 7)
 
 
 def test_step_new_passive_allocates_locally():
     heap = one_actor(NewPassive())
     heap2, e2, rule, touched = step_one(heap)
     assert rule == "new-passive"
-    assert e2 == Val(Loc(10))  # next_loc was 10
+    assert e2 == Loc(10)  # next_loc was 10
     assert touched == 10
     assert heap2.actors[0].local_heap == frozenset({0, 10})
     assert heap2.next_loc == 11
@@ -219,7 +218,7 @@ def test_step_new_actor_spawns_idle_actor():
     heap = one_actor(NewActor())
     heap2, e2, rule, touched = step_one(heap)
     assert (rule, touched) == ("new-actor", None)
-    assert e2 == Val(ActorId(10))  # next_id was 10
+    assert e2 == ActorId(10)  # next_id was 10
     spawned = heap2.actors[10]
     assert spawned.current == UNIT
     assert spawned.queue == ()
@@ -233,11 +232,11 @@ def test_step_new_actor_spawns_idle_actor():
 # which owns location 5.
 FIRES = {
     "actor-msg": (UNIT, (MSG,)),
-    "send-actor": (Send(Val(ActorId(1)), MSG), ()),
-    "send-bestowed": (Send(Val(BestowedLoc(5, 1)), MSG), ()),
-    "apply": (App(Val(MSG), Val(Loc(0))), ()),
-    "mutate": (Mutate(Val(Loc(0))), ()),
-    "bestow": (Bestow(Val(Loc(0))), ()),
+    "send-actor": (Send(ActorId(1), MSG), ()),
+    "send-bestowed": (Send(BestowedLoc(5, 1), MSG), ()),
+    "apply": (App(MSG, Loc(0)), ()),
+    "mutate": (Mutate(Loc(0)), ()),
+    "bestow": (Bestow(Loc(0)), ()),
     "new-passive": (NewPassive(), ()),
     "new-actor": (NewActor(), ()),
 }
@@ -261,13 +260,13 @@ def test_step_system_leaves_the_given_heap_unchanged(rule):
 
 
 def test_step_stuck_diagnoses():
-    heap = one_actor(Send(Val(Loc(0)), MSG))
+    heap = one_actor(Send(Loc(0), MSG))
     with pytest.raises(SendToNonActiveError, match="send target is not an actor"):
         step_one(heap)
     heap = one_actor(App(UNIT, UNIT))
     with pytest.raises(StuckError, match="application of a non-function value"):
         step_one(heap)
-    heap = one_actor(App(Val(MSG), Send(Val(ActorId(0)), Loc(0))))
+    heap = one_actor(App(MSG, Send(ActorId(0), Loc(0))))
     with pytest.raises(StuckError, match="message is not a function value"):
         step_one(heap)
 
@@ -279,7 +278,7 @@ def test_pop_applies_message_to_own_location():
     heap = one_actor(UNIT, queue=(MSG,))
     heap2, ev = step_system(heap, 0)
     assert ev.rule == "actor-msg"
-    assert heap2.actors[0].current == App(Val(MSG), Val(Loc(0)))
+    assert heap2.actors[0].current == App(MSG, Loc(0))
     assert heap2.actors[0].queue == ()
 
 
@@ -288,10 +287,10 @@ def test_pop_order_fifo_vs_lifo():
     m2 = Lambda("x", P, Mutate(Var("x")))
     heap = one_actor(UNIT, queue=(m1, m2))
     fifo, _ = step_system(heap, 0)
-    assert fifo.actors[0].current == App(Val(m1), Val(Loc(0)))
+    assert fifo.actors[0].current == App(m1, Loc(0))
     assert fifo.actors[0].queue == (m2,)
     lifo, _ = step_system(heap, 0, lifo=True)
-    assert lifo.actors[0].current == App(Val(m2), Val(Loc(0)))
+    assert lifo.actors[0].current == App(m2, Loc(0))
     assert lifo.actors[0].queue == (m1,)
 
 
@@ -350,6 +349,15 @@ def test_run_trace_rules_and_indices():
     ]
     assert not enabled_choices(heap)
     assert trace[-1].touched_loc == heap.actors[1].this_loc
+
+
+def test_a_stuck_run_raises():
+    # (\y:p. ().mutate()) (new p): after new-passive and apply the root is
+    # stuck on mutating unit, and no actor is left to move.
+    e = App(Lambda("y", P, Mutate(UNIT)), NewPassive())
+    with pytest.raises(StuckError, match="mutate target is not a heap location") as exc:
+        run_to_quiescence(initial_heap(e))
+    assert exc.value.actor == 0 and exc.value.expr == Mutate(UNIT)
 
 
 def test_run_deterministic_for_fixed_seed():
@@ -523,7 +531,7 @@ def test_run_work_per_step_is_bounded(src, monkeypatch):
 
 
 def test_poised_is_worked_out_once_per_actor():
-    a = Actor(0, frozenset({0}), (), Mutate(Val(Loc(0))))
+    a = Actor(0, frozenset({0}), (), Mutate(Loc(0)))
     assert poised(a) == ("mutate", 0)
     assert poised(a) is poised(a)
 
@@ -573,5 +581,5 @@ def test_substituted_values_reach_messages():
     heap, trace = run_to_quiescence(initial_heap(e))
     # the message ran on the spawned actor and left a closure value behind
     spawned = heap.actors[1]
-    assert isinstance(spawned.current, Val)
+    assert isinstance(spawned.current, Lambda)
     assert render_expr(spawned.current) == "(fn (y : p) y)"

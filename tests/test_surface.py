@@ -45,7 +45,6 @@ from bestow.syntax import (
     Send,
     UnitType,
     UnitVal,
-    Val,
     Var,
 )
 from bestow.typecheck import type_of
@@ -246,33 +245,33 @@ def elab(src: str, **types: str) -> Expr:
         src = f"\\{name}:{t}. {{ {src} }}"
     core = compile_program(src)
     for _ in types:
-        core = core.value.body
+        core = core.body
     return core
 
 
 def test_empty_program_is_unit():
-    assert compile_program("") == Val(UnitVal())
+    assert compile_program("") == UnitVal()
 
 
 def test_val_becomes_application():
     core = compile_program("val x = new p; x.mutate()")
     assert core == App(
-        Val(Lambda("x", Passive(), Mutate(Var("x")))), NewPassive()
+        Lambda("x", Passive(), Mutate(Var("x"))), NewPassive()
     )
 
 
 def test_val_binder_type_is_inferred():
     core = compile_program("val a = new c; val r = bestow new p; ()")
-    outer = core.fun.value
+    outer = core.fun
     assert outer.param_type == ActorType()
-    inner = outer.body.fun.value
+    inner = outer.body.fun
     assert inner.param_type == Bestowed()
 
 
 def test_sequencing_uses_fresh_throwaway_binder():
     core = compile_program("new p; ()")
     assert core == App(
-        Val(Lambda("_seq", Passive(), Val(UnitVal()))), NewPassive()
+        Lambda("_seq", Passive(), UnitVal()), NewPassive()
     )
 
 
@@ -309,17 +308,17 @@ def test_atomic_desugars_to_single_send():
             "y",
             Passive(),
             App(
-                Val(
+                
                     Lambda(
                         "_seq",
                         UnitType(),
                         App(
-                            Val(Lambda("x", Passive(), Val(UnitVal()))),
+                            Lambda("x", Passive(), UnitVal()),
                             Var("y"),
                         ),
                     )
-                ),
-                App(Val(Lambda("x", Passive(), Mutate(Var("x")))), Var("y")),
+                ,
+                App(Lambda("x", Passive(), Mutate(Var("x"))), Var("y")),
             ),
         ),
     )
@@ -332,7 +331,7 @@ def test_atomic_single_statement():
         Lambda(
             "y",
             Passive(),
-            App(Val(Lambda("x", Passive(), Val(UnitVal()))), Var("y")),
+            App(Lambda("x", Passive(), UnitVal()), Var("y")),
         ),
     )
 
@@ -414,14 +413,14 @@ def test_atomic_alias_only_as_send_target():
 
 def test_atomic_alias_may_be_shadowed_inside_message():
     core = elab(r"atomic y <- a { y ! \y:p. y }", a="c")
-    assert core.msg.body == App(Val(Lambda("y", Passive(), Var("y"))), Var("y"))
+    assert core.msg.body == App(Lambda("y", Passive(), Var("y")), Var("y"))
 
 
 def test_untypable_binder_falls_back_to_unit_annotation():
     # elaboration must not fail for type reasons; the real typecheck
     # later reports the error at the offending expression
     core = compile_program("val x = (() ()); x")
-    assert core.fun.value.param_type == UnitType()
+    assert core.fun.param_type == UnitType()
 
 
 # --------------------------------------------------------------------------
@@ -456,9 +455,16 @@ def test_format_core_round_trips_through_the_parser():
     assert again == core
 
 
+def test_format_core_brackets_an_arrow_domain():
+    for src in [r"\f:(p -> Unit) -> c. f", r"\f:((p -> Unit) -> c) -> Unit. ()"]:
+        core = compile_program(src)
+        assert format_core(core) == src
+        assert compile_program(format_core(core)) == core
+
+
 def test_format_core_rejects_runtime_values():
     with pytest.raises(ValueError):
-        format_core(Val(Loc(0)))
+        format_core(Loc(0))
 
 
 def test_format_core_of_a_val_chain_reads_back_or_raises():
@@ -495,7 +501,7 @@ NESTED_SHAPES = {
     ),
     "lambda": (
         lambda k: "\\x:p. " * k + "x",
-        lambda k: _nest(k, lambda e: Val(Lambda("x", Passive(), e)), Var("x")),
+        lambda k: _nest(k, lambda e: Lambda("x", Passive(), e), Var("x")),
     ),
     "send": (
         lambda k: "x ! \\y:p. " * k + "y",
@@ -503,7 +509,7 @@ NESTED_SHAPES = {
     ),
     "arrow type": (
         lambda k: "\\x:" + "p -> " * k + "p. x",
-        lambda k: Val(Lambda("x", _nest(k, lambda t: Arrow(Passive(), t), Passive()), Var("x"))),
+        lambda k: Lambda("x", _nest(k, lambda t: Arrow(Passive(), t), Passive()), Var("x")),
     ),
 }
 

@@ -26,7 +26,6 @@ from bestow.syntax import (
     Send,
     UnitType,
     UnitVal,
-    Val,
     Var,
     contains_loc,
     fold,
@@ -62,28 +61,28 @@ def test_render_exprs():
     assert render_expr(Var("x")) == "x"
     assert render_expr(NewPassive()) == "(new p)"
     assert render_expr(NewActor()) == "(new c)"
-    assert render_expr(Val(UnitVal())) == "unit"
-    assert render_expr(Val(Loc(3))) == "(loc 3)"
-    assert render_expr(Val(ActorId(2))) == "(id 2)"
-    assert render_expr(Val(BestowedLoc(3, 2))) == "(bloc 3 2)"
-    assert render_expr(Val(IDENT)) == "(fn (x : p) x)"
+    assert render_expr(UnitVal()) == "unit"
+    assert render_expr(Loc(3)) == "(loc 3)"
+    assert render_expr(ActorId(2)) == "(id 2)"
+    assert render_expr(BestowedLoc(3, 2)) == "(bloc 3 2)"
+    assert render_expr(IDENT) == "(fn (x : p) x)"
     assert render_expr(Mutate(Var("y"))) == "(mutate y)"
     assert render_expr(Bestow(NewPassive())) == "(bestow (new p))"
     assert (
-        render_expr(App(Val(IDENT), NewPassive())) == "(app (fn (x : p) x) (new p))"
+        render_expr(App(IDENT, NewPassive())) == "(app (fn (x : p) x) (new p))"
     )
     assert (
-        render_expr(Send(Val(ActorId(0)), IDENT))
+        render_expr(Send(ActorId(0), IDENT))
         == "(send (id 0) (fn (x : p) x))"
     )
 
 
 def test_render_heap():
-    msg = Lambda("x", Passive(), Val(UnitVal()))
+    msg = Lambda("x", Passive(), UnitVal())
     heap = Heap(
         {
-            0: Actor(0, frozenset({0, 2}), (msg,), Val(UnitVal())),
-            1: Actor(1, frozenset({1}), (), Mutate(Val(Loc(1)))),
+            0: Actor(0, frozenset({0, 2}), (msg,), UnitVal()),
+            1: Actor(1, frozenset({1}), (), Mutate(Loc(1))),
         },
         next_loc=3,
         next_id=2,
@@ -111,33 +110,33 @@ def test_is_active():
 
 def test_free_vars():
     assert free_vars(Var("x")) == {"x"}
-    assert free_vars(Val(IDENT)) == frozenset()
+    assert free_vars(IDENT) == frozenset()
     body = App(Var("f"), Var("x"))
-    assert free_vars(Val(Lambda("x", Passive(), body))) == {"f"}
+    assert free_vars(Lambda("x", Passive(), body)) == {"f"}
     assert free_vars(Send(Var("a"), Lambda("x", Passive(), Var("y")))) == {"a", "y"}
 
 
 def test_subst_replaces_free_occurrences():
     e = App(Var("x"), Mutate(Var("x")))
     out = subst(e, "x", Loc(5))
-    assert out == App(Val(Loc(5)), Mutate(Val(Loc(5))))
+    assert out == App(Loc(5), Mutate(Loc(5)))
 
 
 def test_subst_respects_shadowing():
     inner = Lambda("x", Passive(), Var("x"))
-    e = App(Val(inner), Var("x"))
+    e = App(inner, Var("x"))
     out = subst(e, "x", UnitVal())
-    assert out == App(Val(inner), Val(UnitVal()))
+    assert out == App(inner, UnitVal())
 
 
 def test_subst_avoids_capture():
     # (fn (y : p) x)[x := fn (z : p) y]  — the free y of the substituted
     # value must not be captured by the binder y.
-    e = Val(Lambda("y", Passive(), Var("x")))
+    e = Lambda("y", Passive(), Var("x"))
     v = Lambda("z", Passive(), Var("y"))
     out = subst(e, "x", v)
-    assert isinstance(out, Val) and isinstance(out.value, Lambda)
-    assert out.value.param != "y"
+    assert isinstance(out, Lambda)
+    assert out.param != "y"
     assert free_vars(out) == {"y"}
 
 
@@ -159,17 +158,16 @@ def ref_free(term):
 def ref_subst(term, name, v):
     """Capture-avoiding substitution by a plain ``fold(..., rebuild)`` that
     enters every subtree; a binder is handled once its body is done."""
-    new = v if isinstance(v, Var) else Val(v)
 
     def leaf(n):
-        return new if type(n) is Var and n.name == name else n
+        return v if type(n) is Var and n.name == name else n
 
     def post(n, a, b=None):
         if type(n) is Lambda:
             if n.param == name:
                 return n
-            if n.param in ref_free(new) and name in ref_free(n.body):
-                q = fresh_name(n.param, ref_free(n.body) | ref_free(new) | {name})
+            if n.param in ref_free(v) and name in ref_free(n.body):
+                q = fresh_name(n.param, ref_free(n.body) | ref_free(v) | {name})
                 body = ref_subst(n.body, n.param, Var(q))
                 return Lambda(q, n.param_type, ref_subst(body, name, v))
         return rebuild(n, a, b)
@@ -199,7 +197,7 @@ def _lambdas(body):
 terms = st.recursive(
     st.one_of(
         st.builds(Var, names),
-        st.builds(Val, leaf_values),
+        leaf_values,
         st.just(NewPassive()),
         st.just(NewActor()),
     ),
@@ -208,7 +206,7 @@ terms = st.recursive(
         st.builds(Send, sub, _lambdas(sub)),
         st.builds(Mutate, sub),
         st.builds(Bestow, sub),
-        st.builds(Val, _lambdas(sub)),
+        _lambdas(sub),
     ),
     max_leaves=12,
 )
@@ -244,27 +242,27 @@ def test_masks_stay_exact_over_repeated_substitution(term, steps):
 
 def test_a_pending_body_is_substituted_once_on_first_read():
     inner = Lambda("y", Passive(), App(Var("x"), Var("y")))
-    out = subst(Val(inner), "x", Loc(3)).value
+    out = subst(inner, "x", Loc(3))
     assert syntax._PENDING in out.__dict__ and "body" not in out.__dict__
     assert out.__dict__[syntax._FREE] == 0
     body = out.body
     assert body is out.body and syntax._PENDING not in out.__dict__
-    assert out == Lambda("y", Passive(), App(Val(Loc(3)), Var("y")))
+    assert out == Lambda("y", Passive(), App(Loc(3), Var("y")))
 
 
 def test_substitutions_into_a_pending_lambda_merge_their_maps():
     inner = Lambda("y", Passive(), App(Var("x"), Var("z")))
-    once = subst(Val(inner), "x", Loc(3))
+    once = subst(inner, "x", Loc(3))
     twice = subst(once, "z", Loc(4))
-    body, sub, _ = twice.value.__dict__[syntax._PENDING]
+    body, sub, _ = twice.__dict__[syntax._PENDING]
     assert body is inner.body and set(sub) == {"x", "z"}
-    assert twice == Val(Lambda("y", Passive(), App(Val(Loc(3)), Val(Loc(4)))))
-    assert once.value.__dict__[syntax._PENDING][1] == {"x": Val(Loc(3))}
+    assert twice == Lambda("y", Passive(), App(Loc(3), Loc(4)))
+    assert once.__dict__[syntax._PENDING][1] == {"x": Loc(3)}
     # A merged map that names a binder below leaves that name behind there.
     bound = Lambda("y", Passive(), App(Var("x"), Var("y")))
-    outer = Val(Lambda("w", Passive(), App(Var("y"), Val(bound))))
+    outer = Lambda("w", Passive(), App(Var("y"), bound))
     out = subst(subst(outer, "x", Loc(3)), "y", Loc(5))
-    assert set(out.value.__dict__[syntax._PENDING][1]) == {"x", "y"}
+    assert set(out.__dict__[syntax._PENDING][1]) == {"x", "y"}
     assert out == ref_subst(ref_subst(outer, "x", Loc(3)), "y", Loc(5))
     assert_masks_exact(out)
 
@@ -273,16 +271,16 @@ def test_substitutions_into_a_pending_lambda_merge_their_maps():
     "term, name, v",
     [
         # a binder of the name shadows it
-        (App(Val(Lambda("x", Passive(), Var("x"))), Var("x")), "x", Loc(5)),
+        (App(Lambda("x", Passive(), Var("x")), Var("x")), "x", Loc(5)),
         (Send(Var("x"), Lambda("x", Passive(), Mutate(Var("x")))), "x", ActorId(1)),
         # the value's free y would be captured by the binder y
-        (Val(Lambda("y", Passive(), App(Var("x"), Var("y")))), "x",
+        (Lambda("y", Passive(), App(Var("x"), Var("y"))), "x",
          Lambda("z", Passive(), Var("y"))),
         # the renamed name is taken too, one binder further in
-        (Val(Lambda("y", Passive(), Val(Lambda("y_1", Passive(), Var("x"))))), "x",
+        (Lambda("y", Passive(), Lambda("y_1", Passive(), Var("x"))), "x",
          Lambda("z", Passive(), App(Var("y"), Var("y_1")))),
         # a variable for a variable, as binder renaming substitutes
-        (Val(Lambda("q", Passive(), App(Var("x"), Var("q")))), "x", Var("q")),
+        (Lambda("q", Passive(), App(Var("x"), Var("q"))), "x", Var("q")),
         (App(Var("x"), Mutate(Var("x"))), "x", Var("w")),
     ],
 )
@@ -303,16 +301,16 @@ def test_subst_returns_untouched_subtrees_as_they_stand():
 
 
 def test_contains_loc_distinguishes_bare_and_bestowed():
-    assert contains_loc(Mutate(Val(Loc(0))))
-    assert contains_loc(Val(Lambda("x", Passive(), Val(Loc(1)))))
-    assert not contains_loc(Val(BestowedLoc(0, 1)))
-    assert not contains_loc(Val(UnitVal()))
+    assert contains_loc(Mutate(Loc(0)))
+    assert contains_loc(Lambda("x", Passive(), Loc(1)))
+    assert not contains_loc(BestowedLoc(0, 1))
+    assert not contains_loc(UnitVal())
 
 
 def test_value_scanners():
     e = App(
-        Send(Val(ActorId(4)), Lambda("x", Passive(), Val(BestowedLoc(9, 4)))),
-        Val(Loc(2)),
+        Send(ActorId(4), Lambda("x", Passive(), BestowedLoc(9, 4))),
+        Loc(2),
     )
     facts = TermFacts(e)
     assert facts.locs == (2,)

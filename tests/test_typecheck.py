@@ -28,7 +28,6 @@ from bestow.syntax import (
     Send,
     UnitType,
     UnitVal,
-    Val,
     Var,
     fold,
     is_active,
@@ -55,19 +54,19 @@ def test_rule_var():
 
 
 def test_rule_unit():
-    assert type_of(Val(UnitVal())) == U
+    assert type_of(UnitVal()) == U
 
 
 def test_rule_loc():
-    assert type_of(Val(Loc(0))) == P
+    assert type_of(Loc(0)) == P
 
 
 def test_rule_id():
-    assert type_of(Val(ActorId(0))) == C
+    assert type_of(ActorId(0)) == C
 
 
 def test_rule_bestowed_value():
-    assert type_of(Val(BestowedLoc(0, 0))) == B
+    assert type_of(BestowedLoc(0, 0)) == B
 
 
 def test_rule_new_passive():
@@ -79,14 +78,14 @@ def test_rule_new_actor():
 
 
 def test_rule_fn():
-    assert type_of(Val(Lambda("x", P, Var("x")))) == Arrow(P, P)
-    assert type_of(Val(Lambda("f", Arrow(P, U), App(Var("f"), NewPassive())))) == Arrow(
+    assert type_of(Lambda("x", P, Var("x"))) == Arrow(P, P)
+    assert type_of(Lambda("f", Arrow(P, U), App(Var("f"), NewPassive()))) == Arrow(
         Arrow(P, U), U
     )
 
 
 def test_rule_apply():
-    assert type_of(App(Val(Lambda("x", P, Var("x"))), NewPassive())) == P
+    assert type_of(App(Lambda("x", P, Var("x")), NewPassive())) == P
 
 
 def test_rule_mutate():
@@ -98,7 +97,7 @@ def test_rule_bestow():
 
 
 def test_rule_send_to_actor():
-    msg = Lambda("x", P, Val(UnitVal()))
+    msg = Lambda("x", P, UnitVal())
     assert type_of(Send(NewActor(), msg)) == U
 
 
@@ -114,7 +113,7 @@ def test_send_body_sees_active_bindings():
     env = TypeEnv.of(a=C, b=B)
     msg = Lambda("x", P, Send(Var("a"), Lambda("y", P, Mutate(Var("y")))))
     assert type_of(Send(Var("a"), msg), env) == U
-    msg2 = Lambda("x", P, Send(Var("b"), Lambda("y", P, Val(UnitVal()))))
+    msg2 = Lambda("x", P, Send(Var("b"), Lambda("y", P, UnitVal())))
     assert type_of(Send(Var("a"), msg2), env) == U
 
 
@@ -131,20 +130,20 @@ def test_send_body_cannot_see_function_bindings():
 
 
 def test_send_body_rejects_bare_locations():
-    e = Send(NewActor(), Lambda("x", P, Mutate(Val(Loc(0)))))
+    e = Send(NewActor(), Lambda("x", P, Mutate(Loc(0))))
     assert err(e).rule == "e-send"
     assert "location" in err(e).message
 
 
 def test_send_body_allows_bestowed_locations():
-    e = Send(NewActor(), Lambda("x", P, Send(Val(BestowedLoc(3, 1)), Lambda("y", P, Val(UnitVal())))))
+    e = Send(NewActor(), Lambda("x", P, Send(BestowedLoc(3, 1), Lambda("y", P, UnitVal()))))
     assert type_of(e) == U
 
 
 def test_bare_loc_is_fine_outside_sends():
     # e-loc makes bare locations passive; only send bodies refuse them.
-    wrapper = Lambda("y", P, App(Val(Lambda("x", P, Mutate(Var("x")))), Val(Loc(3))))
-    assert type_of(Val(wrapper)) == Arrow(P, U)
+    wrapper = Lambda("y", P, App(Lambda("x", P, Mutate(Var("x"))), Loc(3)))
+    assert type_of(wrapper) == Arrow(P, U)
 
 
 # --- negative cases with rule attribution ---------------------------------
@@ -155,30 +154,30 @@ def test_unbound_var():
 
 
 def test_apply_non_function():
-    assert err(App(Val(UnitVal()), Val(UnitVal()))).rule == "e-apply"
-    assert err(App(Val(BestowedLoc(0, 0)), Val(UnitVal()))).rule == "e-apply"
+    assert err(App(UnitVal(), UnitVal())).rule == "e-apply"
+    assert err(App(BestowedLoc(0, 0), UnitVal())).rule == "e-apply"
 
 
 def test_apply_argument_mismatch():
-    e = App(Val(Lambda("x", P, Var("x"))), NewActor())
+    e = App(Lambda("x", P, Var("x")), NewActor())
     assert err(e).rule == "e-apply"
 
 
 def test_mutate_wrong_type():
     assert err(Mutate(NewActor())).rule == "e-mutate"
-    assert err(Mutate(Val(UnitVal()))).rule == "e-mutate"
+    assert err(Mutate(UnitVal())).rule == "e-mutate"
     assert err(Mutate(Bestow(NewPassive()))).rule == "e-mutate"
 
 
 def test_bestow_wrong_type():
-    assert err(Bestow(Val(UnitVal()))).rule == "e-bestow"
+    assert err(Bestow(UnitVal())).rule == "e-bestow"
     assert err(Bestow(NewActor())).rule == "e-bestow"
 
 
 def test_send_to_non_active():
-    msg = Lambda("x", P, Val(UnitVal()))
+    msg = Lambda("x", P, UnitVal())
     assert err(Send(NewPassive(), msg)).rule == "e-send"
-    assert err(Send(Val(UnitVal()), msg)).rule == "e-send"
+    assert err(Send(UnitVal(), msg)).rule == "e-send"
 
 
 def test_send_non_function_message():
@@ -186,17 +185,17 @@ def test_send_non_function_message():
 
 
 def test_send_message_param_not_passive():
-    assert err(Send(NewActor(), Lambda("x", C, Val(UnitVal())))).rule == "e-send"
+    assert err(Send(NewActor(), Lambda("x", C, UnitVal()))).rule == "e-send"
 
 
 def test_inner_failures_propagate_innermost():
     # Failures outside message bodies keep their own rule name.
-    assert err(Val(Lambda("x", P, Mutate(NewActor())))).rule == "e-mutate"
-    assert err(App(Val(Lambda("x", U, Var("x"))), Mutate(NewActor()))).rule == "e-mutate"
+    assert err(Lambda("x", P, Mutate(NewActor()))).rule == "e-mutate"
+    assert err(App(Lambda("x", U, Var("x")), Mutate(NewActor()))).rule == "e-mutate"
 
 
 def test_send_wraps_body_failures():
-    e = Send(Val(BestowedLoc(0, 0)), Lambda("x", P, Var("nope")))
+    e = Send(BestowedLoc(0, 0), Lambda("x", P, Var("nope")))
     failure = err(e)
     assert failure.rule == "e-send"
     assert "nope" in failure.message
@@ -227,7 +226,7 @@ def test_restrict_active_unshadows_an_active_binding():
     restricted = env.restrict_active()
     assert restricted.lookup("x") == C
     assert restricted.bindings == (("x", C),)
-    assert type_of(Send(Val(ActorId(0)), Lambda("y", P, Var("x"))), env) == U
+    assert type_of(Send(ActorId(0), Lambda("y", P, Var("x"))), env) == U
     assert env.bindings == (("x", C), ("x", P))
     assert str(env) == "{x:c, x:p}"
 

@@ -17,13 +17,12 @@ from bestow.syntax import (
     Passive,
     Send,
     UnitVal,
-    Val,
     Var,
 )
 from bestow.wellformed import wf_heap
 
 P = Passive()
-UNIT = Val(UnitVal())
+UNIT = UnitVal()
 
 
 def idle(this, lh, cur=UNIT, q=()):
@@ -67,7 +66,7 @@ def test_forwarded_message_with_bare_loc_is_wf_in_owner_queue():
     # that is fine in the owner's queue even though a send could not have
     # carried it directly.
     v = Lambda("x", P, Mutate(Var("x")))
-    wrapper = Lambda("y", P, App(Val(v), Val(Loc(5))))
+    wrapper = Lambda("y", P, App(v, Loc(5)))
     h = heap_of({0: idle(0, {0, 5}, q=(wrapper,))})
     assert wf_heap(h).ok
 
@@ -88,20 +87,20 @@ def test_actor_missing_its_own_location():
 
 
 def test_current_mentions_foreign_location():
-    h = heap_of({0: idle(0, {0}, cur=Mutate(Val(Loc(7))))})
+    h = heap_of({0: idle(0, {0}, cur=Mutate(Loc(7)))})
     report = wf_heap(h)
     assert rules_of(report) == ["wf-actor"]
     assert "location 7" in str(report)
 
 
 def test_queue_mentions_foreign_location():
-    msg = Lambda("x", P, App(Val(Lambda("y", P, UNIT)), Val(Loc(9))))
+    msg = Lambda("x", P, App(Lambda("y", P, UNIT), Loc(9)))
     h = heap_of({0: idle(0, {0}, q=(msg,))})
     assert "wf-actor" in rules_of(wf_heap(h))
 
 
 def test_unallocated_actor_id():
-    h = heap_of({0: idle(0, {0}, cur=Send(Val(ActorId(3)), Lambda("x", P, UNIT)))})
+    h = heap_of({0: idle(0, {0}, cur=Send(ActorId(3), Lambda("x", P, UNIT)))})
     report = wf_heap(h)
     assert "wf-actor" in rules_of(report)
     assert "id 3" in str(report)
@@ -109,7 +108,7 @@ def test_unallocated_actor_id():
 
 def test_bestowed_ref_with_wrong_owner():
     # actor 1 exists but does not own location 9
-    cur = Send(Val(BestowedLoc(9, 1)), Lambda("x", P, UNIT))
+    cur = Send(BestowedLoc(9, 1), Lambda("x", P, UNIT))
     h = heap_of({0: idle(0, {0}, cur=cur), 1: idle(1, {1})})
     report = wf_heap(h)
     assert "wf-actor" in rules_of(report)
@@ -117,13 +116,13 @@ def test_bestowed_ref_with_wrong_owner():
 
 
 def test_bestowed_ref_with_unallocated_owner():
-    cur = Send(Val(BestowedLoc(9, 42)), Lambda("x", P, UNIT))
+    cur = Send(BestowedLoc(9, 42), Lambda("x", P, UNIT))
     h = heap_of({0: idle(0, {0}, cur=cur)})
     assert "wf-actor" in rules_of(wf_heap(h))
 
 
 def test_untypable_current():
-    h = heap_of({0: idle(0, {0}, cur=Mutate(Val(UnitVal())))})
+    h = heap_of({0: idle(0, {0}, cur=Mutate(UnitVal()))})
     report = wf_heap(h)
     assert "wf-actor" in rules_of(report)
     assert "typecheck" in str(report)
@@ -144,7 +143,7 @@ def test_queue_message_untypable():
 
 
 def test_wf_actor_checks_one_actor():
-    h = heap_of({0: idle(0, {0}), 1: idle(1, {1}, cur=Mutate(Val(Loc(0))))})
+    h = heap_of({0: idle(0, {0}), 1: idle(1, {1}, cur=Mutate(Loc(0)))})
     report = wf_heap(h)
     assert not any(v.subject == "actor 0" for v in report.violations)
     assert any(v.rule == "wf-actor" and v.subject == "actor 1" for v in report.violations)
@@ -153,7 +152,7 @@ def test_wf_actor_checks_one_actor():
 def test_report_str_mentions_everything():
     h = heap_of(
         {
-            0: idle(0, {0, 5}, cur=Mutate(Val(Loc(8)))),
+            0: idle(0, {0, 5}, cur=Mutate(Loc(8))),
             1: idle(1, {1, 5}),
         }
     )
