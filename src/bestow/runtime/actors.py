@@ -7,7 +7,11 @@ write-once :class:`Future` for the closure's result.
 
 The mailbox speaks four envelope kinds: calls, a stop request, and the
 override/resume pair that :func:`bestow.runtime.override.atomic_batch`
-sends around its block.  While an override is active, calls carrying the
+sends around its block.  A call is one envelope that names the object its
+closure runs on: the actor's instance, or an object the actor bestowed.
+A call whose token is the active one (none outside a batch, the batch's
+inside it) runs after one type test; every other envelope goes through
+the full dispatch.  While an override is active, calls carrying the
 overriding token run immediately and everything else is deferred, in
 arrival order, until the matching resume.  The watchdog times the
 overriding client alone: once the actor has finished one of its envelopes,
@@ -127,11 +131,15 @@ class Future(Generic[T]):
         return self._value  # type: ignore[return-value]
 
 
-@dataclass
+_SELF = object()  # a call's target when its closure runs on the actor's instance
+
+
+@dataclass(slots=True)
 class _Call:
     fn: Callable[[Any], Any]
     future: Future
     token: object | None
+    target: Any  # the object ``fn`` runs on, or _SELF
 
 
 @dataclass
@@ -163,13 +171,13 @@ class ActorRef:
     def _post(self, envelope: object) -> None:
         self._mailbox.put(envelope)
 
-    def perform(self, fn: Callable[[Any], T]) -> Future[T]:
-        """Run ``fn(actor_instance)`` on the actor's thread, eventually."""
+    def perform(self, fn: Callable[[Any], T], *, target: Any = _SELF) -> Future[T]:
+        """Run ``fn(actor_instance)`` on the actor's thread, eventually; with
+        ``target``, run ``fn(target)`` there instead."""
         if self._stopped.is_set():
             raise ActorStoppedError(f"{self} has stopped")
         fut: Future[T] = Future()
-        token = _tls.overrides.get(self)
-        self._post(_Call(fn, fut, token))
+        self._mailbox.put(_Call(fn, fut, _tls.overrides.get(self), target))
         if self._stopped.is_set():
             # The loop's last drain may have missed this call.
             _fail_calls(self, [])
@@ -204,8 +212,9 @@ def _overriding(ref: ActorRef, watchdog: float) -> Iterator[None]:
 
 
 def _execute(instance: Any, call: _Call) -> None:
+    target = call.target
     try:
-        result = call.fn(instance)
+        result = call.fn(instance if target is _SELF else target)
     except BaseException as exc:  # noqa: BLE001 — delivered via the future
         call.future.set_exception(exc)
     else:
@@ -239,6 +248,15 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
                 mode = None
                 continue
 
+        # A call carrying the active token (None outside a batch) runs now.
+        # Any other call belongs to a broken batch or, while a batch is
+        # open, to another client: a client posts its override first.
+        if type(env) is _Call and env.token is mode:
+            _execute(instance, env)
+            if mode is not None:  # the client's silence starts now
+                deadline = monotonic() + watchdog
+            continue
+
         match env:
             case _Call() if env.token in broken:
                 env.future.set_exception(
@@ -246,10 +264,6 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
                 )
             case _ if mode is not None and env.token is not mode:
                 pending.append(env)  # another client's, until the resume
-            case _Call():
-                _execute(instance, env)
-                if mode is not None:  # the client's silence starts now
-                    deadline = monotonic() + watchdog
             case _Override():
                 mode, watchdog = env.token, env.watchdog
                 deadline = monotonic() + watchdog

@@ -22,19 +22,18 @@ class BestowError(RuntimeError):
 class BestowedRef:
     """An owner/object pair; all access is forwarded to the owner."""
 
-    __slots__ = ("owner", "object")
+    __slots__ = ("owner", "_object")
 
     def __init__(self, owner: ActorRef, obj: Any) -> None:
         self.owner = owner
-        self.object = obj
+        self._object = obj
 
     def __repr__(self) -> str:
-        return f"<bestowed {type(self.object).__name__} of {self.owner.name}>"
+        return f"<bestowed {type(self._object).__name__} of {self.owner.name}>"
 
     def perform(self, fn: Callable[[Any], Any]) -> Future:
         """Run ``fn(underlying_object)`` on the owner's thread."""
-        obj = self.object
-        return self.owner.perform(lambda _actor: fn(obj))
+        return self.owner.perform(fn, target=self._object)
 
 
 def bestow(obj: Any) -> BestowedRef:

@@ -74,6 +74,35 @@ def test_future_propagates_exceptions(counter):
     assert fut.done()
 
 
+def test_perform_with_a_target_runs_it_on_the_actor_in_arrival_order(counter):
+    home = counter.perform(lambda c: c.thread).result(timeout=5)
+    instance = counter.perform(lambda c: c).result(timeout=5)
+    target = object()
+    log: list = []
+
+    def note(kind, i):
+        return lambda arg: log.append((kind, i, arg, threading.current_thread()))
+
+    futures = []
+    for i in range(3):
+        futures.append(counter.perform(note("instance", i)))
+        futures.append(counter.perform(note("target", i), target=target))
+
+    def explode(t):
+        raise KeyError(t is target)
+
+    failed = counter.perform(explode, target=target)
+    for f in futures:
+        f.result(timeout=5)
+    with pytest.raises(KeyError, match="True"):
+        failed.result(timeout=5)
+    assert log == [
+        (kind, i, instance if kind == "instance" else target, home)
+        for i in range(3)
+        for kind in ("instance", "target")
+    ]
+
+
 def test_future_result_times_out():
     fut = Future()
     with pytest.raises(TimeoutError):
@@ -359,6 +388,14 @@ def test_bestowed_calls_interleave_with_owner_mailbox(owner):
     assert log == [
         f"{kind}{i}" for i in range(5) for kind in ("direct", "lent")
     ]
+
+
+@pytest.mark.parametrize("obj", [None, 0, []], ids=repr)
+def test_bestowed_closure_gets_a_falsy_object_itself(owner, obj):
+    lent = owner.perform(lambda _o: bestow(obj)).result(timeout=5)
+    got, where = lent.perform(lambda x: (x, current_actor())).result(timeout=5)
+    assert got is obj
+    assert where is owner
 
 
 def test_bestowed_exceptions_reach_the_caller(owner):
