@@ -4,13 +4,15 @@
     python3 scripts/ab.py BASE [HEAD] --workload W [--pairs 10] [--seconds 25] [--seed 1]
 
 BASE is checked out twice with ``git worktree add --detach`` into a
-temporary directory.  HEAD is checked out the same way when given; without
-it, HEAD is the current checkout, uncommitted edits included.  Each pair
-runs ``perfbench/run.py --trace 0`` once from BASE and once from HEAD with
-the same seed, and the side that runs first alternates from pair to pair.
+temporary directory, and HEAD once beside them.  Without a HEAD argument,
+HEAD's worktree is then set to the current checkout as it stands,
+uncommitted edits and untracked files included.  Each pair runs
+``perfbench/run.py --trace 0`` once from BASE and once from HEAD with the
+same seed, and the side that runs first alternates from pair to pair.
 Beside each A/B pair runs an A/A pair, BASE against its second worktree,
-laid out the same way, so the report shows how far two checkouts of the
-same code read apart.  Every pair gets a seed of its own, counting up from
+laid out the same way.  As the three trees sit side by side, the A/A gap
+shows how far two checkouts of the same code read apart, placement
+included.  Every pair gets a seed of its own, counting up from
 ``--seed``.
 
 For every end-to-end metric in ``BENCHMARK.json`` the script prints both
@@ -19,9 +21,10 @@ distance between the medians of the A/A sides).  Its verdict on a metric
 is ``claim`` only with at least 10 pairs, when HEAD is better in at least
 9 in 10 of them and the distance between the medians exceeds both BASE's
 interquartile range and the A/A gap; otherwise it is ``no claim``.  The
-same rule with HEAD worse marks a metric ``worse``, and a metric whose
+same rule with HEAD worse marks a metric ``worse``.  A metric whose
 interquartile range on either side exceeds its bound, relative to the
-median, is marked ``unresolved``.  The report's verdict is ``claim`` when
+median, is marked ``unresolved``, unless every HEAD run reads better than
+every BASE run.  The report's verdict is ``claim`` when
 some metric is claimed and none is worse.
 
 Every raw value goes to ``BENCH_<workload>.json`` at the root of the
@@ -57,9 +60,17 @@ class RunFailed(Exception):
     wrong output or a failed op."""
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, cwd: Path = ROOT, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def checkout_tree(index: Path) -> str:
+    """The id of the tree the checkout holds now, untracked files included,
+    built in a scratch ``index`` so the checkout's own index is untouched."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 def resolve(rev: str) -> str | None:
@@ -118,6 +129,7 @@ def judge(metric: dict, sides: dict[str, list[float]]) -> dict:
     won = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     lost = sum(sign * (h - b) < 0 for b, h in zip(base, head))
     clear = n >= CLAIM_PAIRS and abs(gap) > b_q3 - b_q1 and abs(gap) > aa_gap
+    apart = min(head) > max(base) if sign > 0 else max(head) < min(base)
 
     def spread(q1: float, q3: float, med: float) -> float:
         return (q3 - q1) / abs(med) if med else 0.0
@@ -129,7 +141,8 @@ def judge(metric: dict, sides: dict[str, list[float]]) -> dict:
         "won": won, "pairs": n, "aa_gap": aa_gap,
         "verdict": "claim" if clear and sign * gap > 0 and 10 * won >= 9 * n else "no claim",
         "worse": clear and sign * gap < 0 and 10 * lost >= 9 * n,
-        "unresolved": max(spread(b_q1, b_q3, b_med), spread(h_q1, h_q3, h_med)) > metric["bound"],
+        "unresolved": not apart and max(spread(b_q1, b_q3, b_med),
+                                        spread(h_q1, h_q3, h_med)) > metric["bound"],
     }
 
 
@@ -167,25 +180,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ab: git cannot resolve {args.base if base_sha is None else args.head!r}",
               file=sys.stderr)
         return 2
-    dirty = args.head is None and bool(git("status", "--porcelain"))
 
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     trees: list[Path] = []
+    dirty = False
     try:
-        for name, sha in [("base", base_sha), ("base2", base_sha)] + (
-            [("head", head_sha)] if args.head else []
-        ):
+        for name, sha in [("base", base_sha), ("base2", base_sha), ("head", head_sha)]:
             git("worktree", "add", "--detach", str(tmp / name), sha)
             trees.append(tmp / name)
-        tree = {"base": tmp / "base", "base2": tmp / "base2",
-                "head": tmp / "head" if args.head else ROOT}
+        if args.head is None:
+            edited = checkout_tree(tmp / "index")
+            dirty = edited != git("rev-parse", "HEAD^{tree}")
+            if dirty:
+                git("read-tree", "-u", "--reset", edited, cwd=tmp / "head")
 
         runs: list[dict] = []
         for i in range(args.pairs):
             for k, (kind, sides) in enumerate([("ab", ("base", "head")), ("aa", ("base", "base2"))]):
                 seed = args.seed + 2 * i + k
                 for side in sides if i % 2 == 0 else sides[::-1]:
-                    run = run_once(tree[side], args.workload, seed, args.seconds)
+                    run = run_once(tmp / side, args.workload, seed, args.seconds)
                     runs.append({"pair": i, "set": kind, "side": side, **run})
                     shown = " ".join(f"{m}={v:.5g}" for m, v in run["metrics"].items())
                     print(f"pair {i} {kind} {side:<5} seed {seed}: {shown}", file=sys.stderr,
