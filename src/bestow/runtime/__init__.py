@@ -6,9 +6,7 @@ from .actors import (
     ActorRef,
     ActorStoppedError,
     AwaitInsideActorError,
-    BatchBrokenError,
     Future,
-    NestedOverrideError,
     current_actor,
     spawn,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "ActorRef",
     "ActorStoppedError",
     "AwaitInsideActorError",
-    "BatchBrokenError",
     "BestowError",
     "BestowedRef",
     "CountingRLock",
@@ -40,7 +37,6 @@ __all__ = [
     "ListIterator",
     "ListIterStats",
     "LockedRef",
-    "NestedOverrideError",
     "atomic_batch",
     "bestow",
     "bestow_iterator",

@@ -5,33 +5,22 @@ created and touched only on that thread.  Interaction goes through
 :meth:`ActorRef.perform`, which ships a closure to the actor and returns a
 write-once :class:`Future` for the closure's result.
 
-The mailbox speaks four envelope kinds: calls, a stop request, and the
-override/resume pair that :func:`bestow.runtime.override.atomic_batch`
-sends around its block.  A call is one envelope that names the object its
-closure runs on: the actor's instance, or an object the actor bestowed.
-A call whose token is the active one (none outside a batch, the batch's
-inside it) runs after one type test; every other envelope goes through
-the full dispatch.  While an override is active, calls carrying the
-overriding token run immediately and everything else is deferred, in
-arrival order, until the matching resume.  The watchdog times the
-overriding client alone: once the actor has finished one of its envelopes,
-the client has the watchdog's timeout to send the next, however many other
-clients post meanwhile.  The override breaks once that deadline has passed
-and the mailbox is empty (envelopes already posted are read first): a
-client quiet that long is force-resumed rather than let it wedge the
-actor; its batch is broken, and each later call carrying its token fails
-with :class:`BatchBrokenError` instead of running between other clients'
-calls.
+The mailbox holds three kinds of envelope: a call, a batch and a stop
+request.  A call names the object its closure runs on: the actor's
+instance, or an object the actor bestowed.  A batch is the list of calls
+that :func:`bestow.runtime.override.atomic_batch` recorded in its block;
+it is posted once, when the block ends, and the loop runs its calls in
+order with nothing between them, as the calculus desugars ``atomic`` into
+a single message.  The loop is a plain mailbox loop: it keeps no state
+between envelopes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
-from time import monotonic
 from typing import Any, Callable, Generic, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -41,12 +30,10 @@ class _ThreadState(threading.local):
     ref: "ActorRef | None" = None  # the actor whose loop runs this thread
 
     def __init__(self) -> None:
-        self.overrides: dict = {}  # this thread's override tokens, by ref
+        self.batches: dict = {}  # this thread's open batches: ref -> [_Call]
 
 
 _tls = _ThreadState()
-
-DEFAULT_WATCHDOG = 5.0
 
 
 def current_actor() -> "ActorRef | None":
@@ -64,14 +51,6 @@ class AwaitInsideActorError(RuntimeError):
 
 class ActorStoppedError(RuntimeError):
     """The target actor has already shut down."""
-
-
-class NestedOverrideError(RuntimeError):
-    """This thread already holds an override on the same actor."""
-
-
-class BatchBrokenError(RuntimeError):
-    """The watchdog force-resumed this call's override: the batch is over."""
 
 
 def _limit(timeout: float | None) -> float | None:
@@ -121,6 +100,13 @@ class Future(Generic[T]):
                     "hand the future to an external thread or restructure "
                     "the protocol as further messages"
                 )
+            if _tls.batches and any(
+                call.future is self for calls in _tls.batches.values() for call in calls
+            ):
+                raise RuntimeError(
+                    "this future's batch is still open: its call is posted "
+                    "when the atomic_batch block ends, so read it after"
+                )
             timeout = _limit(timeout)
             block = timeout is None or timeout > 0  # <= 0 polls, as in Event.wait
             if not self._lock.acquire(block, timeout if block and timeout else -1):
@@ -138,23 +124,11 @@ _SELF = object()  # a call's target when its closure runs on the actor's instanc
 class _Call:
     fn: Callable[[Any], Any]
     future: Future
-    token: object | None
     target: Any  # the object ``fn`` runs on, or _SELF
 
 
-@dataclass
-class _Override:
-    token: object
-    watchdog: float
-
-
-@dataclass
-class _Resume:
-    token: object
-
-
 class _Stop:
-    token = None  # a stop belongs to no override
+    """Ends the loop once the envelopes posted before it have run."""
 
 
 class ActorRef:
@@ -170,17 +144,23 @@ class ActorRef:
 
     def _post(self, envelope: object) -> None:
         self._mailbox.put(envelope)
+        if self._stopped.is_set():
+            # The loop's last drain may have missed this envelope.
+            _fail_calls(self)
 
     def perform(self, fn: Callable[[Any], T], *, target: Any = _SELF) -> Future[T]:
         """Run ``fn(actor_instance)`` on the actor's thread, eventually; with
-        ``target``, run ``fn(target)`` there instead."""
+        ``target``, run ``fn(target)`` there instead.  Inside an
+        ``atomic_batch`` block on this actor the call is recorded, and posted
+        with the rest of the batch when the block ends."""
         if self._stopped.is_set():
             raise ActorStoppedError(f"{self} has stopped")
         fut: Future[T] = Future()
-        self._mailbox.put(_Call(fn, fut, _tls.overrides.get(self), target))
-        if self._stopped.is_set():
-            # The loop's last drain may have missed this call.
-            _fail_calls(self, [])
+        batch = _tls.batches.get(self)
+        if batch is not None:
+            batch.append(_Call(fn, fut, target))
+        else:
+            self._post(_Call(fn, fut, target))
         return fut
 
     def stop(self) -> None:
@@ -192,23 +172,28 @@ class ActorRef:
 
 
 @contextmanager
-def _overriding(ref: ActorRef, watchdog: float) -> Iterator[None]:
-    """Jump the queue of ``ref`` for the block: this thread's performs run
-    at once and everyone else's wait, in arrival order, until it ends.
+def _batching(ref: ActorRef) -> Iterator[None]:
+    """Record this thread's performs on ``ref`` for the block, then post
+    them as one envelope.  A nested block on ``ref`` joins the open batch.
 
-    The token is a bare object, registered for this thread so ``perform``
-    tags its calls; the block's end unregisters it and posts the resume.
+    If the block raises, nothing is posted and every recorded future fails
+    with the block's exception.
     """
-    reg = _tls.overrides
-    if ref in reg:
-        raise NestedOverrideError(f"this thread already overrides {ref}")
-    token = reg[ref] = object()
-    ref._post(_Override(token, watchdog))
+    batches = _tls.batches
+    if ref in batches:
+        yield
+        return
+    calls = batches[ref] = []
     try:
         yield
+    except BaseException as exc:
+        for call in calls:
+            call.future.set_exception(exc)
+        raise
     finally:
-        del reg[ref]
-        ref._post(_Resume(token))
+        del batches[ref]
+    if calls:
+        ref._post(calls)
 
 
 def _execute(instance: Any, call: _Call) -> None:
@@ -227,77 +212,35 @@ def _loop(ref: ActorRef, make_instance: Callable[[], Any]) -> None:
         instance = make_instance()
     except BaseException:
         ref._stopped.set()
-        _fail_calls(ref, [])  # calls posted before the constructor failed
+        _fail_calls(ref)  # calls posted before the constructor failed
         raise
 
-    pending: deque = deque()  # deferred envelopes, arrival order
-    mode: object | None = None  # the active override's token
-    watchdog = deadline = 0.0
-    broken: set[object] = set()  # overrides the watchdog ended
-
+    get = ref._mailbox.get
     while True:
-        if mode is None:
-            env = pending.popleft() if pending else ref._mailbox.get()
-        elif pending and pending[0].token is mode:
-            env = pending.popleft()
-        else:
-            try:
-                env = ref._mailbox.get(timeout=max(deadline - monotonic(), 0))
-            except Empty:
-                broken.add(mode)  # force-resume: the client went quiet
-                mode = None
-                continue
-
-        # A call carrying the active token (None outside a batch) runs now.
-        # Any other call belongs to a broken batch or, while a batch is
-        # open, to another client: a client posts its override first.
-        if type(env) is _Call and env.token is mode:
+        env = get()
+        if type(env) is _Call:
             _execute(instance, env)
-            if mode is not None:  # the client's silence starts now
-                deadline = monotonic() + watchdog
-            continue
-
-        match env:
-            case _Call() if env.token in broken:
-                env.future.set_exception(
-                    BatchBrokenError(f"{ref}'s watchdog broke this batch")
-                )
-            case _ if mode is not None and env.token is not mode:
-                pending.append(env)  # another client's, until the resume
-            case _Override():
-                mode, watchdog = env.token, env.watchdog
-                deadline = monotonic() + watchdog
-                # The client's envelopes deferred while its override request
-                # waited in line run first, in arrival order.
-                mine = []
-                for _ in range(len(pending)):
-                    e = pending.popleft()
-                    (mine if e.token is mode else pending).append(e)
-                pending.extendleft(reversed(mine))
-            case _Resume():
-                # ends the active override, or is stale (the watchdog already
-                # fired): then forget the break, as the client left the batch
-                mode = None
-                broken.discard(env.token)
-            case _Stop():
-                break
+        elif type(env) is list:  # a batch: its calls run back to back
+            for call in env:
+                _execute(instance, call)
+        else:  # _Stop
+            break
 
     ref._stopped.set()
-    # Fail whatever slipped in after the stop was processed.
-    _fail_calls(ref, list(pending))
+    _fail_calls(ref)  # whatever slipped in after the stop was read
 
 
-def _fail_calls(ref: ActorRef, leftovers: list) -> None:
-    """Fail the calls in ``leftovers`` and in stopped ``ref``'s mailbox; an
-    envelope leaves the mailbox once, so one thread resolves its future."""
+def _fail_calls(ref: ActorRef) -> None:
+    """Fail the calls left in stopped ``ref``'s mailbox, batched or not; an
+    envelope leaves the mailbox once, so one thread resolves its futures."""
     while True:
         try:
-            leftovers.append(ref._mailbox.get_nowait())
+            env = ref._mailbox.get_nowait()
         except Empty:
-            break
-    for env in leftovers:
-        if isinstance(env, _Call):
-            env.future.set_exception(ActorStoppedError(f"{ref} has stopped"))
+            return
+        for call in env if type(env) is list else (env,):
+            if type(call) is _Call:
+                call.future.set_exception(ActorStoppedError(f"{ref} has stopped"))
 
 
 def spawn(cls: type, *args: Any, name: str | None = None, **kwargs: Any) -> ActorRef:

@@ -12,8 +12,10 @@ two ways:
   client as a reference, but its state never leaves the owner's thread.
 
 A third mode, ``atomic-pairs``, has several clients draining one shared
-iterator two elements at a time inside ``atomic_batch`` blocks; batching
-is what keeps each drawn pair adjacent in the list.
+iterator two elements at a time: each draw is one closure, and a client
+makes its two draws inside an ``atomic_batch`` block, yielding between
+them, and reads both after the block.  Batching is what keeps each drawn
+pair adjacent in the list.
 
 Node visits are counted on the list itself (``LinkedList.hops``); only the
 owner's thread ever touches the list, so a plain int is sound.
@@ -22,6 +24,7 @@ owner's thread ever touches the list, so a plain int is sound.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -107,6 +110,11 @@ class ListHolder:
         return self.list
 
 
+def _draw(it: ListIterator) -> object:
+    """The iterator's next element, or None once it is spent."""
+    return it.get_next() if it.has_next() else None
+
+
 def bestow_list(holder: ActorRef) -> BestowedRef:
     return holder.perform(lambda a: bestow(a.checked_list())).result()
 
@@ -182,13 +190,12 @@ def run_list_iterator(clients: int, elements: int, mode: str) -> ListIterStats:
             def reader_pairs(out: list[int]) -> None:
                 total = 0
                 while True:
-                    pair: list[object] = []
                     with atomic_batch(shared):
-                        for _ in range(2):
-                            if shared.perform(lambda i: i.has_next()).result():
-                                pair.append(
-                                    shared.perform(lambda i: i.get_next()).result()
-                                )
+                        first = shared.perform(_draw)
+                        time.sleep(0)  # a client may yield between its operations
+                        second = shared.perform(_draw)
+                    drawn = (first.result(), second.result())
+                    pair = [v for v in drawn if v is not None]
                     if not pair:
                         break
                     total += sum(pair)  # type: ignore[arg-type]

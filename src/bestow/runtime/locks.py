@@ -4,8 +4,9 @@ A :class:`LockedRef` pairs an object with a reentrant lock; ``perform``
 acquires the lock, runs the closure on the *calling* thread and returns a
 future born resolved, which holds no lock of its own.
 :func:`bestow.runtime.override.atomic_batch` holds the lock across the
-whole block, so the per-operation acquires inside are reentrant no-ops and
-no watchdog can end the batch early.
+whole block, so the per-operation acquires inside are reentrant no-ops.
+Unlike an actor's batch, which is posted when its block ends, each call
+runs at once and its future is resolved inside the block.
 
 :class:`CountingRLock` counts outermost acquisitions, which is how the
 tests pin down "a batch costs one lock acquisition, k bare operations cost

@@ -1,43 +1,37 @@
 """Atomic batching: the one batching entry point for all three reference kinds.
 
 ``atomic_batch(ref)`` makes every operation issued inside the block land
-contiguously.  On an :class:`~bestow.runtime.actors.ActorRef` it overrides
-the actor's queue, on a :class:`~bestow.runtime.bestowed.BestowedRef` its
-owner's: the block's performs run at once and everyone else's wait, in
-arrival order, until the block ends.  If the owner's watchdog breaks the
-override, the block's later calls fail with ``BatchBrokenError``.  On a
-:class:`~bestow.runtime.locks.LockedRef` it holds the lock across the block.
+contiguously.  On an :class:`~bestow.runtime.actors.ActorRef`, or on a
+:class:`~bestow.runtime.bestowed.BestowedRef` through its owner, the
+block's performs are recorded and posted as one mailbox message when the
+block ends, so the batch lands where its block ends and nothing runs
+between its calls.  Their futures resolve after that: read them after the
+block.  On a :class:`~bestow.runtime.locks.LockedRef` it holds the lock
+across the block.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import AbstractContextManager
 
-from .actors import DEFAULT_WATCHDOG, ActorRef, _overriding
+from .actors import ActorRef, _batching
 from .bestowed import BestowedRef
 from .locks import LockedRef
 
 
-def atomic_batch(
-    ref: ActorRef | BestowedRef | LockedRef, *, watchdog: float = DEFAULT_WATCHDOG
-) -> AbstractContextManager:
+def atomic_batch(ref: ActorRef | BestowedRef | LockedRef) -> AbstractContextManager:
     """Run the block's operations on ``ref`` as one indivisible burst.
 
-    If the block sends the actor (a bestowed ref's owner) nothing for
-    ``watchdog`` seconds after the actor finished its last envelope (other
-    clients' envelopes do not count), the actor resumes by itself, once its
-    mailbox is empty, rather than stay hostage to a lost client; the block's
-    later calls then fail with ``BatchBrokenError``.  A ``LockedRef``
-    ignores ``watchdog``: no one can end a lock holder's batch early.
-    Raises ``ValueError`` for any ``ref`` unless ``0 < watchdog <=
-    threading.TIMEOUT_MAX``, the longest wait a mailbox can time.
+    On an actor (a bestowed ref's owner), ``perform`` inside the block
+    returns an unresolved future, and ``result()`` on it raises
+    ``RuntimeError`` until the block ends.  If the block raises, nothing
+    is posted and each recorded future fails with the block's exception.
+    A nested block on the same actor joins the open batch, as a nested
+    block on a ``LockedRef`` re-enters its lock.
     """
-    if not 0 < watchdog <= threading.TIMEOUT_MAX:
-        raise ValueError(f"watchdog must be in (0, {threading.TIMEOUT_MAX}] s, not {watchdog!r}")
     if isinstance(ref, LockedRef):
         return ref.lock
     actor = ref.owner if isinstance(ref, BestowedRef) else ref
     if not isinstance(actor, ActorRef):
         raise TypeError(f"{ref!r} does not support batching")
-    return _overriding(actor, watchdog)
+    return _batching(actor)

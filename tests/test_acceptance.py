@@ -330,7 +330,7 @@ def test_acceptance_bestowed_ownership(verdict):
 
 
 # --------------------------------------------------------------------------
-# 7. The override protocol: deferral order and batch equivalence
+# 7. Atomic batches: batch equivalence and contiguity under interference
 # --------------------------------------------------------------------------
 
 
@@ -344,36 +344,10 @@ class _Journal:
 
 def test_acceptance_override_protocol(verdict):
     label = (
-        "an override runs the holder's calls before already-queued rivals, "
-        "and a batch equals sequential calls"
+        "a batch equals sequential calls, and every batch lands contiguously "
+        "under interference"
     )
     with verdict(label):
-        # deferral order: rivals post first, the overrider still goes first
-        ref = spawn(_Journal)
-        try:
-            posted = threading.Event()
-
-            def rival() -> None:
-                for i in range(5):
-                    ref.perform(lambda j, i=i: j.note(f"rival{i}"))
-                posted.set()
-
-            with atomic_batch(ref):
-                t = threading.Thread(target=rival)
-                t.start()
-                assert posted.wait(timeout=5)
-                t.join(timeout=5)
-                for i in range(3):
-                    ref.perform(lambda j, i=i: j.note(f"mine{i}")).result(timeout=5)
-            log = ref.perform(lambda j: list(j.entries)).result(timeout=5)
-            assert log == [
-                "mine0", "mine1", "mine2",
-                "rival0", "rival1", "rival2", "rival3", "rival4",
-            ]
-        finally:
-            ref.stop()
-            ref.join(timeout=5)
-
         # equivalence: batched or plain, identical final journals
         rng = random.Random(2024)
         for _ in range(100):
@@ -388,8 +362,8 @@ def test_acceptance_override_protocol(verdict):
                                 ref.perform(lambda j, op=op: j.note(op))
                                 for op in ops
                             ]
-                            for f in fs:
-                                f.result(timeout=5)
+                        for f in fs:
+                            f.result(timeout=5)
                     else:
                         for op in ops:
                             ref.perform(lambda j, op=op: j.note(op)).result(
@@ -420,8 +394,8 @@ def test_acceptance_override_protocol(verdict):
                         ref.perform(lambda j, i=i, r=r: j.note(f"b{r}.{i}"))
                         for i in range(4)
                     ]
-                    for f in fs:
-                        f.result(timeout=10)
+                for f in fs:
+                    f.result(timeout=10)
         finally:
             stop.set()
             t.join(timeout=5)

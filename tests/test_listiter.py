@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from bestow.runtime import (
@@ -13,7 +15,7 @@ from bestow.runtime import (
     run_list_iterator,
     spawn,
 )
-from bestow.runtime import demo
+from bestow.runtime import demo, listiter
 
 
 def test_linked_list_basics():
@@ -115,6 +117,16 @@ def test_atomic_pairs_never_tear():
     assert stats.pairs == 50
     assert sum(stats.client_sums) == stats.expected_sum
     assert len(stats.client_sums) == 4
+
+
+def test_atomic_pairs_tear_without_the_batch(monkeypatch):
+    # The negative control: the same clients with the batch dropped, so a
+    # rival's draw can land between a client's two.
+    monkeypatch.setattr(listiter, "atomic_batch", contextlib.nullcontext)
+    stats = run_list_iterator(4, 100, "atomic-pairs")
+    assert stats.torn_pairs > 0
+    assert stats.hops == 100
+    assert sum(stats.client_sums) == stats.expected_sum
 
 
 def test_atomic_pairs_odd_element_count():

@@ -1,4 +1,4 @@
-"""Queue override and atomic batching: exclusivity, fairness, recovery."""
+"""Atomic batching: one batch is one mailbox message; futures resolve once."""
 
 from __future__ import annotations
 
@@ -10,10 +10,9 @@ import time
 import pytest
 
 from bestow.runtime import (
-    BatchBrokenError,
+    ActorStoppedError,
     BestowedRef,
     CountingRLock,
-    NestedOverrideError,
     atomic_batch,
     bestow,
     current_actor,
@@ -47,70 +46,44 @@ def entries(ref) -> list[str]:
     return ref.perform(lambda j: list(j.entries)).result(timeout=5)
 
 
-def test_override_defers_other_clients(journal):
-    started = threading.Event()
-    finished = threading.Event()
-
-    def rival():
-        started.wait(timeout=5)
-        for i in range(3):
-            journal.perform(lambda j, i=i: j.note(f"rival{i}"))
-        finished.set()
-
-    t = threading.Thread(target=rival)
-    t.start()
+def test_a_batch_is_one_envelope(journal):
+    # The actor is held inside a gate call, so nothing leaves the mailbox
+    # while the batch is posted.
+    gate, started = threading.Event(), threading.Event()
+    journal.perform(lambda j: (started.set(), gate.wait(5), j.note("gate"))[2])
+    assert started.wait(timeout=5)
     with atomic_batch(journal):
-        started.set()
-        finished.wait(timeout=5)
-        # the rival has already posted; our calls still run first
-        fs = [journal.perform(lambda j, i=i: j.note(f"mine{i}")) for i in range(3)]
-        for f in fs:
-            f.result(timeout=5)
-    t.join(timeout=5)
-    log = entries(journal)
-    assert log == ["mine0", "mine1", "mine2", "rival0", "rival1", "rival2"]
-
-
-def test_deferred_calls_replay_in_arrival_order(journal):
-    rivals = []
-
-    def rival(i):
-        rivals.append(journal.perform(lambda j, i=i: j.note(f"r{i}")))
-
-    with atomic_batch(journal):
-        for i in range(5):
-            t = threading.Thread(target=rival, args=(i,))
-            t.start()
-            t.join(timeout=5)
-        journal.perform(lambda j: j.note("mine")).result(timeout=5)
-    for f in rivals:
-        f.result(timeout=5)
-    assert entries(journal) == ["mine", "r0", "r1", "r2", "r3", "r4"]
+        fs = [journal.perform(lambda j, i=i: j.note(f"b{i}")) for i in range(4)]
+    assert journal._mailbox.qsize() == 1
+    gate.set()
+    assert [f.result(timeout=5) for f in fs] == [2, 3, 4, 5]
+    assert entries(journal) == ["gate", "b0", "b1", "b2", "b3"]
 
 
 @pytest.mark.parametrize("inner", ["actor", "bestowed"])
-def test_nested_override_rejected(journal, inner):
+def test_nested_batch_joins_the_outer_one(journal, inner):
     lent = journal.perform(bestow).result(timeout=5)
+    ref = journal if inner == "actor" else lent
     with atomic_batch(journal):
-        with pytest.raises(NestedOverrideError):
-            with atomic_batch(journal if inner == "actor" else lent):
-                pass
-        # the refused inner batch left the outer one open
-        journal.perform(lambda j: j.note("outer")).result(timeout=5)
-    assert _tls.overrides == {}
-    assert entries(journal) == ["outer"]
+        fs = [journal.perform(lambda j: j.note("outer0"))]
+        with atomic_batch(ref):
+            fs.append(ref.perform(lambda j: j.note("inner")))
+        fs.append(journal.perform(lambda j: j.note("outer1")))
+    assert _tls.batches == {}
+    assert [f.result(timeout=5) for f in fs] == [1, 2, 3]
+    assert entries(journal) == ["outer0", "inner", "outer1"]
 
 
 def test_override_same_actor_from_two_threads_serializes(journal):
     def batch(tag: str, barrier: threading.Barrier):
         barrier.wait(timeout=5)
         with atomic_batch(journal):
-            fs = [
-                journal.perform(lambda j, i=i, tag=tag: j.note(f"{tag}{i}"))
-                for i in range(10)
-            ]
-            for f in fs:
-                f.result(timeout=10)
+            fs = []
+            for i in range(10):
+                fs.append(journal.perform(lambda j, i=i, tag=tag: j.note(f"{tag}{i}")))
+                time.sleep(0)  # let the other thread run mid-batch
+        for f in fs:
+            f.result(timeout=10)
 
     barrier = threading.Barrier(2)
     threads = [
@@ -131,57 +104,6 @@ def test_override_same_actor_from_two_threads_serializes(journal):
     ]
 
 
-def test_watchdog_rescues_an_abandoned_override(journal):
-    batch = atomic_batch(journal, watchdog=0.1)
-    batch.__enter__()  # the client goes quiet inside the block
-    fut = None
-
-    def rival():
-        nonlocal fut
-        fut = journal.perform(lambda j: j.note("rescued"))
-
-    try:
-        t = threading.Thread(target=rival)
-        t.start()
-        t.join(timeout=5)
-        assert fut.result(timeout=5) == 1
-    finally:
-        batch.__exit__(None, None, None)
-
-
-def test_watchdog_times_the_client_not_the_mailbox(journal):
-    batch = atomic_batch(journal, watchdog=0.1)
-    batch.__enter__()  # the client goes quiet inside the block
-    futs = []
-
-    def rival():
-        # post every 20 ms for up to 0.6 s, until the first call resolves
-        for i in range(30):
-            futs.append(journal.perform(lambda j, i=i: j.note(f"r{i}")))
-            if futs[0].done():
-                return
-            time.sleep(0.02)
-
-    try:
-        t = threading.Thread(target=rival)
-        t.start()
-        t.join(timeout=5)
-        assert futs[0].done() and len(futs) < 30  # while the rival still posts
-        assert [f.result(timeout=1) for f in futs] == list(range(1, len(futs) + 1))
-        journal.stop()
-        journal.join(timeout=1)
-        assert journal._stopped.is_set()
-    finally:
-        batch.__exit__(None, None, None)
-
-
-def test_watchdog_does_not_count_the_clients_own_calls(journal):
-    with atomic_batch(journal, watchdog=0.1):
-        slow = journal.perform(lambda j: (time.sleep(0.2), j.note("slow"))[1])
-        assert slow.result(timeout=5) == 1
-        assert journal.perform(lambda j: j.note("next")).result(timeout=5) == 2
-
-
 def in_other_thread(fn) -> list:
     """Run ``fn`` on a fresh daemon thread; its result, or [] if it hangs."""
     out: list = []
@@ -191,91 +113,59 @@ def in_other_thread(fn) -> list:
     return out
 
 
-def test_watchdog_break_fails_the_clients_later_calls(journal):
-    with atomic_batch(journal, watchdog=0.1):
-        journal.perform(lambda j: j.note("mine0")).result(timeout=5)
-        time.sleep(0.3)  # the watchdog breaks the batch
-        # a rival's call can only run once the override is gone
-        assert in_other_thread(
-            lambda: journal.perform(lambda j: j.note("rival")).result(timeout=5)
-        ) == [2]
-        with pytest.raises(BatchBrokenError):
-            journal.perform(lambda j: j.note("mine1")).result(timeout=5)
-        assert in_other_thread(lambda: entries(journal)) == [["mine0", "rival"]]
-    assert journal.perform(lambda j: j.note("mine2")).result(timeout=5) == 3
-    assert entries(journal) == ["mine0", "rival", "mine2"]
+def test_a_raising_block_posts_nothing_and_fails_its_futures(journal):
+    exc = ValueError("bail out")
+    with pytest.raises(ValueError):
+        with atomic_batch(journal):
+            fs = [journal.perform(lambda j, i=i: j.note(f"lost{i}")) for i in range(3)]
+            raise exc
+    for f in fs:
+        with pytest.raises(ValueError) as raised:
+            f.result(timeout=5)
+        assert raised.value is exc
+    assert entries(journal) == []
 
 
-def test_watchdog_reads_posted_envelopes_before_breaking(journal):
-    # The client's second call sits behind 30 000 rival calls, which take
-    # the actor longer than the watchdog to defer; it was posted in time.
+@pytest.mark.parametrize("when", ["stopped", "stopping"])
+def test_stop_before_a_batch_ends_fails_its_calls(journal, when):
+    # "stopped": the loop has ended before the batch is posted, so the
+    # post fails the calls; "stopping": the batch is posted behind the stop,
+    # so the loop's last drain fails them.
     gate = threading.Event()
-    with atomic_batch(journal, watchdog=0.02):
-        first = journal.perform(lambda j: (gate.wait(5), j.note("mine0"))[1])
-        [rivals] = in_other_thread(
-            lambda: [journal.perform(lambda j: j.note("r")) for _ in range(30_000)]
-        )
-        second = journal.perform(lambda j: j.note("mine1"))
-        gate.set()
-        assert first.result(timeout=5) == 1
-        assert second.result(timeout=5) == 2
-    assert rivals[-1].result(timeout=10) == 30_002
-
-
-@pytest.mark.parametrize("watchdog", [float("inf"), float("nan"), 1e300, 0.0, -1.0])
-def test_a_watchdog_the_mailbox_cannot_time_is_refused(journal, watchdog):
-    # Past threading.TIMEOUT_MAX the actor's timed mailbox read raises, its
-    # thread dies and the block's call never resolves; refuse it up front,
-    # for every kind of reference.
-    with pytest.raises(ValueError, match="watchdog"):
-        with atomic_batch(journal, watchdog=watchdog):
-            journal.perform(lambda j: j.note("lost")).result(timeout=2)
-    with pytest.raises(ValueError, match="watchdog"):
-        atomic_batch(lock_bestow(Journal()), watchdog=watchdog)
-    with atomic_batch(journal, watchdog=threading.TIMEOUT_MAX):
-        assert journal.perform(lambda j: j.note("kept")).result(timeout=5) == 1
-
-
-def test_a_deferred_override_runs_its_deferred_calls_first(journal):
-    # B holds the override; A's override request, a rival's call and A's
-    # call all wait behind it.  When B resumes, A's call runs before the
-    # rival's, which arrived first.
-    a_requested, rival_posted, a_posted = (threading.Event() for _ in range(3))
-    outcome: list = []
-
-    def client_a():
-        with atomic_batch(journal, watchdog=0.2):
-            a_requested.set()
-            rival_posted.wait(timeout=5)
-            fut = journal.perform(lambda j: j.note("a1"))
-            a_posted.set()
-            try:
-                outcome.append(fut.result(timeout=5))
-            except BatchBrokenError as exc:
-                outcome.append(exc)
-
-    t = threading.Thread(target=client_a)
+    journal.perform(lambda j: gate.wait(5))
     with atomic_batch(journal):
-        journal.perform(lambda j: j.note("b")).result(timeout=5)
-        t.start()
-        assert a_requested.wait(timeout=5)
-        in_other_thread(lambda: journal.perform(lambda j: j.note("r")))
-        rival_posted.set()
-        assert a_posted.wait(timeout=5)
-    t.join(timeout=5)
-    assert not t.is_alive()
-    assert outcome == [2]
-    assert entries(journal) == ["b", "a1", "r"]
-
-
-def test_stop_waits_for_an_active_override(journal):
-    with atomic_batch(journal):
+        fs = [journal.perform(lambda j, i=i: j.note(f"late{i}")) for i in range(3)]
         journal.stop()
-        journal.perform(lambda j: j.note("still served")).result(timeout=5)
+        if when == "stopped":
+            gate.set()
+            journal.join(timeout=5)
+            assert journal._stopped.is_set()
+    gate.set()
+    for f in fs:
+        with pytest.raises(ActorStoppedError):
+            f.result(timeout=5)
     journal.join(timeout=5)
+    assert journal._mailbox.empty()
+
+
+def test_reading_an_open_batchs_future_raises_at_once(journal):
+    other = spawn(Journal)
+    try:
+        with atomic_batch(journal):
+            fut = journal.perform(lambda j: j.note("mine"))
+            with pytest.raises(RuntimeError, match="still open"):
+                fut.result(timeout=5)  # its call is not posted yet
+            # a second actor's future resolves inside the block
+            assert other.perform(lambda j: j.note("elsewhere")).result(timeout=5) == 1
+        assert fut.result(timeout=5) == 1
+    finally:
+        other.stop()
+        other.join(timeout=5)
 
 
 def test_atomic_batch_actor(journal):
+    # A call posted while the block is open runs before the batch, which
+    # lands where its block ends.
     interloper_done = threading.Event()
 
     with atomic_batch(journal):
@@ -287,10 +177,9 @@ def test_atomic_batch_actor(journal):
         t.start()
         interloper_done.wait(timeout=5)
         fs = [journal.perform(lambda j, i=i: j.note(f"batch{i}")) for i in range(3)]
-        for f in fs:
-            f.result(timeout=5)
         t.join(timeout=5)
-    assert entries(journal) == ["batch0", "batch1", "batch2", "other"]
+    assert [f.result(timeout=5) for f in fs] == [2, 3, 4]
+    assert entries(journal) == ["other", "batch0", "batch1", "batch2"]
 
 
 def test_atomic_batch_releases_on_exception(journal):
@@ -311,17 +200,54 @@ def test_atomic_batch_ends_when_the_block_raises(journal, kind):
     }[kind]()
     with pytest.raises(ValueError):
         with atomic_batch(ref):
-            ref.perform(lambda j: j.note("inside")).result(timeout=5)
+            inside = ref.perform(lambda j: j.note("inside"))
             raise ValueError("bail out")
     if kind == "locked":
+        assert inside.result(timeout=5) == 1  # the lock ran it at once
         assert lock.acquisitions == 1  # the whole batch took the lock once
+    else:
+        with pytest.raises(ValueError, match="bail out"):
+            inside.result(timeout=5)  # the batch was never posted
     # the batch is over: another thread's call goes through (for the locked
     # ref, the lock is free)
     assert in_other_thread(
         lambda: ref.perform(lambda j: j.note("other")).result(timeout=5)
-    ) == [2]
+    ) == [2 if kind == "locked" else 1]
     if kind == "locked":
         assert lock.acquisitions == 2
+
+
+def test_actor_batches_from_many_threads_stay_whole():
+    # More batching clients than cores, switching threads every microsecond:
+    # each batch's results must still be consecutive, and every future must
+    # resolve once.
+    counter = spawn(Journal)
+    torn = []
+
+    def work():
+        for _ in range(200):
+            with atomic_batch(counter):
+                fs = [counter.perform(lambda j: j.note("n")) for _ in range(3)]
+            got = [f.result(timeout=10) for f in fs]
+            if got != list(range(got[0], got[0] + 3)):
+                torn.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        total = entries(counter)
+        counter.stop()
+        counter.join(timeout=5)
+    assert not any(t.is_alive() for t in threads)
+    assert torn == []
+    assert len(total) == 8 * 200 * 3
 
 
 def test_locked_batches_from_many_threads_count_each_once():
@@ -355,13 +281,15 @@ def test_atomic_batch_rejects_other_objects():
     with pytest.raises(TypeError, match="does not support batching"):
         with atomic_batch(object()):
             pass
-    assert _tls.overrides == {}
+    assert _tls.batches == {}
 
 
 def test_atomic_batch_on_bestowed_ref_overrides_owner(journal):
     lent = journal.perform(lambda j: bestow(j.entries)).result(timeout=5)
     assert isinstance(lent, BestowedRef)
 
+    # The owner's batch lands where the block ends, after the direct call
+    # another client posted meanwhile.
     other_done = threading.Event()
     with atomic_batch(lent):
         def rival():
@@ -371,10 +299,11 @@ def test_atomic_batch_on_bestowed_ref_overrides_owner(journal):
         t = threading.Thread(target=rival)
         t.start()
         other_done.wait(timeout=5)
-        for i in range(2):
-            lent.perform(lambda log, i=i: log.append(f"lent{i}")).result(timeout=5)
+        fs = [lent.perform(lambda log, i=i: log.append(f"lent{i}")) for i in range(2)]
         t.join(timeout=5)
-    assert entries(journal) == ["lent0", "lent1", "direct"]
+    for f in fs:
+        f.result(timeout=5)
+    assert entries(journal) == ["direct", "lent0", "lent1"]
 
 
 def test_batch_equivalent_to_plain_calls():
@@ -401,8 +330,8 @@ def test_batch_equivalent_to_plain_calls():
                 if style == "batch":
                     with atomic_batch(ref):
                         fs = [ref.perform(lambda j, op=op: apply_op(j, op)) for op in ops]
-                        for f in fs:
-                            f.result(timeout=5)
+                    for f in fs:
+                        f.result(timeout=5)
                 else:
                     for op in ops:
                         ref.perform(lambda j, op=op: apply_op(j, op)).result(timeout=5)
@@ -428,12 +357,12 @@ def test_batch_stays_contiguous_under_interference(journal):
     try:
         for round_no in range(20):
             with atomic_batch(journal):
-                # Each call waits for the one before, leaving the interferer
-                # room to post between them.
+                fs = []
                 for i in range(4):
-                    journal.perform(
-                        lambda j, i=i, r=round_no: j.note(f"b{r}.{i}")
-                    ).result(timeout=10)
+                    fs.append(journal.perform(lambda j, tag=f"b{round_no}.{i}": j.note(tag)))
+                    time.sleep(0)  # leave the interferer room to post mid-batch
+            for f in fs:
+                f.result(timeout=10)
     finally:
         stop_interfering.set()
         t.join(timeout=5)
@@ -446,5 +375,5 @@ def test_batch_stays_contiguous_under_interference(journal):
 
 def test_current_actor_inside_batched_call(journal):
     with atomic_batch(journal):
-        who = journal.perform(lambda j: current_actor()).result(timeout=5)
-    assert who is journal
+        who = journal.perform(lambda j: current_actor())
+    assert who.result(timeout=5) is journal
