@@ -3,17 +3,18 @@
 
     python3 scripts/ab.py BASE [HEAD] --workload W [--pairs 10] [--seconds 25] [--seed 1]
 
-BASE is checked out twice with ``git worktree add --detach`` into a
-temporary directory, and HEAD once beside them.  Without a HEAD argument,
-HEAD's worktree is then set to the current checkout as it stands,
-uncommitted edits and untracked files included.  Each pair runs
-``perfbench/run.py --trace 0`` once from BASE and once from HEAD with the
-same seed, and the side that runs first alternates from pair to pair.
-Beside each A/B pair runs an A/A pair, BASE against its second worktree,
-laid out the same way.  As the three trees sit side by side, the A/A gap
-shows how far two checkouts of the same code read apart, placement
-included.  Every pair gets a seed of its own, counting up from
-``--seed``.
+Three worktrees sit side by side in a temporary directory, made with
+``git worktree add --detach``; two hold BASE and one HEAD.  Without a HEAD
+argument, HEAD is the current checkout as it stands, uncommitted edits and
+untracked files included.  Each pair runs ``perfbench/run.py --trace 0``
+once from BASE and once from HEAD with the same seed, and the side that
+runs first alternates from pair to pair.  Beside each A/B pair runs an A/A
+pair, BASE against its second copy (BASE2), laid out the same way, so the
+A/A gap shows how far two checkouts of the same code read apart.  A
+directory's place moves its figures too, so the roles rotate over the
+directories from pair to pair (``git read-tree -u --reset``): over any
+three pairs each role runs once from each directory.  Every pair gets a
+seed of its own, counting up from ``--seed``.
 
 For every end-to-end metric in ``BENCHMARK.json`` the script prints both
 medians, both sides' quartiles, the pairs HEAD won and the A/A gap (the
@@ -28,12 +29,12 @@ every BASE run.  The report's verdict is ``claim`` when
 some metric is claimed and none is worse.
 
 Every raw value goes to ``BENCH_<workload>.json`` at the root of the
-checkout, with both commit ids, whether HEAD had uncommitted edits,
-``nproc``, the Python version and the settings.  The worktrees are removed
-however the script ends.  Exit codes: 0 when every run was correct; 1 when
-a run fails, reports ``correct: false`` or a failed op (the script stops
-there and writes no report); 2 on bad arguments or a revision git cannot
-resolve.
+checkout, each run with the directory it ran from, along with both commit
+ids, whether HEAD had uncommitted edits, ``nproc``, the Python version and
+the settings.  The worktrees are removed however the script ends.  Exit
+codes: 0 when every run was correct; 1 when a run fails, reports
+``correct: false`` or a failed op (the script stops there and writes no
+report); 2 on bad arguments or a revision git cannot resolve.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_PAIRS = 10  # fewer pairs never support a claim
+ROLES = ("base", "base2", "head")  # pair i runs role n from directory (n + i) % 3
 RULE = ("claim: >= 10 pairs, HEAD better in >= 9 in 10, and |median gap| > "
         "BASE's IQR and > the A/A gap; worse: the same with HEAD worse")
 
@@ -60,8 +62,9 @@ class RunFailed(Exception):
     wrong output or a failed op."""
 
 
-def git(*args: str, cwd: Path = ROOT, env: dict | None = None) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True, capture_output=True,
+def git(*args: str, cwd: Path | None = None, env: dict | None = None) -> str:
+    """``git args`` run in ``cwd`` (the checkout if None); its stdout, stripped."""
+    return subprocess.run(["git", *args], cwd=cwd or ROOT, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
@@ -185,25 +188,31 @@ def main(argv: list[str] | None = None) -> int:
     trees: list[Path] = []
     dirty = False
     try:
-        for name, sha in [("base", base_sha), ("base2", base_sha), ("head", head_sha)]:
-            git("worktree", "add", "--detach", str(tmp / name), sha)
-            trees.append(tmp / name)
+        for n in range(len(ROLES)):
+            trees.append(tmp / f"tree{n}")
+            git("worktree", "add", "--detach", str(trees[-1]), base_sha)
+        base_tree = git("rev-parse", f"{base_sha}^{{tree}}")
+        head_tree = git("rev-parse", f"{head_sha}^{{tree}}")
         if args.head is None:
             edited = checkout_tree(tmp / "index")
-            dirty = edited != git("rev-parse", "HEAD^{tree}")
-            if dirty:
-                git("read-tree", "-u", "--reset", edited, cwd=tmp / "head")
+            dirty = edited != head_tree
+            head_tree = edited
+        content = {"base": base_tree, "base2": base_tree, "head": head_tree}
 
         runs: list[dict] = []
         for i in range(args.pairs):
+            where = {role: trees[(n + i) % len(trees)] for n, role in enumerate(ROLES)}
+            for role, path in where.items():
+                git("read-tree", "-u", "--reset", content[role], cwd=path)
             for k, (kind, sides) in enumerate([("ab", ("base", "head")), ("aa", ("base", "base2"))]):
                 seed = args.seed + 2 * i + k
                 for side in sides if i % 2 == 0 else sides[::-1]:
-                    run = run_once(tmp / side, args.workload, seed, args.seconds)
-                    runs.append({"pair": i, "set": kind, "side": side, **run})
+                    run = run_once(where[side], args.workload, seed, args.seconds)
+                    runs.append({"pair": i, "set": kind, "side": side,
+                                 "dir": where[side].name, **run})
                     shown = " ".join(f"{m}={v:.5g}" for m, v in run["metrics"].items())
-                    print(f"pair {i} {kind} {side:<5} seed {seed}: {shown}", file=sys.stderr,
-                          flush=True)
+                    print(f"pair {i} {kind} {side:<5} {where[side].name} seed {seed}: {shown}",
+                          file=sys.stderr, flush=True)
     except RunFailed as exc:
         print(f"ab: {exc}", file=sys.stderr)
         return 1

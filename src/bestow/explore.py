@@ -21,10 +21,14 @@ itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
 value each actor keeps, in the same pass over a state's actors as the
 checks.  The explorer interns every actor it makes: each actor state has
 one object, rendered and judged once, and a successor is looked up by its
-actor objects before it is keyed or built as a ``Heap``.  The space stores
-no copy of a state's choices or depth.  Each edge holds the event its step
-made, one object per memoized step.  Each check, and ``batch_adjacency``
-(which counts in one pass the maximal paths that split a batch), gives a
+actor objects before it is keyed or built as a ``Heap``.  The canonical
+renaming reads only the actor ids and each actor's slots and local heap, so
+each ``explore`` call keeps one renaming per such numbering signature and
+walks each signature once, however many states share it.  The space stores
+no copy of a state's choices or depth.  Each edge is a plain tuple
+(``Edge``, a ``NamedTuple``) holding the event its step made, one object
+per memoized step.  Each check, and ``batch_adjacency`` (which counts in
+one pass the maximal paths that split a batch), gives a
 failure as one ``Counterexample``: the check's name, the failing state and
 heap, a ``detail`` saying what fails there, and a trace to it, printed as
 ``<detail> after N steps (schedule: ...)``, one event's actor and ``kind``
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .syntax import Actor, Heap, Lambda, Value
 from .semantics import (
@@ -58,10 +62,12 @@ DEFAULT_MAX_DEPTH = 64
 # --------------------------------------------------------------------------
 
 
-def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
-    """The canonical renaming of a heap given its actors' records (None if
-    it changes no number), from slot codes (see ``wellformed.TermFacts``)
-    to new numbers.
+def _renaming(
+    ids: list[int], actors: dict[int, ActorFacts]
+) -> tuple[dict[int, int], list[int]] | None:
+    """The canonical renaming of a heap given its actor ids, ascending, and
+    their records (None if it changes no number): a map from slot codes (see
+    ``wellformed.TermFacts``) to new numbers, and the ids in their new order.
 
     The walk starts at the root (the lowest surviving actor id) and visits
     actors breadth-first, scanning each one's slots (see ``ActorFacts``),
@@ -69,13 +75,14 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
     Actors unreachable from the root do arise (once the root has sent to
     two spawned actors, it holds neither id); each starts a new walk, in
     original-id order, so two heaps that differ only in such ids get
-    different keys.
+    different keys.  It reads only ``ids`` and each record's ``slots`` and
+    ``lh`` (its ``numbering``), which is what lets ``state_key`` keep it.
     """
     new: dict[int, int] = {}
     order: list[int] = []
     locs = 0
     same = True
-    for root in sorted(actors):
+    for root in ids:
         if ~root in new:
             continue
         pos = new[~root] = len(order)
@@ -102,10 +109,10 @@ def _renaming(actors: dict[int, ActorFacts]) -> dict[int, int] | None:
                 new[loc] = locs
                 same &= locs == loc
                 locs += 1
-    return None if same else new
+    return None if same else (new, order)
 
 
-def state_key(heap: Heap, canonical: bool = True) -> str:
+def state_key(heap: Heap, canonical: bool = True, renamings: dict | None = None) -> str:
     """A hashable identity for a heap, joined from its actors' fragments.
 
     Canonical keys render ``heap`` renamed by ``_renaming``: they quotient
@@ -113,17 +120,29 @@ def state_key(heap: Heap, canonical: bool = True) -> str:
     keys are ``render_heap(heap, include_counters=True)``: they include
     everything, which keeps actor ids stable along a path (useful when a
     test needs to follow one actor across states).  When no number changes,
-    the key joins the cached fragments as they are.
+    the key joins the cached fragments as they are.  ``renamings``, if
+    given, keeps each renaming by its numbering signature (the ids and each
+    record's ``numbering``), so heaps that share one walk it once.
     """
-    actors = {i: facts(a) for i, a in heap.actors.items()}
-    new = _renaming(actors) if canonical else None
-    if new is None:
-        parts = [f"(actor {i} {actors[i].text}" for i in sorted(actors)]
+    try:
+        actors = {i: a._facts for i, a in heap.actors.items()}
+    except AttributeError:
+        actors = {i: facts(a) for i, a in heap.actors.items()}
+    ids = sorted(actors)
+    renamed = None
+    if canonical:
+        if renamings is None:
+            renamed = _renaming(ids, actors)
+        else:
+            sig = (*ids, *[actors[i].numbering for i in ids])
+            renamed = renamings.get(sig, False)
+            if renamed is False:
+                renamed = renamings[sig] = _renaming(ids, actors)
+    if renamed is None:
+        parts = [f"(actor {i} {actors[i].text}" for i in ids]
     else:
-        parts = [
-            f"(actor {new[~i]} {actors[i].render(new)}"
-            for i in sorted(actors, key=lambda i: new[~i])
-        ]
+        new, order = renamed
+        parts = [f"(actor {n} {actors[i].render(new)}" for n, i in enumerate(order)]
     head = "(heap " if canonical else f"(heap [{heap.next_loc} {heap.next_id}] "
     return head + " ".join(parts) + ")"
 
@@ -133,8 +152,7 @@ def state_key(heap: Heap, canonical: bool = True) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     event: TraceEvent
     dst: str
@@ -241,7 +259,7 @@ def _judge_state(space: StateSpace, key: str, rep: Heap, report: WfReport | None
     touching: list[tuple[int, int]] = []
     stuck = None
     for i, a in rep.actors.items():
-        rule, loc = poised(a)
+        rule, loc = getattr(a, "_poised", None) or poised(a)
         if rule is not None:
             enabled.append(i)
             if loc is not None:
@@ -309,7 +327,9 @@ def explore(
 
     for a in heap.actors.values():
         intern(a)
-    init_key = state_key(heap, canonical)
+    # Renamings by numbering signature, for ``state_key``.
+    renamings: dict[tuple, tuple[dict[int, int], list[int]] | None] = {}
+    init_key = state_key(heap, canonical, renamings)
     # Successors by counters, actor ids and actor objects, to their keys;
     # equal tuples name one heap, which is built only the first time.
     seen: dict[tuple[int, ...], str] = {}
@@ -342,7 +362,7 @@ def explore(
             shape = (*nxt_counters, *actors, *map(id, actors.values()))
             if (nxt_key := seen.get(shape)) is None:
                 nxt = Heap(actors, *nxt_counters)
-                nxt_key = seen[shape] = state_key(nxt, canonical)
+                nxt_key = seen[shape] = state_key(nxt, canonical, renamings)
             edge = Edge(key, eff.event, nxt_key)
             if nxt_key not in states:
                 # Only a new shape gets here with room to store: a seen

@@ -66,7 +66,7 @@ from .syntax import (
 DEFAULT_FUEL = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One step of the system; its index is its position in the trace.
 
@@ -182,7 +182,7 @@ def _stuck_reason(actor: int, e: Expr) -> StuckError:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Effect:
     """What one actor's step does to the system.
 

@@ -117,10 +117,10 @@ class ActorFacts:
     ``terms`` are the facts of its current expression and then of its
     queued messages; ``slots`` lists its own location and then those terms'
     slot codes, each once, in the order the explorer's renaming scans them
-    (a repeat changes no numbering); ``lh`` is
-    its local heap, sorted.  ``text`` is ``render()``, its key fragment as
-    it is.  The rule its move fires is ``semantics.poised``'s, memoized on
-    the actor itself.
+    (a repeat changes no numbering); ``lh`` is its local heap, sorted;
+    ``numbering`` pairs the two, all the explorer's renaming reads.
+    ``text`` is ``render()``, its key fragment as it is.  The rule its move
+    fires is ``semantics.poised``'s, memoized on the actor itself.
     """
 
     def __init__(self, a: Actor) -> None:
@@ -129,6 +129,7 @@ class ActorFacts:
             dict.fromkeys((a.this_loc, *chain.from_iterable(f.slots for f in self.terms)))
         )
         self.lh = tuple(sorted(a.local_heap))
+        self.numbering = self.slots, self.lh
         self.text = self.render()
 
     def render(self, number: dict[int, int] | None = None) -> str:
@@ -221,7 +222,11 @@ def wf_heap(heap: Heap) -> WfReport:
                 detail = f"local heaps overlap on location(s) {sorted(shared)}"
                 out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
     for ident in sorted(actors):
-        for rule, suffix, detail in memo(actors[ident], "_wf", _own_clauses):
+        a = actors[ident]
+        clauses = getattr(a, "_wf", None)
+        if clauses is None:
+            clauses = memo(a, "_wf", _own_clauses)
+        for rule, suffix, detail in clauses:
             if type(detail) is tuple:
                 detail = _judge(heap, *detail)
                 if detail is None:

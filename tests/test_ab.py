@@ -1,8 +1,11 @@
-"""The A/B script's verdict rule and its exit code on bad input."""
+"""The A/B script's verdict rule, its rotation of roles over directories,
+and its exit code on bad input."""
 
 from __future__ import annotations
 
+import json
 import runpy
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,38 @@ def test_bad_arguments_exit_2(flags):
     with pytest.raises(SystemExit) as exc:
         AB["main"](["HEAD", "--workload", "runtime-shared-object", *flags])
     assert exc.value.code == 2
+
+
+def test_roles_rotate_over_the_directories(tmp_path, monkeypatch):
+    """Over three pairs each role runs once from each directory, and each
+    run sees its role's tree: BASE's file for base and base2, HEAD's for head."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=repo, check=True, capture_output=True, text=True).stdout
+    git("init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [LATENCY]}))
+    for side in ("base", "head"):
+        (repo / "side.txt").write_text(side)
+        git("add", "-A")
+        git("commit", "-q", "-m", side)
+
+    def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+        side = (tree / "side.txt").read_text()
+        return {"seed": seed, "attempted": 1, "metrics": {"latency_ms": 1.0},
+                "detail": {"side": float(side == "head")}}
+
+    env = AB["main"].__globals__
+    monkeypatch.setitem(env, "ROOT", repo)
+    monkeypatch.setitem(env, "run_once", run_once)
+    assert AB["main"](["HEAD~1", "HEAD", "--workload", "w", "--pairs", "3", "--seconds", "1"]) == 0
+    runs = json.loads((repo / "BENCH_w.json").read_text())["runs"]
+    for r in runs:
+        assert r["detail"]["side"] == (r["side"] == "head")
+    placed = {(r["side"], r["dir"]) for r in runs}
+    assert placed == {(side, f"tree{n}") for side in AB["ROLES"] for n in range(3)}
+    # base runs in both sets of a pair, from one directory.
+    assert len({(r["pair"], r["side"], r["dir"]) for r in runs}) == 9

@@ -97,6 +97,18 @@ def test_canonicalize_is_invariant_under_renaming():
     assert state_key(a) == state_key(b)
 
 
+def test_a_shared_renaming_memo_tells_id_sets_apart():
+    """Two heaps whose actors have the same slots and local heaps but other
+    ids share no renaming: one keeps its numbering, the other is renamed."""
+    first, second = Actor(0, frozenset({0}), (), UNIT), Actor(1, frozenset({1}), (), UNIT)
+    heaps = [Heap({0: first, 1: second}, 2, 2), Heap({0: first, 2: second}, 2, 3)]
+    renamings: dict = {}
+    keys = [state_key(h, True, renamings) for h in heaps]
+    assert keys == [state_key(h) for h in heaps]
+    assert keys[0] == keys[1] == "(heap (actor 0 0 (lh 0) (q ) unit) (actor 1 1 (lh 1) (q ) unit))"
+    assert len(renamings) == 2
+
+
 def test_exact_keys_distinguish_counters():
     h1 = Heap({0: Actor(0, frozenset({0}), (), UNIT)}, 1, 1)
     h2 = Heap({0: Actor(0, frozenset({0}), (), UNIT)}, 5, 1)

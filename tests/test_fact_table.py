@@ -242,6 +242,36 @@ def test_contended_shapes_match_reference(clients, sends, states, edges):
     assert_matches_reference(space)
 
 
+@pytest.mark.parametrize("lifo", [False, True])
+def test_memoized_renamings_give_fresh_keys(lifo):
+    """Each ``explore`` call keeps one canonical renaming per numbering
+    signature (the actor ids and each actor's slots and local heap); every
+    key it stores must equal one computed afresh, with no memo, and counts
+    and verdicts stay as pinned.  The contended shapes run at
+    ``max_depth=200``, past their longest path; the generated programs are
+    seeds 0-1999.  A memo keyed without the local heaps fails here: it
+    hands a heap a renaming that misses some of its locations."""
+
+    def fresh_keys(space: StateSpace) -> None:
+        for key, heap in space.states.items():
+            assert key == state_key(heap, space.canonical)
+
+    for clients, sends, states, edges in [(3, 2, 2039, 6237), (2, 4, 1409, 3619),
+                                          (4, 2, 15649, 61355)]:
+        space = explore(contended(clients, sends), max_depth=200, lifo=lifo)
+        assert (len(space.states), len(space.edges), space.truncated) == (states, edges, False)
+        assert all(v is None for v in check_all(space).values())
+        fresh_keys(space)
+    totals = Counter()
+    for heap in generated(2000):
+        space = explore(heap, lifo=lifo)
+        totals.update(states=len(space.states), edges=len(space.edges),
+                      truncated=space.truncated,
+                      failed=sum(v is not None for v in check_all(space).values()))
+        fresh_keys(space)
+    assert totals == {"states": 7862, "edges": 5998, "truncated": 0, "failed": 0}
+
+
 def test_exact_keys_match_rendering():
     assert_matches_reference(explore(contended(2, 2), canonical=False))
 
