@@ -16,9 +16,10 @@ the space's ``verdicts``, which ``check_all`` copies:
 * ``race-freedom`` — no reachable state lets two distinct actors touch the
   same location with their next steps.
 
-Keys and all three checks read the records each actor and term keeps on
-itself (see ``wellformed.facts``); choices read the one ``semantics.poised``
-value each actor keeps, in the same pass over a state's actors as the
+Keys and all three checks read the facts each actor and term keeps on
+itself as plain attributes (``Actor.facts`` and ``Actor.wf_clauses``, see
+``wellformed``); choices read the one ``Actor.poised`` each actor keeps
+(see ``semantics``), in the same pass over a state's actors as the
 checks.  The explorer interns every actor it makes: each actor state has
 one object, rendered and judged once, and a successor is looked up by its
 actor objects before it is keyed or built as a ``Heap``.  The canonical
@@ -49,9 +50,8 @@ from .semantics import (
     actor_step,
     enabled_choices,
     enqueue,
-    poised,
 )
-from .wellformed import ActorFacts, WfReport, facts, wf_heap
+from .wellformed import ActorFacts, WfReport, wf_heap
 
 DEFAULT_MAX_STATES = 50_000
 DEFAULT_MAX_DEPTH = 64
@@ -124,20 +124,15 @@ def state_key(heap: Heap, canonical: bool = True, renamings: dict | None = None)
     given, keeps each renaming by its numbering signature (the ids and each
     record's ``numbering``), so heaps that share one walk it once.
     """
-    try:
-        actors = {i: a._facts for i, a in heap.actors.items()}
-    except AttributeError:
-        actors = {i: facts(a) for i, a in heap.actors.items()}
+    actors = {i: a.facts for i, a in heap.actors.items()}
     ids = sorted(actors)
     renamed = None
     if canonical:
-        if renamings is None:
-            renamed = _renaming(ids, actors)
-        else:
-            sig = (*ids, *[actors[i].numbering for i in ids])
-            renamed = renamings.get(sig, False)
-            if renamed is False:
-                renamed = renamings[sig] = _renaming(ids, actors)
+        renamings = {} if renamings is None else renamings
+        sig = (*ids, *[actors[i].numbering for i in ids])
+        renamed = renamings.get(sig, False)
+        if renamed is False:
+            renamed = renamings[sig] = _renaming(ids, actors)
     if renamed is None:
         parts = [f"(actor {i} {actors[i].text}" for i in ids]
     else:
@@ -259,7 +254,7 @@ def _judge_state(space: StateSpace, key: str, rep: Heap, report: WfReport | None
     touching: list[tuple[int, int]] = []
     stuck = None
     for i, a in rep.actors.items():
-        rule, loc = getattr(a, "_poised", None) or poised(a)
+        rule, loc = a.poised
         if rule is not None:
             enabled.append(i)
             if loc is not None:
@@ -317,7 +312,7 @@ def explore(
     firsts: dict[str, Actor] = {}
 
     def intern(a: Actor) -> Actor:
-        return firsts.setdefault(facts(a).text, a)
+        return firsts.setdefault(a.facts.text, a)
 
     def post(recv: Actor, msg: Lambda) -> Actor:
         k = (id(recv), id(msg))

@@ -7,14 +7,15 @@ context (leftmost-innermost), so each actor's next step is deterministic;
 all nondeterminism lives in the choice of actor, and a schedule is a
 sequence of actor ids.  Each move fires exactly one of the eight rules.
 One walk down that context (``_focus``) finds the node where an actor
-moves, and ``poised`` names the rule by the one match of that node against
-the redex shapes (``actor-msg`` for an idle actor's pop).  A value is an
-expression, so the shapes name the values in their holes directly:
+moves, and ``Actor.poised`` names the rule by the one match of that node
+against the redex shapes (``actor-msg`` for an idle actor's pop).  A value
+is an expression, so the shapes name the values in their holes directly:
 ``App(Lambda(), Value())``, ``Mutate(Loc())``, ``Bestow(Loc())``,
 ``Send(ActorId(), Lambda())``, ``Send(BestowedLoc(), Lambda())``,
-``NewPassive()`` and ``NewActor()``.  ``actor_step`` fires the rule
-``poised`` names, making the move's one :class:`TraceEvent`: the rule and,
-for heap-touching rules, the location involved.
+``NewPassive()`` and ``NewActor()``.  ``poised`` is a ``fact``, worked
+out once per actor object.  ``actor_step`` fires the rule it names, making
+the move's one :class:`TraceEvent`: the rule and, for heap-touching rules,
+the location involved.
 
 Actors are isolated, so a step reads only the stepping actor (and the
 fresh-name counters).  ``actor_step`` computes it as an :class:`Effect`,
@@ -56,8 +57,8 @@ from .syntax import (
     Value,
     Var,
     free_vars,
+    fact,
     fresh_name,
-    memo,
     rebuild,
     render_expr,
     subst,
@@ -93,10 +94,6 @@ class StuckError(Exception):
         self.actor = actor
         self.expr = expr
         super().__init__(f"actor {actor} stuck: {message} (in {render_expr(expr)})")
-
-
-class SendToNonActiveError(StuckError):
-    """A send whose target evaluated to something that has no queue."""
 
 
 class ScheduleError(Exception):
@@ -166,9 +163,7 @@ def _stuck_reason(actor: int, e: Expr) -> StuckError:
             return StuckError(actor, e, "application of a non-function value")
         case Send(target):
             if not isinstance(target, (ActorId, BestowedLoc)):
-                return SendToNonActiveError(
-                    actor, e, "send target is not an actor or bestowed reference"
-                )
+                return StuckError(actor, e, "send target is not an actor or bestowed reference")
             return StuckError(actor, e, "message is not a function value")
         case Mutate():
             return StuckError(actor, e, "mutate target is not a heap location")
@@ -204,13 +199,13 @@ def actor_step(
 ) -> Effect:
     """The effect of moving actor ``a``, running as ``ident``, when the next
     fresh location and actor id are ``next_loc`` and ``next_id``: it fires
-    the rule ``poised(a)`` names.
+    the rule ``a.poised`` names.
 
     A pure function of its arguments, so callers may memoize it.  Raises
     :class:`ScheduleError` for an idle actor with an empty queue and
     :class:`StuckError` for a busy one whose focused node matches no rule.
     """
-    rule, loc = poised(a)
+    rule, loc = a.poised
     if rule is None:
         if isinstance(a.current, Value):
             raise ScheduleError(f"actor {ident} has an empty queue")
@@ -287,17 +282,13 @@ def _apply(
 # --------------------------------------------------------------------------
 
 
-def poised(a: Actor) -> tuple[str | None, int | None]:
-    """The rule ``a``'s move fires (``actor-msg`` for a pop, one of the seven
-    step rules, or None if it cannot move) and the location that move would
-    read or write (set for ``mutate`` and ``bestow``, else None).  The one
-    match of the node ``_focus`` finds against the redex shapes; a stuck
-    actor fires nothing.  Worked out once per actor object.
-    """
-    return memo(a, "_poised", _poised)
-
-
 def _poised(a: Actor) -> tuple[str | None, int | None]:
+    """``Actor.poised``: the rule ``a``'s move fires (``actor-msg`` for a
+    pop, one of the seven step rules, or None if it cannot move) and the
+    location that move would read or write (set for ``mutate`` and
+    ``bestow``, else None).  The one match of the node ``_focus`` finds
+    against the redex shapes; a stuck actor fires nothing.
+    """
     if isinstance(a.current, Value):
         return ("actor-msg" if a.queue else None), None
     match _focus(a.current)[1]:
@@ -318,10 +309,13 @@ def _poised(a: Actor) -> tuple[str | None, int | None]:
     return None, None
 
 
+Actor.poised = fact("poised", _poised)
+
+
 def enabled_choices(heap: Heap) -> list[int]:
     """The ids of the actors that can move in ``heap`` (a stuck one cannot), ascending."""
     actors = heap.actors
-    return [i for i in sorted(actors) if poised(actors[i])[0] is not None]
+    return [i for i in sorted(actors) if actors[i].poised[0] is not None]
 
 
 def step_system(heap: Heap, ident: int, *, lifo: bool = False) -> tuple[Heap, TraceEvent]:
@@ -372,7 +366,7 @@ def run_to_quiescence(
     trace: list[TraceEvent] = []
     actors = dict(heap.actors)
     next_loc, next_id = heap.next_loc, heap.next_id
-    ready = {i for i, a in actors.items() if poised(a)[0] is not None}
+    ready = {i for i, a in actors.items() if a.poised[0] is not None}
     lowest = sorted(ready)  # a sorted list is a min-heap
 
     for step in range(fuel):
@@ -395,7 +389,7 @@ def run_to_quiescence(
         next_loc, next_id = _apply(actors, next_loc, next_id, ident, eff, enqueue)
         trace.append(eff.event)
         for i in changed:
-            if poised(actors[i])[0] is None:
+            if actors[i].poised[0] is None:
                 ready.discard(i)
             elif i not in ready:
                 ready.add(i)

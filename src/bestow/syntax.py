@@ -1,9 +1,9 @@
 """Abstract syntax of the actor calculus.
 
 Expressions, values, types, actors and heaps, together with the structural
-helpers (free variables, substitution, location scanning, the per-object
-memo) shared by the typechecker, the evaluator and the well-formedness
-checker.
+helpers (free variables, substitution, location scanning, ``fact`` for
+values kept on their objects) shared by the typechecker, the evaluator and
+the well-formedness checker.
 
 A value (a function, unit, a location, an actor id, a bestowed reference)
 is an expression: ``Value`` subclasses ``Expr``, and a value stands in any
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator
 
 
 # --------------------------------------------------------------------------
@@ -270,25 +270,29 @@ def rebuild(n: Expr, a: Any, b: Any = None) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Facts kept on nodes
+# Facts kept on objects
 # --------------------------------------------------------------------------
 
-T = TypeVar("T")
 
-
-def memo(obj: Any, name: str, make: Callable[[Any], T]) -> T:
-    """``make(obj)``, worked out once and kept on ``obj`` as attribute ``name``.
+class fact:
+    """A class attribute whose value is ``make(obj)``, worked out on the
+    first read and kept in ``obj.__dict__`` under the attribute's own
+    ``name``, so each later read is a plain attribute load.
 
     ``obj`` is a frozen dataclass instance, whose equality, hash and repr
-    read only its fields, so the value changes none of them and goes when
-    ``obj`` goes.  ``make`` is handed ``obj`` and must not keep it: a value
-    that pointed back at ``obj`` would form a reference cycle, which only
-    the cyclic garbage collector frees.
+    read only its fields, so a fact changes none of them and goes when
+    ``obj`` goes.  ``make`` must not keep ``obj``: that would form a
+    reference cycle, which only the cyclic garbage collector frees.
+    Readers racing on a miss all get the value stored first.
     """
-    d = obj.__dict__
-    if name not in d:
-        d[name] = make(obj)
-    return d[name]
+
+    def __init__(self, name: str, make: Callable[[Any], Any]) -> None:
+        self.name, self.make = name, make
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.make(obj))
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +327,7 @@ def _names(mask: int) -> frozenset[str]:
 
 
 # Each compound node keeps the mask of its free names in its ``__dict__``
-# under this key, as ``memo`` keeps its values.  A node gets its mask only
+# under this key, as a ``fact`` keeps its value.  A node gets its mask only
 # after its compound children have theirs, so every node below a node with
 # a mask has one too.
 _FREE = "_free"
@@ -453,27 +457,22 @@ def _pend(n: Lambda, sub: dict[str, Expr], dom: int, m: int) -> Lambda:
     return out
 
 
-class _Body:
-    """``Lambda.body``.  A plain lambda's body is its own attribute, which
-    Python reads before this class attribute; a pending lambda's body is
-    substituted here on its first read and then kept.  The body is stored
-    before the record is dropped, so a racing reader finds one or the other,
-    and ``setdefault`` hands every reader the same body."""
-
-    def __get__(self, lam: Lambda | None, owner: type | None = None) -> Any:
-        if lam is None:
-            return self
-        d = lam.__dict__
-        pending = d.get(_PENDING)
-        if pending is None:
-            return d["body"]
-        body = d.setdefault("body", _subst(*pending, 0))
-        d.pop(_PENDING, None)
-        return body
+def _pending_body(lam: Lambda) -> Expr:
+    """A pending lambda's body, substituted on its first read; a plain
+    lambda's body is its own attribute, which Python reads before the
+    class's ``fact``.  The body is stored before the record is dropped, so
+    a racing reader finds one or the other."""
+    d = lam.__dict__
+    pending = d.get(_PENDING)
+    if pending is None:
+        return d["body"]
+    body = d.setdefault("body", _subst(*pending, 0))
+    d.pop(_PENDING, None)
+    return body
 
 
 # Set after the dataclass is made, so that it is not taken for a default.
-Lambda.body = _Body()  # type: ignore[assignment]
+Lambda.body = fact("body", _pending_body)  # type: ignore[assignment]
 
 
 # --------------------------------------------------------------------------

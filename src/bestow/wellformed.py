@@ -8,13 +8,15 @@ allocated, every bestowed reference points into its owner's local heap, its
 current expression is typable, and every queued message is a deliverable
 function over the passive type.
 
-Each term and each actor keeps its facts on itself (``facts``): a record
-is worked out once per object and lives as long as the object does.  An
-actor's own clauses, those that read only that actor, are judged once per
-actor object too; the two that read other actors (allocated ids, bestowed
-owners) are judged by ``wf_heap`` against each heap, in one walk over its
-actors' clauses.  Disjointness takes one size test on the union of the
-local heaps; only a heap that fails it has its overlapping pairs listed.
+Each term and each actor keeps its facts on itself, as the ``fact``
+attributes declared here (``Expr.facts``, ``Expr.type_error``,
+``Actor.facts`` and ``Actor.wf_clauses``): each is worked out once per
+object and lives as long as the object does.  An actor's own clauses,
+those that read only that actor, are its ``wf_clauses``; the two that read
+other actors (allocated ids, bestowed owners) are judged by ``wf_heap``
+against each heap, in one walk over its actors' clauses.  Disjointness
+takes one size test on the union of the local heaps; only a heap that
+fails it has its overlapping pairs listed.
 
 Queued messages are checked as plain functions (not with the stricter rule
 for send expressions): a forwarded message for a bestowed reference embeds
@@ -36,7 +38,7 @@ from .syntax import (
     Loc,
     Passive,
     Value,
-    memo,
+    fact,
     render_template,
 )
 from .typecheck import TypeCheckError, TypeEnv, check
@@ -68,14 +70,9 @@ class WfReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def facts(x: Actor | Expr) -> ActorFacts | TermFacts:
-    """The record of an actor state (``ActorFacts``) or of a term
-    (``TermFacts``), worked out once per object."""
-    return memo(x, "_facts", ActorFacts if type(x) is Actor else TermFacts)
-
-
 def _type_error(term: Expr) -> str | None:
-    """Why ``term`` does not typecheck in the empty environment, or None."""
+    """``Expr.type_error``: why ``term`` does not typecheck in the empty
+    environment, or None."""
     try:
         check(TypeEnv(), term)
     except TypeCheckError as err:
@@ -83,8 +80,11 @@ def _type_error(term: Expr) -> str | None:
     return None
 
 
+Expr.type_error = fact("type_error", _type_error)
+
+
 class TermFacts:
-    """What one running term mentions, worked out once.
+    """What one running term mentions (``Expr.facts``), worked out once.
 
     ``slots`` lists the numbers of its runtime names in preorder, location
     ``l`` as ``l`` and actor id ``i`` as ``~i``, so one map renames both;
@@ -111,6 +111,9 @@ def _codes(n: Value) -> tuple[int, ...]:
     return (~n.ident,) if t is ActorId else (n.loc, ~n.owner)
 
 
+Expr.facts = fact("facts", TermFacts)
+
+
 class ActorFacts:
     """What one actor state contributes to keys and the checks.
 
@@ -120,11 +123,11 @@ class ActorFacts:
     (a repeat changes no numbering); ``lh`` is its local heap, sorted;
     ``numbering`` pairs the two, all the explorer's renaming reads.
     ``text`` is ``render()``, its key fragment as it is.  The rule its move
-    fires is ``semantics.poised``'s, memoized on the actor itself.
+    fires is ``Actor.poised``, kept on the actor itself.
     """
 
     def __init__(self, a: Actor) -> None:
-        self.terms = (facts(a.current), *map(facts, a.queue))
+        self.terms = (a.current.facts, *[m.facts for m in a.queue])
         self.slots = tuple(
             dict.fromkeys((a.this_loc, *chain.from_iterable(f.slots for f in self.terms)))
         )
@@ -145,8 +148,11 @@ class ActorFacts:
         return f"{this} (lh {' '.join(map(str, lh))}) (q {' '.join(queue)}) {current})"
 
 
+Actor.facts = fact("facts", ActorFacts)
+
+
 def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:
-    """``a``'s wf clauses in report order, as ``(rule, suffix, detail)``;
+    """``Actor.wf_clauses``: ``a``'s wf clauses in report order, as ``(rule, suffix, detail)``;
     the subject is ``actor i`` and then ``suffix``.
 
     A clause that reads only ``a`` is judged here: ``detail`` is the
@@ -154,7 +160,7 @@ def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:
     ``(where, owner, loc)``, judged by ``wf_heap`` against each heap:
     ``owner`` must be allocated and, unless ``loc`` is None, own it.
     """
-    terms = facts(a).terms
+    terms = a.facts.terms
     out: list[tuple[str, str, str | tuple]] = []
 
     def bad(detail: str | tuple) -> None:
@@ -171,17 +177,20 @@ def _own_clauses(a: Actor) -> tuple[tuple[str, str, str | tuple], ...]:
             bad((where, other, None))
         for loc, owner in f.bestowed:
             bad((where, owner, loc))
-    if (error := memo(a.current, "_error", _type_error)) is not None:
+    if (error := a.current.type_error) is not None:
         bad(f"current expression does not typecheck: {error}")
     for pos, (msg, f) in enumerate(zip(a.queue, terms[1:])):
         if not isinstance(msg, Lambda) or not isinstance(msg.param_type, Passive):
             detail = f"message {f.text} is not a function over p"
-        elif (error := memo(msg, "_error", _type_error)) is not None:
+        elif (error := msg.type_error) is not None:
             detail = f"message does not typecheck: {error}"
         else:
             continue
         out.append(("wf-queue-message", f", queue[{pos}]", detail))
     return tuple(out)
+
+
+Actor.wf_clauses = fact("wf_clauses", _own_clauses)
 
 
 def _judge(heap: Heap, where: str, owner: int, loc: int | None) -> str | None:
@@ -206,7 +215,8 @@ def wf_heap(heap: Heap) -> WfReport:
     """Check the whole system; returns a report listing all violations.
 
     Local heaps must be disjoint, and each actor's clauses (see
-    ``_own_clauses``, judged once per actor object) must hold in ``heap``.
+    ``_own_clauses``, judged once per actor object and read as
+    ``Actor.wf_clauses``) must hold in ``heap``.
     The report lists each overlapping pair and then each actor's violations
     in clause order; the pairs are listed only when the union of the local
     heaps is smaller than their sizes' sum.  A well-formed heap gets the
@@ -222,11 +232,7 @@ def wf_heap(heap: Heap) -> WfReport:
                 detail = f"local heaps overlap on location(s) {sorted(shared)}"
                 out.append(WfViolation("wf-heap", f"actors {a} and {b}", detail))
     for ident in sorted(actors):
-        a = actors[ident]
-        clauses = getattr(a, "_wf", None)
-        if clauses is None:
-            clauses = memo(a, "_wf", _own_clauses)
-        for rule, suffix, detail in clauses:
+        for rule, suffix, detail in actors[ident].wf_clauses:
             if type(detail) is tuple:
                 detail = _judge(heap, *detail)
                 if detail is None:

@@ -8,6 +8,7 @@ import pytest
 
 import bestow.explore
 import bestow.semantics
+from bestow.syntax import Actor, fact
 
 
 @pytest.fixture
@@ -28,12 +29,12 @@ def sender_queue_mutant(monkeypatch):
 
 @pytest.fixture
 def mutate_never_fires(monkeypatch):
-    """The evaluator with a semantic bug injected: ``poised`` never names
-    the mutate rule, so an actor about to mutate a location is stuck."""
+    """The evaluator with a semantic bug injected: ``Actor.poised`` never
+    names the mutate rule, so an actor about to mutate a location is stuck."""
     real = bestow.semantics._poised
 
     def _poised(a):
         rule, loc = real(a)
         return (None, None) if rule == "mutate" else (rule, loc)
 
-    monkeypatch.setattr(bestow.semantics, "_poised", _poised)
+    monkeypatch.setattr(Actor, "poised", fact("poised", _poised))

@@ -5,7 +5,7 @@ actor keeps on itself must equal what a fresh walk of each heap gives.  The refe
 walk every term: a canonical renaming, whose result keys are compared
 with through ``render_heap``, and ``wf_heap``.  Stored heaps must be the
 heaps their traces reach: every trace replays from the initial heap.
-Each actor's rule and footprint (``semantics.poised``) must agree with
+Each actor's rule and footprint (``Actor.poised``) must agree with
 the move that ``actor_step`` makes, or fails to make.  A record changes nothing its
 object shows and keeps no reference to it.  The verdicts ``explore`` records
 as it expands each state must equal the three checks judged afterwards
@@ -38,7 +38,6 @@ from bestow.semantics import (
     actor_step,
     enabled_choices,
     initial_heap,
-    poised,
     step_system,
 )
 from bestow.surface import compile_program
@@ -67,7 +66,7 @@ from bestow.syntax import (
     walk,
 )
 from bestow.typecheck import TypeCheckError, TypeEnv, check
-from bestow.wellformed import WfReport, WfViolation, facts, wf_heap
+from bestow.wellformed import WfReport, WfViolation, wf_heap
 
 
 def reference_canonicalize(heap: Heap) -> Heap:
@@ -312,7 +311,7 @@ CONTEXTS = [
 
 
 def poised_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None:
-    """Check ``poised(a)`` against moving ``a``; the rule that fired, if any.
+    """Check ``a.poised`` against moving ``a``; the rule that fired, if any.
 
     ``actor_step`` raises exactly when ``poised`` names no rule; otherwise
     the event names that rule, and ``poised``'s footprint is the location a
@@ -320,10 +319,10 @@ def poised_agrees(ident: int, a: Actor, counters: tuple[int, int]) -> str | None
     try:
         ev = actor_step(ident, a, *counters).event
     except (ScheduleError, StuckError):
-        assert poised(a) == (None, None), a
+        assert a.poised == (None, None), a
         return None
     touches = ev.touched_loc if ev.rule in ("mutate", "bestow") else None
-    assert poised(a) == (ev.rule, touches), a
+    assert a.poised == (ev.rule, touches), a
     return ev.rule
 
 
@@ -394,7 +393,7 @@ def test_one_record_per_actor_state(programs, canonical, lifo):
         firsts: dict[str, Actor] = {}
         for rep in space.states.values():
             for a in rep.actors.values():
-                assert firsts.setdefault(facts(a).text, a) is a
+                assert firsts.setdefault(a.facts.text, a) is a
 
 
 def test_edges_share_the_events_of_memoized_steps():
@@ -494,13 +493,20 @@ def objects_of(heap: Heap) -> list[Actor | Expr]:
 
 
 def test_a_record_changes_no_equality_hash_or_repr():
+    """Each fact declared on an object is worked out once and kept on the
+    object under its own name: read twice, it is one value, and it leaves
+    the object's equality, hash and repr as they were."""
     heap, twin = contended(2, 2), contended(2, 2)
     objs = objects_of(heap)
     before = [(hash(o), repr(o)) for o in objs]
     assert wf_heap(heap).ok
     for o, (h, r), t in zip(objs, before, objects_of(twin)):
-        assert o == t and hash(o) == h == hash(t) and repr(o) == r == repr(t)
-        assert facts(o) is facts(o) is not facts(t)
+        names = ("poised", "wf_clauses") if type(o) is Actor else ("facts", "type_error")
+        for name in names:
+            first = getattr(o, name)
+            assert getattr(o, name) is first is vars(o)[name]
+            assert o == t and hash(o) == h == hash(t) and repr(o) == r == repr(t)
+        assert o.facts is o.facts is not t.facts
 
 
 def test_explored_objects_die_with_the_last_reference():
@@ -533,7 +539,7 @@ def posthoc(space: StateSpace) -> dict[str, Counterexample | None]:
 
     def stuck(rep: Heap) -> str | None:
         for i, a in rep.actors.items():
-            if not isinstance(a.current, Value) and poised(a)[0] is None:
+            if not isinstance(a.current, Value) and a.poised[0] is None:
                 return f"actor {i} is stuck"
         return None
 
@@ -543,7 +549,7 @@ def posthoc(space: StateSpace) -> dict[str, Counterexample | None]:
 
     def race(rep: Heap) -> str | None:
         touching = [
-            (i, loc) for i in sorted(rep.actors) if (loc := poised(rep.actors[i])[1]) is not None
+            (i, loc) for i in sorted(rep.actors) if (loc := rep.actors[i].poised[1]) is not None
         ]
         for n, (a, loc) in enumerate(touching):
             for b, other in touching[n + 1 :]:

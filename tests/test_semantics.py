@@ -13,7 +13,6 @@ from bestow import semantics
 from bestow.semantics import (
     FuelExhaustedError,
     ScheduleError,
-    SendToNonActiveError,
     StuckError,
     TraceEvent,
     _focus,
@@ -22,7 +21,6 @@ from bestow.semantics import (
     enabled_choices,
     events_to_jsonl,
     initial_heap,
-    poised,
     run_to_quiescence,
     step_system,
 )
@@ -44,6 +42,7 @@ from bestow.syntax import (
     Send,
     UnitVal,
     Var,
+    fact,
     free_vars,
     render_expr,
 )
@@ -79,9 +78,9 @@ def test_redex_forms():
         (Send(ActorId(0), MSG), "send-actor"),
         (Send(BestowedLoc(0, 0), MSG), "send-bestowed"),
     ]:
-        assert poised(actor_at(e)) == (rule, None)
-    assert poised(actor_at(Mutate(Loc(0)))) == ("mutate", 0)
-    assert poised(actor_at(Bestow(Loc(3)))) == ("bestow", 3)
+        assert actor_at(e).poised == (rule, None)
+    assert actor_at(Mutate(Loc(0))).poised == ("mutate", 0)
+    assert actor_at(Bestow(Loc(3))).poised == ("bestow", 3)
     for e in [
         UNIT,
         Var("x"),
@@ -89,8 +88,8 @@ def test_redex_forms():
         Send(Loc(0), MSG),
         Send(ActorId(0), Loc(0)),
     ]:
-        assert poised(actor_at(e)) == (None, None)
-    assert poised(actor_at(UNIT, queue=(MSG,))) == ("actor-msg", None)
+        assert actor_at(e).poised == (None, None)
+    assert actor_at(UNIT, queue=(MSG,)).poised == ("actor-msg", None)
 
 
 def test_decompose_finds_innermost_redex():
@@ -127,7 +126,7 @@ def test_decompose_none_for_values_and_stuck():
     # actor fires no rule and stepping it reports that node.  An idle actor
     # with an empty queue has nothing to pop.
     assert _focus(UNIT)[1] == UNIT
-    assert poised(actor_at(UNIT)) == (None, None)
+    assert actor_at(UNIT).poised == (None, None)
     with pytest.raises(ScheduleError):
         actor_step(0, actor_at(UNIT), 1, 1)
     for e, node in [
@@ -136,7 +135,7 @@ def test_decompose_none_for_values_and_stuck():
         (App(Mutate(UnitVal()), NewPassive()), Mutate(UnitVal())),
     ]:
         assert _focus(e)[1] == node
-        assert poised(actor_at(e)) == (None, None)
+        assert actor_at(e).poised == (None, None)
         with pytest.raises(StuckError) as exc:
             actor_step(0, actor_at(e), 1, 1)
         assert exc.value.expr == node
@@ -261,7 +260,7 @@ def test_step_system_leaves_the_given_heap_unchanged(rule):
 
 def test_step_stuck_diagnoses():
     heap = one_actor(Send(Loc(0), MSG))
-    with pytest.raises(SendToNonActiveError, match="send target is not an actor"):
+    with pytest.raises(StuckError, match="send target is not an actor"):
         step_one(heap)
     heap = one_actor(App(UNIT, UNIT))
     with pytest.raises(StuckError, match="application of a non-function value"):
@@ -504,21 +503,23 @@ def test_run_work_per_step_is_bounded(src, monkeypatch):
     # A step changes at most three actors: the stepper, the post's target
     # and the spawned actor.  A runner that probed idle actors to choose,
     # or copied the actor table into a new heap, on every step would be
-    # quadratic on the 2 000-actor fan-out program.
+    # quadratic on the 2 000-actor fan-out program.  A property is a data
+    # descriptor, so it sees every read of ``poised``, kept ones too.
     heap = initial_heap(compile_program(src))
     probes = built = 0
+    kept = Actor.poised
 
     def counting_poised(a):
         nonlocal probes
         probes += 1
-        return poised(a)
+        return a.__dict__.get("poised") or kept.__get__(a)
 
     def counting_heap(*args, **kwargs):
         nonlocal built
         built += 1
         return Heap(*args, **kwargs)
 
-    monkeypatch.setattr(semantics, "poised", counting_poised)
+    monkeypatch.setattr(Actor, "poised", property(counting_poised))
     monkeypatch.setattr(semantics, "Heap", counting_heap)
     _, trace = run_to_quiescence(heap)
     assert len(trace) > 6_000
@@ -530,10 +531,20 @@ def test_run_work_per_step_is_bounded(src, monkeypatch):
     assert built == 1  # the heap the error carries
 
 
-def test_poised_is_worked_out_once_per_actor():
+def test_poised_is_worked_out_once_per_actor(monkeypatch):
+    calls = 0
+
+    def counting_poised(a):
+        nonlocal calls
+        calls += 1
+        return semantics._poised(a)
+
+    monkeypatch.setattr(Actor, "poised", fact("poised", counting_poised))
     a = Actor(0, frozenset({0}), (), Mutate(Loc(0)))
-    assert poised(a) == ("mutate", 0)
-    assert poised(a) is poised(a)
+    first = a.poised
+    assert first == ("mutate", 0)
+    assert a.poised is first
+    assert calls == 1
 
 
 def test_scripted_schedule_and_error():
